@@ -17,10 +17,10 @@ from pathlib import Path
 from .config import STT_400US, System, homogeneous_system, sram_system
 from .configfile import ConfigError, ExperimentConfig, default_config, load_config
 from .constraints import KINDS, NO_CONSTRAINT, Constraint
-from .engine import RunResult, exhaustive_sweep, pareto_flags, simulate_run
+from .engine import (RunResult, exhaustive_sweep, pareto_flags, select_best,
+                     simulate_run)
 from .features import profile_application
-from .predictor import (TrainingSet, label_oracle, load_model, save_model,
-                        train_tree)
+from .predictor import TrainingSet, load_model, save_model, train_tree
 from .scheduler import HistoryTable, Scheduler
 from .trace import (BimodalGaps, SynthParams, UniformGaps, gen_synthetic,
                     load_trace, write_trace)
@@ -196,12 +196,14 @@ def cmd_train(args) -> int:
     for trace in traces:
         feats, _ = profile_application(trace, cfg.system, cfg.power,
                                        cfg.profiling_interval)
-        profiled.append((trace, feats))
+        sweep = exhaustive_sweep(trace, cfg.system, cfg.power,
+                                 Constraint(NO_CONSTRAINT))
+        profiled.append((feats, sweep.rows))
     for kind in kinds:
         constraint = Constraint(kind)
         rows = tuple(
-            (feats, label_oracle(trace, cfg.system, cfg.power, constraint))
-            for trace, feats in profiled)
+            (feats, select_best(sweep_rows, cfg.system, constraint)[0].core_id)
+            for feats, sweep_rows in profiled)
         data = TrainingSet(rows=rows, constraint=constraint, label_order=labels,
                            provenance=f"profiling_core={cfg.system.profiling_core} "
                                       f"interval={cfg.profiling_interval}")

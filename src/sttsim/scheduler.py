@@ -7,6 +7,11 @@ faster cores, and a prediction that would cost more than the base-core path
 falls back to it, so a committed decision never spends more than that
 fallback. Decisions land in a bounded LRU history table; a repeat encounter
 skips profiling and prediction entirely.
+
+Every simulation goes through one memo per scheduler, keyed by the trace
+object and the run's (core, frequency, limit, start), so a decision's
+window estimates, verification runs, deadline base and later history hits
+each simulate a given point once.
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .config import System, voltage_for_frequency
+from .config import CoreSpec, System, voltage_for_frequency
 from .constraints import Constraint
-from .engine import PowerModel, RunResult, exhaustive_sweep, simulate_run
-from .features import profile_application
+from .engine import PowerModel, RunResult, simulate_run
+from .features import FeatureVector, features_from_run
 from .predictor import CorePredictor
 from .trace import Trace
 
@@ -151,28 +156,58 @@ class Scheduler:
         prof_core = system.core(system.profiling_core)
         self._overhead_power_w = power.static_power_w(
             voltage_for_frequency(prof_core.dvfs, prof_core.operating_freq_ghz))
+        # id(trace) -> (trace, {(core_id, freq, limit, start): run}), least
+        # recently used first; holds at most history.capacity traces.
+        self._runs: OrderedDict[int, tuple[Trace, dict]] = OrderedDict()
+
+    # -- simulation ------------------------------------------------------------
+
+    def _simulate(self, trace: Trace, core: CoreSpec, freq_ghz: float,
+                  limit: int | None = None, start: int = 0) -> RunResult:
+        """`simulate_run` on this scheduler's power model, memoised.
+
+        Traces are matched by identity, never by name (two traces may share
+        one) or by hash (hashing walks every event). Callers share the
+        returned result and must not mutate it.
+        """
+        key = id(trace)
+        entry = self._runs.get(key)
+        if entry is None or entry[0] is not trace:
+            entry = self._runs[key] = (trace, {})
+            while len(self._runs) > self.history.capacity:
+                self._runs.popitem(last=False)
+        self._runs.move_to_end(key)
+        runs = entry[1]
+        point = (core.core_id, freq_ghz, limit, start)
+        run = runs.get(point)
+        if run is None:
+            run = runs[point] = simulate_run(trace, core, freq_ghz, self.power,
+                                             limit=limit, start=start)
+        return run
+
+    def _profile(self, trace: Trace) -> tuple[FeatureVector, RunResult]:
+        """The profiling window on the profiling core, as
+        `features.profile_application` runs it."""
+        core = self.system.core(self.system.profiling_core)
+        run = self._simulate(trace, core, core.operating_freq_ghz,
+                             limit=self.profiling_interval)
+        return features_from_run(run), run
 
     # -- deadlines -----------------------------------------------------------
 
     def deadline_for(self, trace: Trace, constraint: Constraint,
-                     best_latency_s: float | None = None,
-                     via_sweep: bool = False) -> float:
+                     best_latency_s: float | None = None) -> float:
         """Deadline = best achievable latency relaxed by the slack.
 
-        The best latency is taken from the caller, from a full sweep, or
-        measured on the fastest core at its cap.
+        The best latency is taken from the caller or measured on the
+        fastest core at its cap.
         """
         if not constraint.bounded:
             return math.inf
         if best_latency_s is None:
-            if via_sweep:
-                sweep = exhaustive_sweep(trace, self.system, self.power,
-                                         Constraint("best-perf"))
-                best_latency_s = min(r.wall_time_s for r in sweep.rows)
-            else:
-                fastest = self.system.core(self.system.speed_order()[0])
-                run = simulate_run(trace, fastest, fastest.freq_cap_ghz, self.power)
-                best_latency_s = run.wall_time_s
+            fastest = self.system.core(self.system.speed_order()[0])
+            best_latency_s = self._simulate(trace, fastest,
+                                            fastest.freq_cap_ghz).wall_time_s
         return constraint.deadline(best_latency_s)
 
     # -- candidate evaluation ------------------------------------------------
@@ -184,7 +219,7 @@ class Scheduler:
         total = trace.instructions
         best = None
         for freq in core.dvfs.grid():
-            est = simulate_run(trace, core, freq, self.power, limit=interval)
+            est = self._simulate(trace, core, freq, limit=interval)
             if est.instructions == 0:
                 continue
             scale = total / est.instructions
@@ -206,7 +241,7 @@ class Scheduler:
         overheads are charged as time plus profiling-core static power.
         """
         core = self.system.core(core_label)
-        full = simulate_run(trace, core, freq_ghz, self.power)
+        full = self._simulate(trace, core, freq_ghz)
         if prof_run is None:
             # History hit: the app starts directly on the stored core.
             return _PathCost(core_label, freq_ghz, full, full.total_energy_j,
@@ -221,8 +256,8 @@ class Scheduler:
             energy = full.total_energy_j + pred_e
             time = full.wall_time_s + self.prediction_time_s
         else:
-            rest = simulate_run(trace, core, freq_ghz, self.power,
-                                start=prof_run.instructions)
+            rest = self._simulate(trace, core, freq_ghz,
+                                  start=prof_run.instructions)
             energy = (prof_run.total_energy_j + rest.total_energy_j
                       + pred_e + migr_e)
             time = (prof_run.wall_time_s + rest.wall_time_s
@@ -269,8 +304,7 @@ class Scheduler:
                 violation=False)
 
         interval = self.profiling_interval
-        feats, prof_run = profile_application(trace, self.system, self.power,
-                                              interval)
+        feats, prof_run = self._profile(trace)
         predicted = model.predict_one(feats)
         ranking = tuple(model.rank_labels(feats))
         path = [(self.system.profiling_core, "profile"), (predicted, "predicted")]
@@ -368,8 +402,7 @@ class Scheduler:
         any_violation = False
         interval = self.profiling_interval
         for trace in traces:
-            feats, prof_run = profile_application(trace, self.system,
-                                                  self.power, interval)
+            feats, prof_run = self._profile(trace)
             ranking = tuple(model.rank_labels(feats))
             cluster, chosen = next(
                 (cl, lab) for lab in ranking

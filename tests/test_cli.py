@@ -4,8 +4,11 @@ import sys
 
 import pytest
 
-from sttsim import load_trace
+from sttsim import (Constraint, TrainingSet, cli, dump_tree, engine, features,
+                    label_oracle, load_config, load_trace, profile_application,
+                    scheduler, train_tree)
 from sttsim.cli import main
+from sttsim.constraints import KINDS
 
 FIG_TRACE = "0 R 0xa00\n5000 R 0xa00\n7000 R 0xa00\n"
 
@@ -149,6 +152,44 @@ class TestTrainPredictSchedule:
             text = (out / f"model-{kind}.txt").read_text()
             assert text.startswith("sttsim-tree v1")
             assert f"constraint {kind}" in text
+
+    def test_train_sweeps_each_trace_once(self, trained_models, tmp_path,
+                                          monkeypatch):
+        _, traces, cfg_path = trained_models
+        traces = [traces[0], traces[2]]
+        calls = []
+        original = engine.simulate_run
+
+        def counted(*args, **kwargs):
+            calls.append(args[:3])
+            return original(*args, **kwargs)
+
+        for module in (engine, features, cli, scheduler):
+            monkeypatch.setattr(module, "simulate_run", counted)
+        out = tmp_path / "models"
+        assert run_cli("train", "--traces", *traces, "--all-constraints",
+                       "--config", cfg_path, "--out", out,
+                       "--no-timestamp") == 0
+        # One profiling window and one 22-point sweep per trace.
+        assert len(calls) == 2 + 2 * 22
+        monkeypatch.undo()
+
+        # The same models as labelling each constraint with its own sweep.
+        cfg = load_config(cfg_path)
+        loaded = [load_trace(p) for p in traces]
+        feats = [profile_application(t, cfg.system, cfg.power,
+                                     cfg.profiling_interval)[0] for t in loaded]
+        for kind in KINDS:
+            constraint = Constraint(kind)
+            rows = tuple((f, label_oracle(t, cfg.system, cfg.power, constraint))
+                         for f, t in zip(feats, loaded))
+            data = TrainingSet(
+                rows=rows, constraint=constraint,
+                label_order=tuple(cfg.system.labels()),
+                provenance=f"profiling_core={cfg.system.profiling_core} "
+                           f"interval={cfg.profiling_interval}")
+            assert ((out / f"model-{kind}.txt").read_text()
+                    == dump_tree(train_tree(data), constraint))
 
     def test_predict_prints_label_and_ranking(self, trained_models, capsys):
         out, traces, cfg = trained_models

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
 from sttsim import (Constraint, CorePredictor, HistoryTable, Scheduler,
                     SynthParams, System, UniformGaps, default_system,
-                    exhaustive_sweep, gen_synthetic, simulate_run)
+                    exhaustive_sweep, gen_synthetic, scheduler, simulate_run)
 from sttsim.constraints import KINDS
 
 INTERVAL = 10_000
@@ -163,6 +164,85 @@ class TestRunApplication:
                    sched.history.apps()
         (d1, h1), (d2, h2) = run(), run()
         assert d1 == d2 and h1 == h2
+
+
+@pytest.fixture
+def sim_calls(monkeypatch):
+    """Every simulate_run call the scheduler makes, as
+    (trace id, core, freq, limit, start)."""
+    calls = []
+
+    def counted(trace, core, freq_ghz, power, limit=None, start=0):
+        calls.append((id(trace), core.core_id, freq_ghz, limit, start))
+        return simulate_run(trace, core, freq_ghz, power, limit, start)
+
+    monkeypatch.setattr(scheduler, "simulate_run", counted)
+    return calls
+
+
+class TestRunMemo:
+    def test_history_hit_runs_nothing(self, system, power, sim_calls):
+        sched = Scheduler(system, power, stub_models(system, "core2"),
+                          profiling_interval=INTERVAL)
+        trace = hot_trace()
+        for kind in ("none", "slack10"):
+            sched.run_application(trace, Constraint(kind))
+            made = len(sim_calls)
+            hit = sched.run_application(trace, Constraint(kind))
+            assert hit.from_history
+            assert len(sim_calls) == made
+
+    def test_each_point_simulated_once(self, system, power, sim_calls):
+        sched = Scheduler(system, power, stub_models(system, "core2"),
+                          profiling_interval=INTERVAL)
+        trace = hot_trace()
+        for kind in KINDS:
+            sched.run_application(trace, Constraint(kind))
+        sched.dispatch_workload([trace], Constraint("slack20"))
+        assert len(sim_calls) == len(set(sim_calls))
+
+    def test_long_lived_scheduler_matches_fresh_ones(self, system, power):
+        models = {kind: stub_model(system, label)
+                  for kind, label in zip(KINDS, ("core1", "core2", "core4",
+                                                 "core3"))}
+        mk = lambda: Scheduler(system, power, models,
+                               profiling_interval=INTERVAL)
+        traces = [hot_trace(seed=s, total=60_000) for s in (3, 4)]
+        shared = mk()
+        for kind in KINDS:
+            constraint = Constraint(kind)
+            for trace in traces:
+                assert (shared.run_application(trace, constraint)
+                        == mk().run_application(trace, constraint))
+            assert (shared.dispatch_workload(traces, constraint)
+                    == mk().dispatch_workload(traces, constraint))
+
+    def test_same_name_traces_get_their_own_runs(self, system, power):
+        sched = Scheduler(system, power, stub_models(system, "core3"),
+                          profiling_interval=INTERVAL)
+        first = hot_trace(seed=1)
+        second = dataclasses.replace(hot_trace(seed=2), name=first.name)
+        d1 = sched.run_application(first, Constraint("none"))
+        d2 = sched.run_application(second, Constraint("none"))
+        assert d2.from_history and (d2.core, d2.freq_ghz) == (d1.core, d1.freq_ghz)
+        rerun = simulate_run(second, system.core(d2.core), d2.freq_ghz, power)
+        assert d2.run_wall_time_s == rerun.wall_time_s != d1.run_wall_time_s
+
+    def test_memo_bounded_by_history_capacity(self, system, power, sim_calls):
+        sched = Scheduler(system, power, stub_models(system, "core3"),
+                          history=HistoryTable(capacity=2),
+                          profiling_interval=INTERVAL)
+        traces = [hot_trace(seed=s, total=30_000) for s in range(4)]
+        for trace in traces:
+            sched.run_application(trace, Constraint("none"))
+            assert len(sched._runs) <= 2
+        # The oldest traces were evicted: dispatching them simulates again.
+        made = len(sim_calls)
+        sched.dispatch_workload(traces[:1], Constraint("none"))
+        assert len(sim_calls) > made
+        made = len(sim_calls)
+        sched.dispatch_workload(traces[-1:], Constraint("none"))
+        assert len(sim_calls) == made
 
 
 class TestDispatch:
