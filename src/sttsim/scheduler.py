@@ -292,25 +292,23 @@ class Scheduler:
             raise ValueError(f"no trained model for constraint {constraint.kind!r}")
         app = trace.name
 
+        if deadline_s is None:
+            deadline_s = self.deadline_for(trace, constraint)
+
         entry = self.history.lookup(app, constraint.kind)
         if entry is not None:
             cost = self._path_cost(trace, entry.core, entry.freq_ghz, None)
-            if deadline_s is None:
-                deadline_s = math.inf
             return self._decision(
                 app, constraint, cost, path=((entry.core, "history"),),
                 ranking=(), from_history=True, prof_run=None,
                 base_energy=math.inf, deadline_s=deadline_s,
-                violation=False)
+                violation=cost.full_run.wall_time_s > deadline_s)
 
         interval = self.profiling_interval
         feats, prof_run = self._profile(trace)
         predicted = model.predict_one(feats)
         ranking = tuple(model.rank_labels(feats))
         path = [(self.system.profiling_core, "profile"), (predicted, "predicted")]
-
-        if deadline_s is None:
-            deadline_s = self.deadline_for(trace, constraint)
 
         order = self.system.speed_order()
         current = predicted

@@ -103,6 +103,22 @@ class TestRunApplication:
         assert second.core == first.core
         assert second.path == ((first.core, "history"),)
 
+    def test_history_hit_checks_the_real_deadline(self, system, power):
+        sched = Scheduler(system, power, stub_models(system, "core2"),
+                          profiling_interval=INTERVAL)
+        trace = hot_trace()
+        fresh = sched.run_application(trace, Constraint("slack10"))
+        hit = sched.run_application(trace, Constraint("slack10"))
+        assert hit.from_history
+        assert hit.deadline_s == fresh.deadline_s < math.inf
+        rerun = simulate_run(trace, system.core(hit.core), hit.freq_ghz, power)
+        assert hit.deadline_met == (rerun.wall_time_s <= hit.deadline_s)
+        assert hit.violation == (not hit.deadline_met)
+        missed = sched.run_application(trace, Constraint("slack10"),
+                                       deadline_s=rerun.wall_time_s / 2)
+        assert missed.from_history
+        assert not missed.deadline_met and missed.violation
+
     def test_changed_constraint_invalidates_history(self, system, power):
         sched = Scheduler(system, power, stub_models(system, "core3"),
                           profiling_interval=INTERVAL)
