@@ -19,8 +19,9 @@ from .configfile import ConfigError, ExperimentConfig, default_config, load_conf
 from .constraints import KINDS, NO_CONSTRAINT, Constraint
 from .engine import (RunResult, exhaustive_sweep, pareto_flags, select_best,
                      simulate_run)
-from .features import profile_application
-from .predictor import TrainingSet, load_model, save_model, train_tree
+from .features import FeatureVector, profile_application
+from .predictor import (CorePredictor, TrainingSet, load_model, save_model,
+                        train_tree)
 from .scheduler import HistoryTable, Scheduler
 from .trace import (BimodalGaps, SynthParams, UniformGaps, gen_synthetic,
                     load_trace, write_trace)
@@ -217,7 +218,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _load_cfg(args)
-    model, constraint = load_model(args.model)
+    model, constraint = _load_model(args.model, cfg.system)
     trace = load_trace(args.trace)
     feats, _ = profile_application(trace, cfg.system, cfg.power,
                                    cfg.profiling_interval)
@@ -228,13 +229,33 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _load_models(model_dir: Path, kinds):
+def _load_model(path: Path, system: System) -> tuple[CorePredictor, Constraint]:
+    """Load a model file and check, before any work, that it predicts cores
+    of `system` from known features."""
+    try:
+        model, constraint = load_model(path)
+    except ValueError as exc:
+        raise ConfigError(None, f"{path}: {exc}") from exc
+    alien = sorted(set(model.classes_) - set(system.labels()))
+    if alien:
+        raise ConfigError(None, f"{path}: labels {alien} are not cores of the "
+                                f"system ({' '.join(system.labels())})")
+    alien = sorted(set(model.feature_names) - set(FeatureVector.names()))
+    if alien:
+        raise ConfigError(None, f"{path}: unknown features {alien}")
+    return model, constraint
+
+
+def _load_models(model_dir: Path, system: System):
     models = {}
-    for kind in kinds:
+    for kind in KINDS:
         path = model_dir / f"model-{kind}.txt"
         if path.exists():
-            model, constraint = load_model(path)
-            models[constraint.kind] = model
+            model, constraint = _load_model(path, system)
+            if constraint.kind != kind:
+                raise ConfigError(None, f"{path}: holds a {constraint.kind!r} "
+                                        "model")
+            models[kind] = model
     if not models:
         raise ConfigError(None, f"no model files under {model_dir}")
     return models
@@ -242,7 +263,7 @@ def _load_models(model_dir: Path, kinds):
 
 def cmd_schedule(args) -> int:
     cfg = _load_cfg(args)
-    models = _load_models(args.models, KINDS)
+    models = _load_models(args.models, cfg.system)
     sched = _scheduler(cfg, models)
     constraint = Constraint(args.constraint)
     traces = [load_trace(p) for p in args.traces]

@@ -343,27 +343,50 @@ def dump_tree(model: CorePredictor, constraint: Constraint) -> str:
 
 
 def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(f"{FORMAT_TAG} v"):
+    """Inverse of dump_tree. A malformed file raises ValueError naming the
+    missing header key or the offending line by its number."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or not lines[0][1].startswith(f"{FORMAT_TAG} v"):
         raise ValueError("not a model file")
-    version = lines[0].split("v", 1)[1]
-    if int(version) != FORMAT_VERSION:
+    version = lines[0][1].split("v", 1)[1]
+    if version != str(FORMAT_VERSION):
         raise ValueError(f"unsupported model version {version}")
     header = {}
     body_at = len(lines)
-    for i, ln in enumerate(lines[1:], start=1):
+    for i, (_, ln) in enumerate(lines[1:], start=1):
         key, _, rest = ln.partition(" ")
         if key == "node":
             body_at = i
             break
-        header[key] = rest
-    constraint = Constraint(header["constraint"])
-    feature_names = tuple(header["features"].split())
-    labels = tuple(header["labels"].split())
-    hyper = dict(kv.split("=") for kv in header["hyper"].split())
+        header[key] = (i, rest)
 
-    model = CorePredictor(max_depth=int(hyper["max_depth"]),
-                          min_samples_leaf=int(hyper["min_samples_leaf"]),
+    def field(key):
+        if key not in header:
+            raise ValueError(f"model file has no {key!r} line")
+        return header[key]
+
+    def bad(i, why):
+        no, ln = lines[i]
+        return ValueError(f"line {no}: {why}: {ln!r}")
+
+    at, kind = field("constraint")
+    try:
+        constraint = Constraint(kind)
+    except ValueError as exc:
+        raise bad(at, str(exc)) from None
+    feature_names = tuple(field("features")[1].split())
+    labels = tuple(field("labels")[1].split())
+    at, hyper_text = field("hyper")
+    try:
+        hyper = dict(kv.split("=") for kv in hyper_text.split())
+        max_depth = int(hyper["max_depth"])
+        min_samples_leaf = int(hyper["min_samples_leaf"])
+    except (KeyError, ValueError):
+        raise bad(at, "bad hyper line") from None
+
+    model = CorePredictor(max_depth=max_depth,
+                          min_samples_leaf=min_samples_leaf,
                           feature_names=feature_names, label_order=labels)
     model.classes_ = labels
     model._rank = {lab: i for i, lab in enumerate(labels)}
@@ -377,29 +400,41 @@ def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
         nonlocal pos
         if pos >= len(lines):
             raise ValueError("model file truncated")
-        parts = lines[pos].split()
+        at = pos
+        parts = lines[pos][1].split()
         pos += 1
-        if parts[:2] == ["node", "leaf"]:
+        if parts[:2] == ["node", "leaf"] and len(parts) == 4:
             label = parts[2]
             counts = {}
-            for kv in parts[3].split(","):
-                lab, _, c = kv.partition("=")
-                counts[lab] = int(c)
+            try:
+                for kv in parts[3].split(","):
+                    lab, _, c = kv.partition("=")
+                    counts[lab] = int(c)
+            except ValueError:
+                raise bad(at, "bad leaf counts") from None
+            if not {label, *counts} <= set(labels):
+                raise bad(at, "leaf label is not in the labels line")
             return _Leaf(label, counts)
-        if parts[:2] == ["node", "split"]:
-            feature, threshold = parts[2], float(parts[3])
+        if parts[:2] == ["node", "split"] and len(parts) == 4:
+            if parts[2] not in col:
+                raise bad(at, f"split feature {parts[2]!r} is not in the "
+                              "features line")
+            try:
+                threshold = float(parts[3])
+            except ValueError:
+                raise bad(at, "bad split threshold") from None
             left = parse_node()
             right = parse_node()
             counts = {}
             for child in (left, right):
                 for lab, c in child.counts.items():
                     counts[lab] = counts.get(lab, 0) + c
-            return _Split(col[feature], threshold, left, right, counts)
-        raise ValueError(f"bad node line: {lines[pos - 1]!r}")
+            return _Split(col[parts[2]], threshold, left, right, counts)
+        raise bad(at, "bad node line")
 
     model.root_ = parse_node()
     if pos != len(lines):
-        raise ValueError("trailing content after tree")
+        raise bad(pos, "trailing content after tree")
     return model, constraint
 
 

@@ -191,6 +191,26 @@ class TestTrainPredictSchedule:
             assert ((out / f"model-{kind}.txt").read_text()
                     == dump_tree(train_tree(data), constraint))
 
+    @pytest.mark.parametrize("old, new, expect", [
+        ("features ", "# ", "'features'"),
+        ("node split l1d_hits", "node split bogus", "line 6"),
+        ("core4", "core9", "core9"),
+    ])
+    def test_bad_model_file_is_config_error(self, trained_models, tmp_path,
+                                            capsys, old, new, expect):
+        models, traces, cfg = trained_models
+        text = (models / "model-none.txt").read_text()
+        assert old in text
+        bad = tmp_path / "model-none.txt"
+        bad.write_text(text.replace(old, new, 1))
+        assert run_cli("schedule", "--models", tmp_path, "--traces", traces[0],
+                       "--config", cfg, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and expect in err
+        assert run_cli("predict", "--model", bad, "--trace", traces[0],
+                       "--config", cfg) == 1
+        assert str(bad) in capsys.readouterr().err
+
     def test_predict_prints_label_and_ranking(self, trained_models, capsys):
         out, traces, cfg = trained_models
         code = run_cli("predict", "--model", out / "model-none.txt",
