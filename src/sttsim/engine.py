@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .cache import MISS, CacheState, CacheStats
 from .config import CoreSpec, MemTechnology, System, voltage_for_frequency
 from .constraints import Constraint
-from .trace import WRITE, Trace
+from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
     caches, which is how a migrated application resumes on a new core.
     Deterministic: identical inputs give bit-identical results.
     """
-    if not trace.events:
+    if not len(trace):
         raise ValueError("trace is empty")
     if not core.dvfs.on_grid(freq_ghz):
         raise ValueError(
@@ -133,22 +133,25 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
     cpi = core.base_cpi
     ns_per_cycle = 1.0 / freq_ghz
 
-    events = trace.events
-    idx = 0
-    pos = 0
-    while idx < len(events) and pos + events[idx].gap + 1 <= start:
-        pos += events[idx].gap + 1
-        idx += 1
-    carry_gap = events[idx].gap - (start - pos) if idx < len(events) else 0
+    gaps, writes, addrs = trace.gaps, trace.writes, trace.addrs
+    if start:
+        # Skip the accesses that end at or before `start`; the first one
+        # left keeps only the part of its gap after `start`.
+        idx = 0
+        pos = 0
+        while idx < len(gaps) and pos + gaps[idx] + 1 <= start:
+            pos += gaps[idx] + 1
+            idx += 1
+        gaps, writes, addrs = gaps[idx:], writes[idx:], addrs[idx:]
+        if gaps:
+            gaps[0] -= start - pos
 
     cycles = 0.0
     nonmem = 0
     mem = 0
     penalty_stalls = 0
     done = 0
-    for i in range(idx, len(events)):
-        ev = events[i]
-        gap = carry_gap if i == idx else ev.gap
+    for gap, is_write, addr in zip(gaps, writes, addrs):
         take = gap if done + gap <= budget else int(budget - done)
         if take:
             cycles += take * cpi
@@ -156,7 +159,7 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
             done += take
         if done >= budget:
             break
-        kind, _, stall, _ = access(ev.addr, ev.op == WRITE, cycles * ns_per_cycle)
+        kind, _, stall, _ = access(addr, is_write, cycles * ns_per_cycle)
         cycles += stall
         if kind is MISS:
             penalty_stalls += penalty

@@ -1,4 +1,5 @@
-"""Memory-access trace parsing, serialization and synthetic generation.
+"""Memory-access traces: the columnar representation, text parsing and
+serialization, and synthetic generation.
 
 Trace files are plain text, one access per line:
 
@@ -8,87 +9,279 @@ where `gap` is the number of non-memory instructions executed before the
 access. Lines starting with `#` are comments; the generator writes its
 parameters into a header comment. Round-trips are bit-exact at the event
 level.
+
+In memory a trace is three columns with one entry per access: the gaps
+(signed 64-bit, so each below 2**63), the write flags (one byte each, 0 or
+1) and the addresses (unsigned 64-bit, so each below 2**64). Nothing on the
+simulation path makes an object per access; `Trace.events` presents the
+columns as `TraceEvent`s, made one at a time when read.
 """
 
 from __future__ import annotations
 
 import heapq
 import io
+import operator
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+import re
+from array import array
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, TextIO
 
 READ = "R"
 WRITE = "W"
+_OPS = (READ, WRITE)  # indexed by the write flag
+GAP_LIMIT = 1 << 63
+ADDR_LIMIT = 1 << 64
 
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One access, as `Trace.events` presents it."""
+
     gap: int
     op: str  # READ | WRITE
     addr: int
-    line_no: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.gap < 0:
-            raise ValueError(f"gap must be >= 0, got {self.gap}")
-        if self.op not in (READ, WRITE):
+        if not 0 <= self.gap < GAP_LIMIT:
+            raise ValueError(f"gap must be in [0, 2**63), got {self.gap}")
+        if self.op not in _OPS:
             raise ValueError(f"op must be R or W, got {self.op!r}")
-        if self.addr < 0:
-            raise ValueError("address must be non-negative")
+        if not 0 <= self.addr < ADDR_LIMIT:
+            raise ValueError(f"address must be in [0, 2**64), got {self.addr}")
 
 
-@dataclass(frozen=True)
+def _event(gap: int, write: int, addr: int) -> TraceEvent:
+    return TraceEvent(gap, _OPS[write], addr)
+
+
 class Trace:
-    events: tuple[TraceEvent, ...]
-    name: str = "trace"
+    """One application's accesses, stored column by column.
+
+    `gaps` (`array('q')`), `writes` (`bytes` of 0/1 flags) and `addrs`
+    (`array('Q')`) hold one entry per access. `instructions`, every access
+    plus its preceding gap, is counted once at construction. Readers share
+    the columns and must not mutate them.
+    """
+
+    __slots__ = ("name", "gaps", "writes", "addrs", "instructions")
+
+    def __init__(self, events: Iterable[TraceEvent] = (), name: str = "trace"):
+        gaps, writes, addrs = array("q"), bytearray(), array("Q")
+        for e in events:
+            gaps.append(e.gap)
+            writes.append(e.op == WRITE)
+            addrs.append(e.addr)
+        self._adopt(name, gaps, bytes(writes), addrs)
+
+    @classmethod
+    def from_columns(cls, gaps: Iterable[int], writes: Iterable[int],
+                     addrs: Iterable[int], name: str = "trace") -> Trace:
+        """A trace over copies of the given columns, checked as `TraceEvent`
+        checks one access."""
+        try:
+            gaps, addrs = array("q", gaps), array("Q", addrs)
+        except OverflowError:
+            raise ValueError("gaps must be below 2**63 and addresses in "
+                             "[0, 2**64)") from None
+        writes = bytes(writes)
+        if not len(gaps) == len(writes) == len(addrs):
+            raise ValueError("columns differ in length")
+        if gaps and min(gaps) < 0:
+            raise ValueError("gaps must be >= 0")
+        if writes.translate(None, b"\x00\x01"):
+            raise ValueError("write flags must be 0 or 1")
+        trace = cls.__new__(cls)
+        trace._adopt(name, gaps, writes, addrs)
+        return trace
+
+    def _adopt(self, name, gaps, writes, addrs) -> None:
+        self.name = name
+        self.gaps = gaps
+        self.writes = writes
+        self.addrs = addrs
+        self.instructions = sum(gaps) + len(gaps)
 
     @property
-    def instructions(self) -> int:
-        """Total instruction count: every access plus its preceding gap."""
-        return sum(e.gap + 1 for e in self.events)
+    def events(self) -> Sequence[TraceEvent]:
+        """The accesses as a read-only sequence of `TraceEvent`s, each made
+        when it is read; nothing is kept on the trace."""
+        return _EventView(self)
 
     def __len__(self):
-        return len(self.events)
+        return len(self.gaps)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.name == other.name and self.gaps == other.gaps
+                and self.writes == other.writes and self.addrs == other.addrs)
+
+    def __hash__(self):
+        return hash((self.name, len(self), self.instructions))
+
+    def __repr__(self):
+        return (f"Trace(name={self.name!r}, accesses={len(self)}, "
+                f"instructions={self.instructions})")
+
+
+class _EventView(Sequence):
+    """`Trace.events`: equal to a tuple of the same events."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self):
+        return len(self._trace)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
+        t = self._trace
+        return _event(t.gaps[index], t.writes[index], t.addrs[index])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        t = self._trace
+        return map(_event, t.gaps, t.writes, t.addrs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"<{len(self)} events of {self._trace.name!r}>"
 
 
 class TraceParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int, message: str, path=None):
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+        self.path = path
+
+
+# The grammar of a trace line, shared by the bulk parse and the per-line check
+# that words its errors. Whitespace is whatever str.split() splits on.
+_SPACE = r"[^\S\n]"
+_GAP = r"[0-9]+"
+_ADDR = r"0[xX][0-9a-fA-F]+"
+_LINE = rf"{_SPACE}*(?:{_GAP}{_SPACE}+[RW]{_SPACE}+{_ADDR}{_SPACE}*|#[^\n]*)?"
+# A newline not followed by a grammatical line: searching `"\n" + block`
+# finds the first bad line of the block, if any.
+_BAD_LINE = re.compile(rf"\n(?!{_LINE}(?:\n|\Z))")
+_COMMENTS = re.compile(rf"\n{_SPACE}*#[^\n]*")
+_GAP_RE = re.compile(_GAP)
+_ADDR_RE = re.compile(_ADDR)
+_WRITE_FLAGS = bytes.maketrans(b"RW", b"\x00\x01")
+# Characters read per bulk step; bounds the field strings alive at once.
+_BLOCK_CHARS = 1 << 20
+
+
+def _blocks(stream: TextIO) -> Iterator[str]:
+    """The text as blocks of whole lines, each ending in a newline."""
+    rest = ""
+    while chunk := stream.read(_BLOCK_CHARS):
+        head, newline, tail = chunk.rpartition("\n")
+        if newline:
+            yield rest + head + newline
+            rest = tail
+        else:
+            rest += chunk
+    if rest:
+        yield rest + "\n"
+
+
+def _ints(tokens: list[str], base: int) -> Iterator[int]:
+    # Gaps and addresses repeat across a trace; convert each distinct one once.
+    values = {token: int(token, base) for token in set(tokens)}
+    return map(values.__getitem__, tokens)
+
+
+def _extend_columns(text: str, gaps: array, writes: bytearray,
+                    addrs: array) -> bool:
+    """Append grammatical lines, each after a newline, to the columns; False
+    when a value does not fit its column."""
+    if "#" in text:
+        text = _COMMENTS.sub("\n", text)
+    fields = text.split()
+    try:
+        gaps.extend(_ints(fields[0::3], 10))
+        addrs.extend(_ints(fields[2::3], 16))
+    except (OverflowError, ValueError):
+        return False
+    writes.extend("".join(fields[1::3]).encode().translate(_WRITE_FLAGS))
+    return True
+
+
+def _line_error(line: str) -> str | None:
+    """Why one line breaks the trace grammar, or None when it does not."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    parts = line.split()
+    if len(parts) != 3:
+        return f"expected 'gap op addr', got {line!r}"
+    gap_s, op, addr_s = parts
+    if not _GAP_RE.fullmatch(gap_s):
+        return f"gap must be a decimal count, got {gap_s!r}"
+    if op not in _OPS:
+        return f"op must be R or W, got {op!r}"
+    if addr_s[:2] not in ("0x", "0X"):
+        return f"address must be 0x-hex, got {addr_s!r}"
+    if not _ADDR_RE.fullmatch(addr_s):
+        return f"bad hex address {addr_s!r}"
+    try:
+        too_big = int(gap_s) >= GAP_LIMIT
+    except ValueError:  # more digits than int() converts
+        too_big = True
+    if too_big:
+        return f"gap must be below 2**63, got {gap_s}"
+    if int(addr_s, 16) >= ADDR_LIMIT:
+        return f"address must be below 2**64, got {addr_s}"
+    return None
+
+
+def _first_error(block: str, first_line: int) -> TraceParseError:
+    for line_no, line in enumerate(block.split("\n"), start=first_line):
+        message = _line_error(line)
+        if message is not None:
+            return TraceParseError(line_no, message)
+    raise AssertionError("the bulk parse rejected lines the per-line check accepts")
 
 
 def parse_trace(stream: TextIO | str, name: str = "trace") -> Trace:
-    """Parse a trace file; malformed lines raise with their line number."""
+    """Parse trace text straight into columns, a block of lines at a time.
+
+    When a block breaks the grammar or holds a value too large for its
+    column, a per-line check of the same rules raises `TraceParseError`
+    naming the first bad line.
+    """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    events = []
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise TraceParseError(line_no, f"expected 'gap op addr', got {line!r}")
-        gap_s, op, addr_s = parts
-        if not gap_s.isdigit():
-            raise TraceParseError(line_no, f"gap must be a decimal count, got {gap_s!r}")
-        if op not in (READ, WRITE):
-            raise TraceParseError(line_no, f"op must be R or W, got {op!r}")
-        if not addr_s.lower().startswith("0x"):
-            raise TraceParseError(line_no, f"address must be 0x-hex, got {addr_s!r}")
-        try:
-            addr = int(addr_s, 16)
-        except ValueError:
-            raise TraceParseError(line_no, f"bad hex address {addr_s!r}") from None
-        events.append(TraceEvent(int(gap_s), op, addr, line_no=line_no))
-    return Trace(tuple(events), name=name)
+    gaps, writes, addrs = array("q"), bytearray(), array("Q")
+    first_line = 1
+    for block in _blocks(stream):
+        text = "\n" + block
+        if _BAD_LINE.search(text) or not _extend_columns(text, gaps, writes, addrs):
+            raise _first_error(block, first_line)
+        first_line += block.count("\n")
+    return Trace.from_columns(gaps, writes, addrs, name=name)
 
 
 def serialize_trace(trace: Trace, header: Iterable[str] = ()) -> str:
     """Canonical text form; `header` lines are emitted as leading comments."""
     lines = [f"# {h}" for h in header]
-    lines.extend(f"{e.gap} {e.op} 0x{e.addr:x}" for e in trace.events)
+    lines.extend(f"{gap} {_OPS[write]} 0x{addr:x}"
+                 for gap, write, addr in zip(trace.gaps, trace.writes, trace.addrs))
     return "\n".join(lines) + "\n"
 
 
@@ -98,8 +291,12 @@ def write_trace(trace: Trace, path, header: Iterable[str] = ()) -> None:
 
 
 def load_trace(path) -> Trace:
+    """Parse a trace file; a parse error names the file and the line."""
     with open(path) as fh:
-        return parse_trace(fh, name=str(path))
+        try:
+            return parse_trace(fh, name=str(path))
+        except TraceParseError as exc:
+            raise TraceParseError(exc.line_no, exc.message, path) from None
 
 
 @dataclass(frozen=True)
@@ -227,40 +424,40 @@ def gen_synthetic(params: SynthParams, name: str | None = None) -> Trace:
         heap.append((first, b))
     heapq.heapify(heap)
 
-    events = []
+    gaps, writes, addrs = array("q"), bytearray(), array("Q")
     cursor = 0  # instructions emitted so far
     while heap:
         due, b = heapq.heappop(heap)
         at = max(due, cursor + 1)  # serialize same-instruction collisions
         if at > total:
             break
-        op = WRITE if rng.random() < params.write_fraction else READ
-        addr = params.base_addr + b * params.line_bytes
-        events.append(TraceEvent(at - cursor - 1, op, addr))
+        gaps.append(at - cursor - 1)
+        writes.append(rng.random() < params.write_fraction)
+        addrs.append(params.base_addr + b * params.line_bytes)
         cursor = at
         heapq.heappush(heap, (at + params.reuse_gaps.sample(rng), b))
 
-    if not events:
+    if not gaps:
         raise ValueError("parameters produced an empty trace; "
                          "total_instructions is shorter than the first reuse gap")
     # Pin the final access to the last instruction so the trace length is
     # exactly total_instructions.
-    last = events[-1]
-    slack = total - cursor
-    if slack:
-        events[-1] = TraceEvent(last.gap + slack, last.op, last.addr)
-    return Trace(tuple(events), name=name or f"synth-{params.seed}")
+    gaps[-1] += total - cursor
+    return Trace.from_columns(gaps, writes, addrs,
+                              name=name or f"synth-{params.seed}")
 
 
 def concat_traces(*traces: Trace, name: str | None = None) -> Trace:
     """Join traces back to back; later segments keep their gap structure, so
     a phase change is simply two generated traces concatenated."""
-    events = []
-    for t in traces:
-        events.extend(t.events)
-    if not events:
+    if not any(len(t) for t in traces):
         raise ValueError("nothing to concatenate")
-    return Trace(tuple(events), name=name or traces[0].name)
+    gaps, addrs = array("q"), array("Q")
+    for t in traces:
+        gaps.extend(t.gaps)
+        addrs.extend(t.addrs)
+    return Trace.from_columns(gaps, b"".join(t.writes for t in traces), addrs,
+                              name=name or traces[0].name)
 
 
 @dataclass(frozen=True)
@@ -283,17 +480,15 @@ class TraceStats:
 
 def trace_stats(trace: Trace, line_bytes: int = 64) -> TraceStats:
     """Exact summary counts; the gap histogram buckets by powers of two."""
-    reads = sum(1 for e in trace.events if e.op == READ)
-    blocks = {e.addr // line_bytes for e in trace.events}
-    hist: dict[int, int] = {}
-    for e in trace.events:
-        bucket = 0 if e.gap == 0 else 1 << (e.gap.bit_length() - 1)
-        hist[bucket] = hist.get(bucket, 0) + 1
+    writes = trace.writes.count(1)
+    blocks = {addr // line_bytes for addr in trace.addrs}
+    lengths = Counter(gap.bit_length() for gap in trace.gaps)
     return TraceStats(
-        events=len(trace.events),
-        reads=reads,
-        writes=len(trace.events) - reads,
+        events=len(trace),
+        reads=len(trace) - writes,
+        writes=writes,
         instructions=trace.instructions,
         unique_blocks=len(blocks),
-        gap_histogram=dict(sorted(hist.items())),
+        gap_histogram={(1 << (n - 1) if n else 0): count
+                       for n, count in sorted(lengths.items())},
     )

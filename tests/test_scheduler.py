@@ -1,10 +1,9 @@
-import dataclasses
 import math
 
 import pytest
 
 from sttsim import (Constraint, CorePredictor, HistoryTable, Scheduler,
-                    SynthParams, System, UniformGaps, default_system,
+                    SynthParams, System, Trace, UniformGaps, default_system,
                     exhaustive_sweep, gen_synthetic, scheduler, simulate_run)
 from sttsim.constraints import KINDS
 
@@ -237,7 +236,7 @@ class TestRunMemo:
         sched = Scheduler(system, power, stub_models(system, "core3"),
                           profiling_interval=INTERVAL)
         first = hot_trace(seed=1)
-        second = dataclasses.replace(hot_trace(seed=2), name=first.name)
+        second = Trace(hot_trace(seed=2).events, name=first.name)
         d1 = sched.run_application(first, Constraint("none"))
         d2 = sched.run_application(second, Constraint("none"))
         assert d2.from_history and (d2.core, d2.freq_ghz) == (d1.core, d1.freq_ghz)

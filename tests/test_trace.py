@@ -1,11 +1,18 @@
 import random
+import string
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sttsim import (BimodalGaps, SynthParams, Trace, TraceEvent,
-                    TraceParseError, UniformGaps, default_system,
-                    gen_synthetic, parse_trace, serialize_trace,
+from sttsim import (BimodalGaps, Constraint, CorePredictor, Scheduler,
+                    SynthParams, Trace, TraceEvent, TraceParseError,
+                    UniformGaps, default_system, exhaustive_sweep,
+                    gen_synthetic, load_trace, parse_trace, serialize_trace,
                     simulate_run, sram_system, trace_stats)
+from sttsim import trace as trace_module
+from sttsim.constraints import KINDS
 from sttsim.trace import READ, WRITE, concat_traces
 
 
@@ -30,10 +37,6 @@ class TestParsing:
         tr = parse_trace("# header\n\n3 W 0x40\n  # another\n0 R 0x80\n")
         assert [e.op for e in tr.events] == [WRITE, READ]
 
-    def test_line_numbers_preserved(self):
-        tr = parse_trace("# header\n3 W 0x40\n")
-        assert tr.events[0].line_no == 2
-
     @pytest.mark.parametrize("bad, line", [
         ("1 R 0x10\nnope\n", 2),
         ("1 X 0x10\n", 1),
@@ -41,12 +44,31 @@ class TestParsing:
         ("1 R 77\n", 1),
         ("1 R 0xZZ\n", 1),
         ("1 R 0x10 extra\n", 1),
+        ("# c\n1 R 0x10\n\u00b2 W 0x20\n", 3),
+        ("1 R 0x10\n1 W 0x10000000000000000\n", 2),
+        ("9223372036854775808 R 0x10\n", 1),
+        ("1 R 0x1_0\n", 1),
     ])
     def test_malformed_lines_carry_numbers(self, bad, line):
         with pytest.raises(TraceParseError) as err:
             parse_trace(bad)
         assert err.value.line_no == line
         assert f"line {line}" in str(err.value)
+
+    def test_address_limit_is_64_bits(self):
+        tr = parse_trace("0 W 0xFFFFFFFFFFFFFFFF\n1 R 0X7fffffffffffffff\n")
+        assert [e.addr for e in tr.events] == [2**64 - 1, 2**63 - 1]
+        with pytest.raises(TraceParseError, match="line 2: address must be "
+                                                  "below 2\\*\\*64"):
+            parse_trace("0 W 0x10\n0 R 0x10000000000000000\n")
+
+    def test_load_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_text("# header\n1 R 0x10\n\u00b2 W 0x20\n")
+        with pytest.raises(TraceParseError) as err:
+            load_trace(path)
+        assert err.value.line_no == 3 and err.value.path == path
+        assert str(err.value).startswith(f"{path}: line 3: gap must be")
 
     def test_round_trip(self):
         for seed in range(5):
@@ -180,3 +202,199 @@ class TestStats:
         joined = concat_traces(a, b, name="joined")
         assert len(joined) == 15
         assert joined.instructions == a.instructions + b.instructions
+
+
+def gap_sum(trace):
+    return sum(e.gap + 1 for e in trace.events)
+
+
+class TestColumns:
+    def test_instructions_counted_once_at_construction(self):
+        built = random_trace(3, events=60)
+        parsed = parse_trace(serialize_trace(built))
+        generated = gen_synthetic(
+            SynthParams.for_rate(UniformGaps(200, 400), 0.2, 0.5, 20_000, 7))
+        joined = concat_traces(built, generated)
+        for tr in (built, parsed, generated, joined, Trace(())):
+            assert tr.instructions == gap_sum(tr)
+            assert tr.__slots__ and "instructions" in tr.__slots__
+        assert generated.instructions == 20_000
+
+    def test_column_types(self):
+        tr = random_trace(5, events=20)
+        assert (tr.gaps.typecode, tr.addrs.typecode) == ("q", "Q")
+        assert isinstance(tr.writes, bytes)
+        assert list(tr.writes) == [e.op == WRITE for e in tr.events]
+
+    def test_events_view(self):
+        tr = random_trace(6, events=30)
+        events = tuple(tr.events)
+        assert tr.events == events and events == tr.events
+        assert tr.events != events[:-1]
+        assert len(tr.events) == 30
+        assert tr.events[-1] == events[-1] and tr.events[3:7] == events[3:7]
+        assert tr.events is not tr.events
+
+    def test_from_columns_checks_like_an_event(self):
+        with pytest.raises(ValueError):
+            Trace.from_columns([1, 2], b"\x00", [0, 64])
+        with pytest.raises(ValueError):
+            Trace.from_columns([-1], b"\x00", [0])
+        with pytest.raises(ValueError):
+            Trace.from_columns([1], b"\x02", [0])
+        with pytest.raises(ValueError):
+            Trace.from_columns([1], b"\x01", [2**64])
+        with pytest.raises(ValueError):
+            TraceEvent(0, READ, 2**64)
+
+
+# -- differential tests against a plain per-line reading ----------------------
+
+HEX = set(string.hexdigits)
+
+
+def reference_parse(text):
+    """The events of `text` as (gap, op, addr), or the number of its first
+    bad line, read one line at a time with str methods only."""
+    events = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 3:
+            return line_no
+        gap, op, addr = fields
+        digits = addr[2:]
+        if not (gap.isascii() and gap.isdigit()) or op not in (READ, WRITE) \
+                or addr[:2] not in ("0x", "0X") or not digits \
+                or not set(digits) <= HEX:
+            return line_no
+        if int(gap) >= 2**63 or int(digits, 16) >= 2**64:
+            return line_no
+        events.append((int(gap), op, int(digits, 16)))
+    return events
+
+
+SPACE = st.text(" \t", min_size=1, max_size=3)
+GOOD_LINE = st.builds(
+    lambda lead, gap, sep1, op, sep2, prefix, addr, upper, trail:
+        f"{lead}{gap}{sep1}{op}{sep2}{prefix}"
+        f"{(f'{addr:X}' if upper else f'{addr:x}')}{trail}",
+    st.sampled_from(["", " ", "\t "]),
+    st.one_of(st.integers(0, 5000), st.integers(0, 2**63 - 1),
+              st.just(2**63)).map(str) | st.sampled_from(["007", "0"]),
+    SPACE, st.sampled_from([READ, WRITE]), SPACE,
+    st.sampled_from(["0x", "0X"]),
+    st.one_of(st.integers(0, 2**20), st.integers(0, 2**64 - 1),
+              st.integers(2**64, 2**66)),
+    st.booleans(), st.sampled_from(["", " ", "\t", "\r"]))
+BAD_LINE = st.sampled_from([
+    "nope", "1 R", "1 R 0x10 extra", "-1 R 0x10", "+1 R 0x10", "1_0 R 0x10",
+    "\u00b2 W 0x20", "\u0663 R 0x10", "1 X 0x10", "1 r 0x10", "1 RW 0x10",
+    "1 R 77", "1 R 0xZZ", "1 R 0x", "1 R 0x1_0", "1 R 0x-1", "1 R x10",
+    "1 R 0x10 # trailing", "1\u00a0R 0x10 0",
+])
+OTHER_LINE = st.one_of(
+    st.just(""), SPACE, st.text(" \t#abc", max_size=8).map(lambda t: "#" + t),
+    st.text(st.characters(blacklist_characters="\n"), max_size=12))
+LINES = st.lists(st.one_of(GOOD_LINE, GOOD_LINE, BAD_LINE, OTHER_LINE),
+                 max_size=30)
+
+
+def trace_text(lines, crlf, final_newline):
+    end = "\r\n" if crlf else "\n"
+    return end.join(lines) + (end if final_newline and lines else "")
+
+
+class TestDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(LINES, st.booleans(), st.booleans(), st.sampled_from([1 << 20, 5]))
+    def test_bulk_parse_matches_per_line_reading(self, lines, crlf,
+                                                 final_newline, block_chars):
+        text = trace_text(lines, crlf, final_newline)
+        expected = reference_parse(text)
+        with mock.patch.object(trace_module, "_BLOCK_CHARS", block_chars):
+            if isinstance(expected, int):
+                with pytest.raises(TraceParseError) as err:
+                    parse_trace(text)
+                assert err.value.line_no == expected
+                assert str(err.value).startswith(f"line {expected}: ")
+            else:
+                tr = parse_trace(text)
+                assert [(e.gap, e.op, e.addr) for e in tr.events] == expected
+                assert tr.instructions == sum(g + 1 for g, _, _ in expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(GOOD_LINE.filter(lambda line: not line.endswith("\r")),
+                    min_size=1, max_size=10), st.booleans())
+    def test_files_read_with_universal_newlines(self, tmp_path_factory, lines,
+                                                crlf):
+        # A file is read with universal newlines, so CRLF (or a lone CR)
+        # ends a line; a string is split on LF only.
+        text = trace_text(lines, crlf, True)
+        path = tmp_path_factory.mktemp("t") / "x.trace"
+        path.write_bytes(text.encode())
+        expected = reference_parse(text)
+        if isinstance(expected, int):
+            with pytest.raises(TraceParseError) as err:
+                load_trace(path)
+            assert err.value.line_no == expected and err.value.path == path
+        else:
+            assert load_trace(path) == parse_trace(text, name=str(path))
+
+
+EVENTS = st.lists(st.builds(TraceEvent, st.integers(0, 2**63 - 1),
+                            st.sampled_from([READ, WRITE]),
+                            st.integers(0, 2**64 - 1)), max_size=40)
+
+
+class TestColumnsRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(EVENTS, st.text(max_size=5))
+    def test_serialize_parse_and_events_round_trip(self, events, name):
+        tr = Trace(tuple(events), name=name)
+        assert tr.events == tuple(events)
+        assert parse_trace(serialize_trace(tr, header=["h"]), name=name) == tr
+        assert Trace(tr.events, name=name) == tr
+        assert tr.instructions == gap_sum(tr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(EVENTS, min_size=1, max_size=4))
+    def test_concat_matches_concatenated_events(self, parts):
+        traces = [Trace(tuple(p), name=f"p{i}") for i, p in enumerate(parts)]
+        flat = tuple(e for p in parts for e in p)
+        if not flat:
+            with pytest.raises(ValueError):
+                concat_traces(*traces)
+            return
+        joined = concat_traces(*traces)
+        assert joined == Trace(flat, name="p0")
+        assert joined.instructions == sum(t.instructions for t in traces)
+
+
+class ColumnsOnly(Trace):
+    """A trace whose event view fails: the hot paths must not touch it."""
+
+    @property
+    def events(self):
+        raise AssertionError("read .events")
+
+
+def test_hot_paths_read_only_columns(power):
+    system = default_system()
+    src = gen_synthetic(SynthParams.for_rate(UniformGaps(300, 500), 0.05, 0.3,
+                                             60_000, 4), name="cols")
+    tr = ColumnsOnly.from_columns(src.gaps, src.writes, src.addrs, name=src.name)
+    core = system.core("core3")
+    for limit, start in ((None, 0), (10_000, 0), (None, 12_345)):
+        assert simulate_run(tr, core, 2.0, power, limit=limit, start=start) \
+            == simulate_run(src, core, 2.0, power, limit=limit, start=start)
+    sweep = exhaustive_sweep(tr, system, power, Constraint("slack10"))
+    assert sweep == exhaustive_sweep(src, system, power, Constraint("slack10"))
+    model = CorePredictor(feature_names=("l1d_hits",),
+                          label_order=tuple(system.labels())).fit([[0.0]], ["core1"])
+    sched = Scheduler(system, power, {kind: model for kind in KINDS},
+                      profiling_interval=10_000)
+    for _ in range(2):  # a fresh decision, then a history hit
+        sched.run_application(tr, Constraint("slack10"))
+    sched.dispatch_workload([tr], Constraint("slack10"))
