@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-trace, simulate, sweep, train, predict, schedule, report.
-Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 a result
+Exit codes: 0 success, 1 configuration or input-file error (a message naming
+the file and, for a parse error, the line), 2 runtime error, 3 a result
 carried a constraint-violation flag.
 """
 
@@ -23,8 +24,8 @@ from .features import FeatureVector, profile_application
 from .predictor import (CorePredictor, TrainingSet, load_model, save_model,
                         train_tree)
 from .scheduler import HistoryTable, Scheduler
-from .trace import (BimodalGaps, SynthParams, UniformGaps, gen_synthetic,
-                    load_trace, write_trace)
+from .trace import (BimodalGaps, SynthParams, TraceParseError, UniformGaps,
+                    gen_synthetic, load_trace, write_trace)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -101,6 +102,14 @@ def _load_cfg(args) -> ExperimentConfig:
     return default_config()
 
 
+def _core(system: System, label: str):
+    try:
+        return system.core(label)
+    except KeyError:
+        raise ConfigError(None, f"unknown core {label!r}; the system has "
+                                f"{' '.join(system.labels())}") from None
+
+
 def _scheduler(cfg: ExperimentConfig, models) -> Scheduler:
     return Scheduler(cfg.system, cfg.power, models,
                      history=HistoryTable(cfg.history_capacity),
@@ -150,7 +159,7 @@ def cmd_gen_trace(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     trace = load_trace(args.trace)
-    core = cfg.system.core(args.core)
+    core = _core(cfg.system, args.core)
     freq = args.freq if args.freq is not None else core.operating_freq_ghz
     run = simulate_run(trace, core, freq, cfg.power)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -328,9 +337,12 @@ def cmd_report(args) -> int:
     flagged = False
     baseline_cache: dict[str, tuple[float, float]] = {}
     for row in rows:
-        energy = float(row.get("total_energy_j") or row["energy_j"])
-        wall = float(row["wall_time_s"])
-        trace_path = row["trace"]
+        try:
+            energy = float(row.get("total_energy_j") or row["energy_j"])
+            wall = float(row["wall_time_s"])
+            trace_path = row["trace"]
+        except KeyError as exc:
+            raise ConfigError(None, f"{args.runs}: no {exc} column") from None
         if args.baseline == "self":
             base_e, base_t = energy, wall
         else:
@@ -431,10 +443,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, KeyError) as exc:
+    except (ConfigError, TraceParseError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -79,6 +79,30 @@ class TestSimulate:
         assert run_cli("simulate", "--trace", tmp_path / "nope.trace",
                        "--core", "core1", "--out", tmp_path) == 1
 
+    @pytest.mark.parametrize("line", ["\u00b2 W 0x20", "1 R 0x10000000000000000",
+                                      "1 Q 0x20"])
+    def test_malformed_trace_names_file_and_line(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.trace"
+        bad.write_text(f"0 R 0x10\n{line}\n")
+        assert run_cli("simulate", "--trace", bad, "--core", "core1",
+                       "--out", tmp_path) == 1
+        assert f"{bad}: line 2: " in capsys.readouterr().err
+
+    def test_unknown_core_is_config_error(self, tmp_path, fig_trace, capsys):
+        assert run_cli("simulate", "--trace", fig_trace, "--core", "core9",
+                       "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "config error: unknown core 'core9'" in err and "core4" in err
+
+    def test_internal_key_error_is_runtime_error(self, tmp_path, fig_trace,
+                                                 capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+        monkeypatch.setattr(cli, "simulate_run", broken)
+        assert run_cli("simulate", "--trace", fig_trace, "--core", "core1",
+                       "--out", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSweep:
     def test_row_count_and_reruns_identical(self, tmp_path, fig_trace):
@@ -244,6 +268,12 @@ class TestTrainPredictSchedule:
         rows = read_rows(tmp_path / "decisions.csv")
         assert len(rows) == 4
         assert "dispatched 4 apps" in capsys.readouterr().out
+
+    def test_report_missing_column_is_config_error(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("trace,core,total_energy_j\nx.trace,core1,1.0\n")
+        assert run_cli("report", "--runs", runs, "--out", tmp_path) == 1
+        assert f"{runs}: no 'wall_time_s' column" in capsys.readouterr().err
 
     def test_report_self_baseline_is_unity(self, trained_models, tmp_path):
         models, traces, cfg = trained_models
