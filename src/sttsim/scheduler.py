@@ -386,6 +386,8 @@ class Scheduler:
 
         One app per core, no preemption, no queueing: more apps than cores is
         rejected. Profiling is a staging phase and does not occupy a core.
+        Each app's deadline is `deadline_s` or, when that is None, its
+        `deadline_for` the constraint, as in `run_application`.
         """
         model = self.models.get(constraint.kind)
         if model is None:
@@ -409,7 +411,8 @@ class Scheduler:
             taken.add((cluster, chosen))
 
             core = self.system.core(chosen)
-            bound = deadline_s if deadline_s is not None else math.inf
+            bound = (deadline_s if deadline_s is not None
+                     else self.deadline_for(trace, constraint))
             freq = self._estimate_freq(trace, core, bound, interval)
             if freq is None:
                 freq = core.freq_cap_ghz

@@ -288,6 +288,20 @@ class TestDispatch:
         slots = {(p.cluster, p.core) for p in placed}
         assert len(slots) == 4
 
+    def test_bounded_dispatch_carries_the_real_deadline(self, system, power):
+        sched = Scheduler(system, power, stub_models(system, "core2"),
+                          profiling_interval=INTERVAL)
+        traces = [hot_trace(seed=s) for s in (11, 12)]
+        placed = sched.dispatch_workload(traces, Constraint("slack10")).placements
+        for trace, p in zip(traces, placed):
+            d = p.decision
+            assert d.deadline_s == sched.deadline_for(trace, Constraint("slack10"))
+            assert d.deadline_s < math.inf
+            rerun = simulate_run(trace, system.core(p.core), p.freq_ghz, power)
+            assert d.run_wall_time_s == rerun.wall_time_s
+            assert d.deadline_met == (rerun.wall_time_s <= d.deadline_s)
+            assert d.violation == (not d.deadline_met)
+
     def test_rejects_more_apps_than_cores(self, system, power):
         sched = Scheduler(system, power, stub_models(system, "core3"))
         with pytest.raises(ValueError):
