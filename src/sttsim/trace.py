@@ -291,8 +291,11 @@ def write_trace(trace: Trace, path, header: Iterable[str] = ()) -> None:
 
 
 def load_trace(path) -> Trace:
-    """Parse a trace file; a parse error names the file and the line."""
-    with open(path) as fh:
+    """Parse a trace file; a parse error names the file and the line.
+
+    Bytes that are not UTF-8 are read as lone surrogates, so they fail the
+    grammar of the line that holds them (and pass in a comment)."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         try:
             return parse_trace(fh, name=str(path))
         except TraceParseError as exc:
