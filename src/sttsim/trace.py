@@ -69,7 +69,7 @@ class Trace:
 
     __slots__ = ("name", "gaps", "writes", "addrs", "instructions")
 
-    def __init__(self, events: Iterable[TraceEvent] = (), name: str = "trace"):
+    def __init__(self, events: Iterable[TraceEvent], name: str = "trace"):
         gaps, writes, addrs = array("q"), bytearray(), array("Q")
         for e in events:
             gaps.append(e.gap)
@@ -150,7 +150,7 @@ class _EventView(Sequence):
         return map(_event, t.gaps, t.writes, t.addrs)
 
     def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
+        if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
