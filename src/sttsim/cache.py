@@ -3,15 +3,26 @@
 Volatile blocks carry a k-state monitor counter ticking at retention/k from
 their fill (or last write). When the counter reaches k-1 the block is written
 back if dirty and invalidated, so no block's age ever reaches the full
-retention time. A shadow copy with infinite retention replays the identical
-access sequence and serves as the oracle that classifies misses: a miss is an
-expiration miss exactly when the shadow still hits.
+retention time.
+
+A miss is an expiration miss exactly when a shadow copy with infinite
+retention still hits. That shadow is a plain LRU cache, a function of the
+address stream alone (Mattson et al., 1970), so `lru_hits` computes its hit
+bits in one pass; the engine computes them once per (trace, geometry, first
+simulated access) and every operating point reads them, instead of replaying
+the shadow at each point.
+
+Each set is a dict from tag to (expiry_ns, dirty, fill_ns), least recently
+used first, plus a lower bound on the expiry times it holds. An access
+settles the set's expired blocks only when its time reaches that bound, so
+the common access neither scans the ways nor tests an expiry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 from .config import CoreSpec, MemTechnology, access_cycles
 
@@ -23,20 +34,6 @@ MISS_OTHER = "other"
 
 READ = "R"
 WRITE = "W"
-
-
-class _Block:
-    __slots__ = ("tag", "valid", "dirty", "fill_ns", "expiry_ns", "last_use",
-                 "counter")
-
-    def __init__(self):
-        self.tag = -1
-        self.valid = False
-        self.dirty = False
-        self.fill_ns = 0.0
-        self.expiry_ns = math.inf
-        self.last_use = 0
-        self.counter = 0
 
 
 @dataclass
@@ -133,8 +130,41 @@ class ExpiredBlock:
     was_dirty: bool
 
 
+# Fields of a block, the value of its tag in the set's dict; `replay`
+# indexes them by number.
+_EXPIRY, _DIRTY, _FILL = range(3)
+
+
+def lru_hits(addrs, geometry, sets=None) -> bytearray:
+    """One byte per address: 1 where an LRU cache of `geometry` with infinite
+    retention hits, 0 where it misses.
+
+    The cache starts cold, or from `sets` (one recency-ordered dict of tags
+    per set, updated in place) to continue an earlier pass.
+    """
+    shift = geometry.line_bytes.bit_length() - 1
+    mask = geometry.sets - 1
+    ways = geometry.ways
+    if sets is None:
+        sets = [{} for _ in range(geometry.sets)]
+    bits = bytearray()
+    record = bits.append
+    for addr in addrs:
+        tag = addr >> shift
+        blocks = sets[tag & mask]
+        if tag in blocks:
+            del blocks[tag]
+            record(1)
+        else:
+            if len(blocks) >= ways:
+                del blocks[next(iter(blocks))]
+            record(0)
+        blocks[tag] = None
+    return bits
+
+
 class CacheState:
-    """One core's L1 data cache plus its infinite-retention shadow.
+    """One core's L1 data cache.
 
     Single-owner: exactly one simulation engine may mutate a CacheState;
     distinct instances are independent.
@@ -150,12 +180,12 @@ class CacheState:
         geo = self.geometry
         self._line_shift = geo.line_bytes.bit_length() - 1
         self._set_mask = geo.sets - 1
-        self._sets = [[_Block() for _ in range(geo.ways)] for _ in range(geo.sets)]
+        self._sets = [{} for _ in range(geo.sets)]
+        self._bounds = [math.inf] * geo.sets
         self.volatile = self.tech.is_volatile
-        # Shadow only exists for volatile techs; with infinite retention the
-        # primary is its own oracle and expiration misses are zero.
-        self._shadow = ([[_Block() for _ in range(geo.ways)] for _ in range(geo.sets)]
-                        if self.volatile else None)
+        # The shadow of `access`, one access at a time; with infinite
+        # retention the cache is its own shadow and has none.
+        self._shadow = [{} for _ in range(geo.sets)] if self.volatile else None
 
         k = core.counter_states_k
         self.counter_states_k = k
@@ -172,8 +202,12 @@ class CacheState:
         self.penalty_cycles = access_cycles(self.freq_ghz, core.miss_penalty_ns)
 
         self.stats = CacheStats()
-        self._seq = 0
         self._last_now_ns = 0.0
+
+    def _check_time(self, now_ns: float) -> None:
+        if now_ns < self._last_now_ns:
+            raise ValueError(
+                f"time ran backwards: {now_ns} ns < {self._last_now_ns} ns")
 
     # -- retention ---------------------------------------------------------
 
@@ -184,159 +218,143 @@ class CacheState:
         reaching k-1 is written back if dirty and invalidated, always at age
         lifetime_ns = (k-1)/k x retention.
         """
-        if now_ns < self._last_now_ns:
-            raise ValueError(
-                f"time ran backwards: {now_ns} ns < {self._last_now_ns} ns")
+        self._check_time(now_ns)
         self._last_now_ns = now_ns
         if not self.volatile:
             return []
         expired = []
-        tick = self._tick_ns
         lifetime = self.lifetime_ns
         for si, blocks in enumerate(self._sets):
-            for wi, b in enumerate(blocks):
-                if not b.valid:
-                    continue
-                age = now_ns - b.fill_ns
+            bound = math.inf
+            for way, (tag, block) in enumerate(list(blocks.items())):
                 # Reaching state k-1 and reaching age (k-1)*tick are the same
                 # event; the age comparison is the float-robust form.
-                if age >= lifetime:
-                    expired.append(ExpiredBlock(si, wi, b.tag, lifetime, b.dirty))
-                    self._expire(b)
+                if now_ns - block[_FILL] >= lifetime:
+                    expired.append(ExpiredBlock(si, way, tag, lifetime,
+                                                bool(block[_DIRTY])))
+                    del blocks[tag]
                 else:
-                    b.counter = int(age / tick)
+                    bound = min(bound, block[_EXPIRY])
+            self._bounds[si] = bound
+        self._count_writebacks(sum(e.was_dirty for e in expired),
+                               early=True)
         return expired
 
-    def _expire(self, b: _Block) -> None:
-        if b.dirty:
-            st = self.stats
-            st.early_writebacks += 1
-            st.bus_write_requests += 1
-            st.mem_busy_write_cycles += self.penalty_cycles
-        b.valid = False
-        b.dirty = False
-        b.counter = 0
-        b.tag = -1
-        b.expiry_ns = math.inf
+    def _count_writebacks(self, count: int, early: bool) -> None:
+        st = self.stats
+        if early:
+            st.early_writebacks += count
+        else:
+            st.writebacks += count
+        st.bus_write_requests += count
+        st.mem_busy_write_cycles += count * self.penalty_cycles
 
     # -- access ------------------------------------------------------------
 
     def access(self, addr: int, op: str, now_ns: float) -> AccessOutcome:
+        """Simulate one access at `now_ns`, the way a run simulates each."""
         if op not in (READ, WRITE):
             raise ValueError(f"op must be R or W, got {op!r}")
-        kind, miss_class, stall, wb = self._access(addr, op == WRITE, now_ns)
-        return AccessOutcome(kind, miss_class, stall, wb)
-
-    def _access(self, addr: int, is_write: bool, now_ns: float):
-        """Hot path shared by the public API and the engine."""
-        if now_ns < self._last_now_ns:
-            raise ValueError(
-                f"time ran backwards: {now_ns} ns < {self._last_now_ns} ns")
-        self._last_now_ns = now_ns
+        self._check_time(now_ns)
+        write = int(op == WRITE)
+        shadow = (lru_hits((addr,), self.geometry, self._shadow)
+                  if self.volatile else None)
         st = self.stats
-        tag = addr >> self._line_shift
-        blocks = self._sets[tag & self._set_mask]
-        self._seq += 1
-        seq = self._seq
+        hits, expirations, writebacks = st.hits, st.expiration_misses, st.writebacks
+        # Zero instructions before the access, one nanosecond per cycle: the
+        # access happens at exactly `now_ns`.
+        self.replay((0,), (write,), (addr,), shadow, now_ns, 0.0, 1.0)
+        stall = self.write_cycles if write else self.read_cycles
+        if st.hits > hits:
+            return AccessOutcome(HIT, MISS_NONE, stall, False)
+        miss_class = (MISS_EXPIRATION if st.expiration_misses > expirations
+                      else MISS_OTHER)
+        return AccessOutcome(MISS, miss_class, stall + self.penalty_cycles,
+                             st.writebacks > writebacks)
 
-        # Settle this set's counters first: an access never sees a block
-        # whose lifetime has already elapsed.
-        if self.volatile:
-            for b in blocks:
-                if b.valid and now_ns >= b.expiry_ns:
-                    self._expire(b)
-            shadow_hit = self._shadow_access(tag, seq)
-        else:
-            shadow_hit = False
+    def replay(self, gaps, writes, addrs, shadow: bytearray | None,
+               cycles: float, cpi: float, ns_per_cycle: float) -> float:
+        """Simulate accesses in order on a blocking in-order core.
 
-        hit = None
-        for b in blocks:
-            if b.valid and b.tag == tag:
-                hit = b
-                break
+        Access i follows `gaps[i]` non-memory instructions of `cpi` cycles
+        each and stalls for its own latency; `cycles` is the count before the
+        first, and the count after the last is returned. `shadow` holds the
+        infinite-retention hit bit of each access (None with infinite
+        retention). The counters reach `stats` once, at the end.
+        """
+        sets, bounds = self._sets, self._bounds
+        shift, mask, ways = self._line_shift, self._set_mask, self.geometry.ways
+        lifetime = self.lifetime_ns
+        read_cycles, write_cycles = self.read_cycles, self.write_cycles
+        read_miss_cycles = read_cycles + self.penalty_cycles
+        write_miss_cycles = write_cycles + self.penalty_cycles
+        inf = math.inf
+        read_hits = write_hits = read_misses = write_misses = 0
+        expirations = evictions = writebacks = early = 0
+        now = self._last_now_ns
+        for gap, write, addr, shadow_hit in zip(
+                gaps, writes, addrs, repeat(0) if shadow is None else shadow):
+            cycles += gap * cpi
+            now = cycles * ns_per_cycle
+            tag = addr >> shift
+            index = tag & mask
+            blocks = sets[index]
+            if now >= bounds[index]:
+                # Some block of this set may have reached its lifetime:
+                # write back and invalidate every one that has.
+                bound = inf
+                for old, block in list(blocks.items()):
+                    if now >= block[0]:
+                        del blocks[old]
+                        early += block[1]
+                    elif block[0] < bound:
+                        bound = block[0]
+                bounds[index] = bound
+            block = blocks.pop(tag, None)
+            if block is not None:
+                if write:
+                    # An array write fully restores the cell, so retention
+                    # restarts.
+                    blocks[tag] = (now + lifetime, 1, now)
+                    write_hits += 1
+                    cycles += write_cycles
+                else:
+                    blocks[tag] = block
+                    read_hits += 1
+                    cycles += read_cycles
+                continue
+            if write:
+                write_misses += 1
+                cycles += write_miss_cycles
+            else:
+                read_misses += 1
+                cycles += read_miss_cycles
+            expirations += shadow_hit
+            if len(blocks) >= ways:
+                writebacks += blocks.pop(next(iter(blocks)))[1]
+                evictions += 1
+            elif not blocks:
+                bounds[index] = now + lifetime
+            blocks[tag] = (now + lifetime, write, now)
+        self._last_now_ns = now
 
-        if hit is not None:
-            hit.last_use = seq
-            if is_write:
-                st.write_hits += 1
-                # An array write fully restores the cell, so retention restarts.
-                hit.dirty = True
-                hit.fill_ns = now_ns
-                hit.expiry_ns = now_ns + self.lifetime_ns
-                hit.counter = 0
-                return (HIT, MISS_NONE, self.write_cycles, False)
-            st.read_hits += 1
-            return (HIT, MISS_NONE, self.read_cycles, False)
-
-        # Miss: classify against the shadow, then allocate.
-        if is_write:
-            st.write_misses += 1
-            stall = self.write_cycles + self.penalty_cycles
-        else:
-            st.read_misses += 1
-            stall = self.read_cycles + self.penalty_cycles
-        if shadow_hit:
-            st.expiration_misses += 1
-            miss_class = MISS_EXPIRATION
-        else:
-            miss_class = MISS_OTHER
-            if not self.volatile:
-                # With infinite retention the primary is its own shadow.
-                st.shadow_misses += 1
-
-        victim = None
-        for b in blocks:
-            if not b.valid:
-                victim = b
-                break
-        if victim is None:
-            victim = blocks[0]
-            for b in blocks:
-                if b.last_use < victim.last_use:
-                    victim = b
-            st.evictions += 1
-
-        wb = victim.valid and victim.dirty
-        if wb:
-            st.writebacks += 1
-            st.bus_write_requests += 1
-            st.mem_busy_write_cycles += self.penalty_cycles
-
-        st.mem_read_hits += 1
-        st.bus_read_requests += 1
-        st.mem_busy_read_cycles += self.penalty_cycles
-
-        victim.tag = tag
-        victim.valid = True
-        victim.dirty = is_write
-        victim.fill_ns = now_ns
-        victim.expiry_ns = now_ns + self.lifetime_ns
-        victim.last_use = seq
-        victim.counter = 0
-        return (MISS, miss_class, stall, wb)
-
-    def _shadow_access(self, tag: int, seq: int) -> bool:
-        """Replay the access on the infinite-retention copy; True on hit."""
-        blocks = self._shadow[tag & self._set_mask]
-        for b in blocks:
-            if b.valid and b.tag == tag:
-                b.last_use = seq
-                return True
-        self.stats.shadow_misses += 1
-        victim = None
-        for b in blocks:
-            if not b.valid:
-                victim = b
-                break
-        if victim is None:
-            victim = blocks[0]
-            for b in blocks:
-                if b.last_use < victim.last_use:
-                    victim = b
-        victim.tag = tag
-        victim.valid = True
-        victim.last_use = seq
-        return False
+        st = self.stats
+        misses = read_misses + write_misses
+        accesses = read_hits + write_hits + misses
+        st.read_hits += read_hits
+        st.write_hits += write_hits
+        st.read_misses += read_misses
+        st.write_misses += write_misses
+        st.expiration_misses += expirations
+        st.evictions += evictions
+        st.shadow_misses += (misses if shadow is None
+                             else accesses - shadow.count(1, 0, accesses))
+        st.mem_read_hits += misses
+        st.bus_read_requests += misses
+        st.mem_busy_read_cycles += misses * self.penalty_cycles
+        self._count_writebacks(writebacks, early=False)
+        self._count_writebacks(early, early=True)
+        return cycles
 
     # -- inspection --------------------------------------------------------
 
@@ -344,13 +362,12 @@ class CacheState:
         return self.stats.copy()
 
     def valid_blocks(self) -> list[tuple[int, int, int]]:
-        """(set, way, tag) for every currently valid block."""
-        out = []
-        for si, blocks in enumerate(self._sets):
-            for wi, b in enumerate(blocks):
-                if b.valid:
-                    out.append((si, wi, b.tag))
-        return out
+        """(set, way, tag) for every currently valid block; a set's ways are
+        numbered from least to most recently used."""
+        return [(si, way, tag) for si, blocks in enumerate(self._sets)
+                for way, tag in enumerate(blocks)]
 
     def block_counter(self, set_index: int, way: int) -> int:
-        return self._sets[set_index][way].counter
+        """The block's monitor counter at the latest time this cache saw."""
+        block = list(self._sets[set_index].values())[way]
+        return int((self._last_now_ns - block[_FILL]) / self._tick_ns)

@@ -9,10 +9,9 @@ and core static (voltage-dependent power over the wall time).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .cache import MISS, CacheState, CacheStats
+from .cache import CacheState, CacheStats, lru_hits
 from .config import CoreSpec, MemTechnology, System, voltage_for_frequency
 from .constraints import Constraint
 from .trace import Trace
@@ -105,6 +104,30 @@ def edp(energy_j: float, wall_time_s: float) -> float:
     return energy_j * wall_time_s
 
 
+def _window(gaps, limit: int) -> tuple[int, int]:
+    """(accesses, non-memory instructions after the last of them) that fit
+    in the first `limit` instructions."""
+    done = 0
+    for i, gap in enumerate(gaps):
+        if done + gap >= limit:
+            return i, limit - done
+        done += gap + 1
+        if done >= limit:
+            return i + 1, 0
+    return len(gaps), 0
+
+
+def _shadow_hits(trace: Trace, geometry, first: int) -> bytearray:
+    """The infinite-retention hit bits of the trace's accesses from `first`
+    on, computed once per trace: a `limit` run reads a prefix of them."""
+    key = (geometry, first)
+    bits = trace._shadow_bits.get(key)
+    if bits is None:
+        addrs = memoryview(trace.addrs)[first:]
+        bits = trace._shadow_bits[key] = lru_hits(addrs, geometry)
+    return bits
+
+
 def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
                  power: PowerModel, limit: int | None = None,
                  start: int = 0) -> RunResult:
@@ -123,50 +146,36 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
             f"(cap {core.freq_cap_ghz} GHz, step {core.dvfs.step_ghz})")
     if start < 0:
         raise ValueError("start must be >= 0")
-    budget = math.inf if limit is None else int(limit)
-    if budget <= 0:
-        raise ValueError("limit must be positive")
-
-    cache = CacheState(core, freq_ghz)
-    access = cache._access
-    penalty = cache.penalty_cycles
-    cpi = core.base_cpi
-    ns_per_cycle = 1.0 / freq_ghz
+    if limit is not None:
+        limit = int(limit)
+        if limit <= 0:
+            raise ValueError("limit must be positive")
 
     gaps, writes, addrs = trace.gaps, trace.writes, trace.addrs
+    first = 0
     if start:
         # Skip the accesses that end at or before `start`; the first one
         # left keeps only the part of its gap after `start`.
-        idx = 0
         pos = 0
-        while idx < len(gaps) and pos + gaps[idx] + 1 <= start:
-            pos += gaps[idx] + 1
-            idx += 1
-        gaps, writes, addrs = gaps[idx:], writes[idx:], addrs[idx:]
+        while first < len(gaps) and pos + gaps[first] + 1 <= start:
+            pos += gaps[first] + 1
+            first += 1
+        gaps, writes, addrs = gaps[first:], writes[first:], addrs[first:]
         if gaps:
             gaps[0] -= start - pos
+    count, tail = (len(gaps), 0) if limit is None else _window(gaps, limit)
+    if count < len(gaps):
+        gaps, writes, addrs = gaps[:count], writes[:count], addrs[:count]
 
-    cycles = 0.0
-    nonmem = 0
-    mem = 0
-    penalty_stalls = 0
-    done = 0
-    for gap, is_write, addr in zip(gaps, writes, addrs):
-        take = gap if done + gap <= budget else int(budget - done)
-        if take:
-            cycles += take * cpi
-            nonmem += take
-            done += take
-        if done >= budget:
-            break
-        kind, _, stall, _ = access(addr, is_write, cycles * ns_per_cycle)
-        cycles += stall
-        if kind is MISS:
-            penalty_stalls += penalty
-        mem += 1
-        done += 1
-        if done >= budget:
-            break
+    cache = CacheState(core, freq_ghz)
+    shadow = _shadow_hits(trace, core.geometry, first) if cache.volatile else None
+    cpi = core.base_cpi
+    ns_per_cycle = 1.0 / freq_ghz
+    cycles = cache.replay(gaps, writes, addrs, shadow, 0.0, cpi, ns_per_cycle)
+    if tail:
+        cycles += tail * cpi
+    nonmem = sum(gaps) + tail
+    penalty_stalls = cache.stats.misses * cache.penalty_cycles
 
     cache.advance_retention(cycles * ns_per_cycle)
     cache.stats.settle_idle(cycles)
@@ -181,9 +190,9 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
         core_id=core.core_id,
         freq_ghz=freq_ghz,
         voltage_v=voltage_for_frequency(core.dvfs, freq_ghz),
-        instructions=nonmem + mem,
+        instructions=nonmem + count,
         nonmem_instructions=nonmem,
-        mem_accesses=mem,
+        mem_accesses=count,
         cycles=cycles,
         active_cycles=active,
         wall_time_s=wall_time_s,

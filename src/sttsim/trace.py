@@ -65,9 +65,14 @@ class Trace:
     (`array('Q')`) hold one entry per access. `instructions`, every access
     plus its preceding gap, is counted once at construction. Readers share
     the columns and must not mutate them.
+
+    `_shadow_bits` is where the engine keeps the trace's infinite-retention
+    hit bits, computed once per geometry and first access; they die with
+    the trace and take no part in equality.
     """
 
-    __slots__ = ("name", "gaps", "writes", "addrs", "instructions")
+    __slots__ = ("name", "gaps", "writes", "addrs", "instructions",
+                 "_shadow_bits")
 
     def __init__(self, events: Iterable[TraceEvent], name: str = "trace"):
         gaps, writes, addrs = array("q"), bytearray(), array("Q")
@@ -104,6 +109,7 @@ class Trace:
         self.writes = writes
         self.addrs = addrs
         self.instructions = sum(gaps) + len(gaps)
+        self._shadow_bits = {}
 
     @property
     def events(self) -> Sequence[TraceEvent]:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import pytest
 
 from sttsim import (Constraint, CorePredictor, FeatureVector, PowerModel,
-                    RunResult, System, TrainingSet, default_system,
+                    RunResult, System, TrainingSet, default_system, engine,
                     exhaustive_sweep, profile_application, select_best,
                     train_tree)
 from sttsim.constraints import KINDS
@@ -38,6 +38,19 @@ def system() -> System:
 @pytest.fixture(scope="session")
 def power() -> PowerModel:
     return PowerModel()
+
+
+@pytest.fixture
+def lru_passes(monkeypatch):
+    """The address streams `simulate_run` computes shadow hit bits for."""
+    passes = []
+    original = engine.lru_hits
+
+    def counted(addrs, geometry):
+        passes.append((len(addrs), geometry))
+        return original(addrs, geometry)
+    monkeypatch.setattr(engine, "lru_hits", counted)
+    return passes
 
 
 @dataclass(frozen=True)

@@ -25,3 +25,130 @@ class ReferenceLru:
             lru.pop(0)
         lru.append(line)
         return False
+
+
+class ReferenceRetentionCache:
+    """Set-associative LRU cache whose blocks expire, kept deliberately
+    plain: each set is a list of block records, and every access first
+    invalidates the set's blocks whose lifetime has run out.
+
+    A block's lifetime is (k-1)/k x retention in nanoseconds, counted from
+    its fill or its last write; a read does not extend it. A dirty block is
+    written back when it expires (an early write-back) and when it is
+    evicted. Misses are classified against `ReferenceLru`: a miss is an
+    expiration miss when an infinite-retention cache would have hit.
+    """
+
+    def __init__(self, sets, ways, line_bytes, lifetime_ns, read_cycles,
+                 write_cycles, penalty_cycles):
+        self.sets = [[] for _ in range(sets)]
+        self.ways = ways
+        self.line_bytes = line_bytes
+        self.lifetime_ns = lifetime_ns
+        self.read_cycles = read_cycles
+        self.write_cycles = write_cycles
+        self.penalty_cycles = penalty_cycles
+        self.shadow = ReferenceLru(sets, ways, line_bytes)
+        self.uses = 0
+        self.counts = dict(read_hits=0, write_hits=0, read_misses=0,
+                           write_misses=0, expiration_misses=0,
+                           early_writebacks=0, writebacks=0, evictions=0)
+
+    def _write_back(self, kind):
+        self.counts[kind] += 1
+
+    def access(self, addr, write, now_ns):
+        """Stall cycles of one access at `now_ns`."""
+        line = addr // self.line_bytes
+        blocks = self.sets[line % len(self.sets)]
+        for block in list(blocks):
+            if now_ns >= block["filled_ns"] + self.lifetime_ns:
+                blocks.remove(block)
+                if block["dirty"]:
+                    self._write_back("early_writebacks")
+        infinite_hit = self.shadow.access(addr)
+        self.uses += 1
+        op = "write" if write else "read"
+        latency = self.write_cycles if write else self.read_cycles
+        for block in blocks:
+            if block["line"] == line:
+                self.counts[f"{op}_hits"] += 1
+                block["used"] = self.uses
+                if write:
+                    block["dirty"] = True
+                    block["filled_ns"] = now_ns
+                return latency
+        self.counts[f"{op}_misses"] += 1
+        if infinite_hit:
+            self.counts["expiration_misses"] += 1
+        if len(blocks) == self.ways:
+            victim = min(blocks, key=lambda b: b["used"])
+            blocks.remove(victim)
+            self.counts["evictions"] += 1
+            if victim["dirty"]:
+                self._write_back("writebacks")
+        blocks.append(dict(line=line, dirty=write, filled_ns=now_ns,
+                           used=self.uses))
+        return latency + self.penalty_cycles
+
+    def finish(self, now_ns):
+        """Expire every block whose age has reached its lifetime."""
+        for blocks in self.sets:
+            for block in list(blocks):
+                if now_ns - block["filled_ns"] >= self.lifetime_ns:
+                    blocks.remove(block)
+                    if block["dirty"]:
+                        self._write_back("early_writebacks")
+
+
+def reference_run(events, sets, ways, line_bytes, retention_s, k, cpi,
+                  freq_ghz, read_cycles, write_cycles, penalty_cycles,
+                  limit=None, start=0):
+    """Counters and cycles of an in-order run over `(gap, write, addr)`
+    events, as a dict shaped like `CacheStats` plus `cycles`.
+
+    The program is the events' instructions in order: `gap` non-memory
+    instructions of `cpi` cycles each, then the access, which stalls for its
+    latency (plus the miss penalty on a miss). `start` drops the first
+    instructions and `limit` stops after that many more. Times are
+    `cycles * (1 / freq_ghz)` nanoseconds, the float form the simulator's
+    results are pinned to.
+    """
+    lifetime = retention_s * 1e9 / k * (k - 1)
+    cache = ReferenceRetentionCache(sets, ways, line_bytes, lifetime,
+                                    read_cycles, write_cycles, penalty_cycles)
+    ns_per_cycle = 1.0 / freq_ghz
+    budget = float("inf") if limit is None else limit
+    cycles = 0.0
+    skipped = 0  # instructions before `start` seen so far
+    done = 0  # instructions run
+    for gap, write, addr in events:
+        skip = min(gap + 1, start - skipped)
+        skipped += skip
+        if skip == gap + 1:
+            continue
+        run_gap = min(gap - skip, budget - done)
+        cycles += run_gap * cpi
+        done += run_gap
+        if done == budget:
+            break
+        cycles += cache.access(addr, write, cycles * ns_per_cycle)
+        done += 1
+        if done == budget:
+            break
+    cache.finish(cycles * ns_per_cycle)
+
+    counts = cache.counts
+    misses = counts["read_misses"] + counts["write_misses"]
+    written_back = counts["writebacks"] + counts["early_writebacks"]
+    counts.update(
+        bus_read_requests=misses,
+        bus_write_requests=written_back,
+        mem_busy_read_cycles=misses * penalty_cycles,
+        mem_busy_write_cycles=written_back * penalty_cycles,
+        mem_read_hits=misses,
+        shadow_misses=cache.shadow.misses)
+    busy = counts["mem_busy_read_cycles"] + counts["mem_busy_write_cycles"]
+    counts["mem_idle_cycles"] = int(max(0, cycles - busy))
+    counts["cycles"] = cycles
+    return counts

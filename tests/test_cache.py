@@ -88,8 +88,9 @@ class TestRetention:
             c.access(64 * rng.randrange(96), "W" if rng.random() < 0.4 else "R",
                      now)
             c.advance_retention(now)
-            for si, wi, _tag in c.valid_blocks():
-                age = now - c._sets[si][wi].fill_ns
+            for si, _way, tag in c.valid_blocks():
+                _expiry, _dirty, fill_ns = c._sets[si][tag]
+                age = now - fill_ns
                 assert age < c.lifetime_ns < c.tech.retention_time * 1e9
 
     def test_read_hit_does_not_refresh(self, core1):

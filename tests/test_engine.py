@@ -1,14 +1,20 @@
+import hashlib
 import math
 import random
+from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sttsim import (CacheStats, Constraint, PowerModel, STT_10US, SRAM,
-                    SynthParams, System, Trace, TraceEvent, UniformGaps,
-                    cache_energy, default_system, edp, exhaustive_sweep,
-                    gen_synthetic, pareto_flags, processor_energy,
-                    simulate_run, sram_system)
+from sttsim import (CacheGeometry, CacheStats, Constraint, PowerModel,
+                    STT_10US, SRAM, SynthParams, System, Trace, TraceEvent,
+                    UniformGaps, access_cycles, cache_energy, default_system,
+                    edp, exhaustive_sweep, gen_synthetic,
+                    pareto_flags, processor_energy, simulate_run, sram_system)
 from sttsim.trace import READ, WRITE
+
+from reference import reference_run
+from workloads import ARCHETYPES, PROFILING_INTERVAL, archetype_params
 
 
 def one_gap_trace(gap, op=READ, addr=0x40):
@@ -236,3 +242,103 @@ class TestSweep:
             best_key = (best.total_energy_j, best.wall_time_s,
                         system.core_index(best.core_id))
             assert best_key <= key
+
+
+@st.composite
+def reference_cases(draw):
+    """A random toy core, grid frequency, trace, limit and start."""
+    ways = draw(st.sampled_from([1, 2, 4]))
+    sets = draw(st.sampled_from([1, 2, 4, 8]))
+    line = draw(st.sampled_from([16, 64]))
+    tech = draw(st.sampled_from([SRAM, STT_10US]))
+    if tech.is_volatile:
+        tech = replace(tech, retention_time=draw(st.floats(0.2e-6, 12e-6)))
+    core = replace(default_system().core("core1"), core_id="toy",
+                   geometry=CacheGeometry(line * ways * sets, line, ways),
+                   data_tech=tech, counter_states_k=draw(st.integers(2, 6)),
+                   base_cpi=draw(st.sampled_from([1.0, 1.3])))
+    freq = draw(st.sampled_from(core.dvfs.grid()))
+    events = draw(st.lists(
+        st.tuples(st.integers(0, 4000), st.booleans(),
+                  st.integers(0, 40 * line - 1)),
+        min_size=1, max_size=60))
+    total = sum(gap + 1 for gap, _, _ in events)
+    limit = draw(st.none() | st.integers(1, total + 5))
+    start = draw(st.just(0) | st.integers(0, total + 5))
+    return core, freq, events, limit, start
+
+
+class TestAgainstReference:
+    @settings(deadline=None, max_examples=300)
+    @given(reference_cases())
+    def test_counters_and_cycles_match(self, case):
+        core, freq, events, limit, start = case
+        trace = Trace([TraceEvent(gap, WRITE if w else READ, addr)
+                       for gap, w, addr in events], name="ref")
+        run = simulate_run(trace, core, freq, PowerModel(), limit=limit,
+                           start=start)
+        geo = core.geometry
+        expected = reference_run(
+            events, geo.sets, geo.ways, geo.line_bytes,
+            core.data_tech.retention_time, core.counter_states_k,
+            core.base_cpi, freq,
+            access_cycles(freq, core.data_tech.hit_latency_ns),
+            access_cycles(freq, core.data_tech.write_latency_ns),
+            access_cycles(freq, core.miss_penalty_ns),
+            limit=limit, start=start)
+        assert {**asdict(run.stats), "cycles": run.cycles} == expected
+
+
+# SHA-256 over the repr of every run below, computed before the access loop
+# was fused; any change to a result, down to one ulp of one float, moves it.
+GOLDEN_DIGEST = "b97dbbf90faafdcfe5da19d11f1fd2d81b1654bf1dae318344cf5a8ae929b88c"
+
+
+def test_results_match_the_pinned_digest(system, power):
+    digest = hashlib.sha256()
+    for arch in ARCHETYPES:
+        params = archetype_params(arch, 4200 + ord(arch), arch in "BD")
+        trace = gen_synthetic(params, name=f"golden-{arch}")
+        for core in system.cores:
+            for freq in core.dvfs.grid():
+                digest.update(repr(simulate_run(trace, core, freq, power)).encode())
+            top = core.dvfs.grid()[-1]
+            for window in ({"limit": PROFILING_INTERVAL},
+                           {"start": PROFILING_INTERVAL}):
+                run = simulate_run(trace, core, top, power, **window)
+                digest.update(repr(run).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+class TestShadowSharing:
+    def test_one_lru_pass_per_sweep(self, system, power, lru_passes):
+        trace = rand_trace(21)
+        exhaustive_sweep(trace, system, power, Constraint("none"))
+        assert lru_passes == [(len(trace), system.cores[0].geometry)]
+        # A profiling window reads a prefix of the same bits.
+        simulate_run(trace, system.core("core1"), 1.6, power, limit=2000)
+        assert len(lru_passes) == 1
+
+    def test_a_migrated_start_has_its_own_bits(self, system, power, lru_passes):
+        trace = rand_trace(22)
+        core = system.core("core1")
+        simulate_run(trace, core, 1.6, power)
+        simulate_run(trace, core, 1.6, power, start=5000)
+        simulate_run(trace, core, 1.2, power, start=5000)
+        assert len(lru_passes) == 2 and lru_passes[1][0] < len(trace)
+
+    def test_infinite_retention_needs_no_shadow(self, power, lru_passes):
+        core = sram_system().cores[0]
+        simulate_run(rand_trace(23), core, 2.0, power)
+        assert lru_passes == []
+
+    def test_same_name_traces_do_not_share_bits(self, system, power,
+                                                lru_passes):
+        first = rand_trace(24)
+        second = Trace(rand_trace(25).events, name=first.name)
+        core = system.core("core1")
+        simulate_run(first, core, 1.6, power)
+        run = simulate_run(second, core, 1.6, power)
+        assert len(lru_passes) == 2
+        fresh = Trace(second.events, name="fresh")
+        assert run.stats == simulate_run(fresh, core, 1.6, power).stats

@@ -243,6 +243,21 @@ class TestRunMemo:
         rerun = simulate_run(second, system.core(d2.core), d2.freq_ghz, power)
         assert d2.run_wall_time_s == rerun.wall_time_s != d1.run_wall_time_s
 
+    def test_a_decision_makes_at_most_two_lru_passes(self, system, power,
+                                                     lru_passes):
+        # One for the runs from the first access, one for the runs that
+        # resume on the chosen core after the profiling window.
+        starts = set()
+        for label in ("core1", "core2", "core4"):
+            sched = Scheduler(system, power, stub_models(system, label),
+                              profiling_interval=INTERVAL)
+            trace = hot_trace(seed=7)
+            lru_passes.clear()
+            sched.run_application(trace, Constraint("slack10"))
+            assert 1 <= len(lru_passes) <= 2
+            starts.update(n for n, _ in lru_passes if n < len(trace))
+        assert starts  # some decision did migrate
+
     def test_memo_bounded_by_history_capacity(self, system, power, sim_calls):
         sched = Scheduler(system, power, stub_models(system, "core3"),
                           history=HistoryTable(capacity=2),
