@@ -283,17 +283,33 @@ def parse_trace(stream: TextIO | str, name: str = "trace") -> Trace:
     return Trace.from_columns(gaps, writes, addrs, name=name)
 
 
+# Accesses formatted per piece of text; bounds the text alive at once.
+_CHUNK_LINES = 1 << 14
+
+
+def _text_chunks(trace: Trace, header: Iterable[str]) -> Iterator[str]:
+    """The canonical text in pieces: the header comments, then the access
+    lines a chunk at a time."""
+    head = "".join(f"# {h}\n" for h in header)
+    if not head and not len(trace):
+        head = "\n"
+    yield head
+    gaps, writes, addrs = trace.gaps, trace.writes, trace.addrs
+    for at in range(0, len(trace), _CHUNK_LINES):
+        end = at + _CHUNK_LINES
+        yield "".join(f"{gap} {_OPS[write]} 0x{addr:x}\n" for gap, write, addr
+                      in zip(gaps[at:end], writes[at:end], addrs[at:end]))
+
+
 def serialize_trace(trace: Trace, header: Iterable[str] = ()) -> str:
     """Canonical text form; `header` lines are emitted as leading comments."""
-    lines = [f"# {h}" for h in header]
-    lines.extend(f"{gap} {_OPS[write]} 0x{addr:x}"
-                 for gap, write, addr in zip(trace.gaps, trace.writes, trace.addrs))
-    return "\n".join(lines) + "\n"
+    return "".join(_text_chunks(trace, header))
 
 
 def write_trace(trace: Trace, path, header: Iterable[str] = ()) -> None:
+    """Write `serialize_trace`'s text without holding all of it at once."""
     with open(path, "w") as fh:
-        fh.write(serialize_trace(trace, header))
+        fh.writelines(_text_chunks(trace, header))
 
 
 def load_trace(path) -> Trace:

@@ -10,7 +10,7 @@ from sttsim import (BimodalGaps, Constraint, CorePredictor, Scheduler,
                     SynthParams, Trace, TraceEvent, TraceParseError,
                     UniformGaps, default_system, exhaustive_sweep,
                     gen_synthetic, load_trace, parse_trace, serialize_trace,
-                    simulate_run, sram_system, trace_stats)
+                    simulate_run, sram_system, trace_stats, write_trace)
 from sttsim import trace as trace_module
 from sttsim.constraints import KINDS
 from sttsim.trace import READ, WRITE, concat_traces
@@ -86,6 +86,18 @@ class TestParsing:
         tr = random_trace(9)
         text = serialize_trace(tr, header=["one", "two"])
         assert parse_trace(text, name=tr.name) == tr
+
+    def test_written_file_is_the_serialized_text(self, tmp_path):
+        p = SynthParams.for_rate(UniformGaps(300, 500), 0.25, 0.5, 80_000, 4)
+        tr = gen_synthetic(p)
+        assert len(tr) > trace_module._CHUNK_LINES  # written in several pieces
+        header = ["one", "two"]
+        expected = "\n".join([f"# {h}" for h in header] + [
+            f"{e.gap} {e.op} 0x{e.addr:x}" for e in tr.events]) + "\n"
+        path = tmp_path / "long.trace"
+        write_trace(tr, path, header)
+        assert path.read_text() == serialize_trace(tr, header) == expected
+        assert serialize_trace(Trace(())) == "\n"
 
 
 class TestGenerator:
