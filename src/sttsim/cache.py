@@ -236,18 +236,17 @@ class CacheState:
                 else:
                     bound = min(bound, block[_EXPIRY])
             self._bounds[si] = bound
-        self._count_writebacks(sum(e.was_dirty for e in expired),
-                               early=True)
+        self._count_writebacks(0, sum(e.was_dirty for e in expired))
         return expired
 
-    def _count_writebacks(self, count: int, early: bool) -> None:
+    def _count_writebacks(self, evicted: int, expired: int) -> None:
+        """Dirty blocks written back on eviction and on expiry; each is one
+        bus write of a miss penalty."""
         st = self.stats
-        if early:
-            st.early_writebacks += count
-        else:
-            st.writebacks += count
-        st.bus_write_requests += count
-        st.mem_busy_write_cycles += count * self.penalty_cycles
+        st.writebacks += evicted
+        st.early_writebacks += expired
+        st.bus_write_requests += evicted + expired
+        st.mem_busy_write_cycles += (evicted + expired) * self.penalty_cycles
 
     # -- access ------------------------------------------------------------
 
@@ -352,8 +351,7 @@ class CacheState:
         st.mem_read_hits += misses
         st.bus_read_requests += misses
         st.mem_busy_read_cycles += misses * self.penalty_cycles
-        self._count_writebacks(writebacks, early=False)
-        self._count_writebacks(early, early=True)
+        self._count_writebacks(writebacks, early)
         return cycles
 
     # -- inspection --------------------------------------------------------
