@@ -28,6 +28,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
 READ = "R"
@@ -284,7 +285,9 @@ def parse_trace(stream: TextIO | str, name: str = "trace") -> Trace:
 
 
 # Accesses formatted per piece of text; bounds the text alive at once.
-_CHUNK_LINES = 1 << 14
+# Smaller pieces measured no slower, and fewer short-lived strings at once
+# keep the allocator's peak lower.
+_CHUNK_LINES = 1 << 10
 
 
 def _text_chunks(trace: Trace, header: Iterable[str]) -> Iterator[str]:
@@ -294,11 +297,10 @@ def _text_chunks(trace: Trace, header: Iterable[str]) -> Iterator[str]:
     if not head and not len(trace):
         head = "\n"
     yield head
-    gaps, writes, addrs = trace.gaps, trace.writes, trace.addrs
-    for at in range(0, len(trace), _CHUNK_LINES):
-        end = at + _CHUNK_LINES
-        yield "".join(f"{gap} {_OPS[write]} 0x{addr:x}\n" for gap, write, addr
-                      in zip(gaps[at:end], writes[at:end], addrs[at:end]))
+    accesses = zip(trace.gaps, trace.writes, trace.addrs)
+    for _ in range(0, len(trace), _CHUNK_LINES):
+        yield "".join([f"{gap} {_OPS[write]} 0x{addr:x}\n" for gap, write, addr
+                       in islice(accesses, _CHUNK_LINES)])
 
 
 def serialize_trace(trace: Trace, header: Iterable[str] = ()) -> str:
