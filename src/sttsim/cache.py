@@ -183,9 +183,9 @@ class CacheState:
         self._sets = [{} for _ in range(geo.sets)]
         self._bounds = [math.inf] * geo.sets
         self.volatile = self.tech.is_volatile
-        # The shadow of `access`, one access at a time; with infinite
-        # retention the cache is its own shadow and has none.
-        self._shadow = [{} for _ in range(geo.sets)] if self.volatile else None
+        # The shadow of `access`, made on its first call; runs take their
+        # shadow bits from the engine instead.
+        self._shadow = None
 
         k = core.counter_states_k
         self.counter_states_k = k
@@ -256,8 +256,11 @@ class CacheState:
             raise ValueError(f"op must be R or W, got {op!r}")
         self._check_time(now_ns)
         write = int(op == WRITE)
-        shadow = (lru_hits((addr,), self.geometry, self._shadow)
-                  if self.volatile else None)
+        shadow = None
+        if self.volatile:
+            if self._shadow is None:
+                self._shadow = [{} for _ in range(self.geometry.sets)]
+            shadow = lru_hits((addr,), self.geometry, self._shadow)
         st = self.stats
         hits, expirations, writebacks = st.hits, st.expiration_misses, st.writebacks
         # Zero instructions before the access, one nanosecond per cycle: the

@@ -295,7 +295,7 @@ def _text_chunks(trace: Trace, header: Iterable[str]) -> Iterator[str]:
     lines a chunk at a time."""
     head = "".join(f"# {h}\n" for h in header)
     if not head and not len(trace):
-        head = "\n"
+        head = "\n"  # the text of nothing at all is one blank line
     yield head
     accesses = zip(trace.gaps, trace.writes, trace.addrs)
     for _ in range(0, len(trace), _CHUNK_LINES):
