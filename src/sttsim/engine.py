@@ -9,6 +9,8 @@ and core static (voltage-dependent power over the wall time).
 
 from __future__ import annotations
 
+import marshal
+import os
 from dataclasses import dataclass
 
 from .cache import CacheState, CacheStats, lru_hits
@@ -247,12 +249,57 @@ def exhaustive_sweep(trace: Trace, system: System, power: PowerModel,
                      limit: int | None = None) -> SweepResult:
     """Simulate every core at every admissible grid frequency and pick the
     constraint-feasible energy minimum."""
-    rows = []
-    for core in system.cores:
-        for freq in core.dvfs.grid():
-            rows.append(simulate_run(trace, core, freq, power, limit=limit))
+    points = [(core, freq) for core in system.cores for freq in core.dvfs.grid()]
+    rows = _run_points(trace, points, power, limit)
     best, deadline_s, violation = select_best(rows, system, constraint, deadline_s)
     return SweepResult(tuple(rows), best, deadline_s, violation)
+
+
+def _run_points(trace: Trace, points, power: PowerModel,
+                limit: int | None) -> list[RunResult]:
+    """`simulate_run` at each (core, freq) point, in point order. Worker w of
+    n = min(os.cpu_count(), points) runs points[w::n]: worker 0 is this
+    process, the others are forked children that inherit the trace and its
+    shadow bits and send their rows back as `marshal`led field dicts. All
+    children are reaped; a child that fails has its share rerun here, so its
+    error is raised as in a one-process sweep."""
+    def share(w, n):
+        return [simulate_run(trace, core, freq, power, limit=limit)
+                for core, freq in points[w::n]]
+
+    n = min(os.cpu_count() or 1, len(points))
+    if n < 2 or not hasattr(os, "fork"):
+        return share(0, 1)
+    for core, _ in points:
+        if core.data_tech.is_volatile:
+            _shadow_hits(trace, core.geometry, 0)
+    rows, children, sent = [None] * len(points), [], {}
+    try:
+        for w in range(1, n):
+            fd_r, fd_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    data = marshal.dumps([{**vars(r), "stats": vars(r.stats)}
+                                          for r in share(w, n)])
+                    with os.fdopen(fd_w, "wb") as fh:
+                        fh.write(data)
+                finally:
+                    os._exit(0)
+            os.close(fd_w)
+            children.append((w, pid, fd_r))
+        rows[0::n] = share(0, n)
+    finally:
+        for w, pid, fd_r in children:
+            with os.fdopen(fd_r, "rb") as fh:
+                sent[w] = fh.read()
+            if os.waitpid(pid, 0)[1] or not sent[w]:
+                sent[w] = None
+    for w in range(1, n):
+        rows[w::n] = share(w, n) if sent[w] is None else [
+            RunResult(**{**d, "stats": CacheStats(**d["stats"])})
+            for d in marshal.loads(sent[w])]
+    return rows
 
 
 def pareto_flags(rows) -> list[bool]:

@@ -384,6 +384,8 @@ def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
         min_samples_leaf = int(hyper["min_samples_leaf"])
     except (KeyError, ValueError):
         raise bad(at, "bad hyper line") from None
+    if max_depth < 1 or min_samples_leaf < 1:
+        raise bad(at, "max_depth and min_samples_leaf must be >= 1")
 
     model = CorePredictor(max_depth=max_depth,
                           min_samples_leaf=min_samples_leaf,
@@ -394,15 +396,14 @@ def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
     model.feature_importances_ = [0.0] * len(feature_names)
     col = {name: i for i, name in enumerate(feature_names)}
 
-    pos = body_at
-
-    def parse_node():
-        nonlocal pos
+    # Nodes come in preorder: check them in one loop, then link them from the
+    # end, so no depth of tree can exhaust the stack.
+    nodes, depths, pos = [], [0], body_at
+    while depths:
         if pos >= len(lines):
             raise ValueError("model file truncated")
-        at = pos
+        depth = depths.pop()
         parts = lines[pos][1].split()
-        pos += 1
         if parts[:2] == ["node", "leaf"] and len(parts) == 4:
             label = parts[2]
             counts = {}
@@ -411,30 +412,38 @@ def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
                     lab, _, c = kv.partition("=")
                     counts[lab] = int(c)
             except ValueError:
-                raise bad(at, "bad leaf counts") from None
+                raise bad(pos, "bad leaf counts") from None
             if not {label, *counts} <= set(labels):
-                raise bad(at, "leaf label is not in the labels line")
-            return _Leaf(label, counts)
-        if parts[:2] == ["node", "split"] and len(parts) == 4:
+                raise bad(pos, "leaf label is not in the labels line")
+            nodes.append(_Leaf(label, counts))
+        elif parts[:2] == ["node", "split"] and len(parts) == 4:
             if parts[2] not in col:
-                raise bad(at, f"split feature {parts[2]!r} is not in the "
-                              "features line")
+                raise bad(pos, f"split feature {parts[2]!r} is not in the "
+                               "features line")
+            if depth >= max_depth:
+                raise bad(pos, f"split deeper than max_depth={max_depth}")
             try:
                 threshold = float(parts[3])
             except ValueError:
-                raise bad(at, "bad split threshold") from None
-            left = parse_node()
-            right = parse_node()
+                raise bad(pos, "bad split threshold") from None
+            nodes.append((col[parts[2]], threshold))
+            depths += [depth + 1, depth + 1]
+        else:
+            raise bad(pos, "bad node line")
+        pos += 1
+    if pos != len(lines):
+        raise bad(pos, "trailing content after tree")
+    built = []
+    for node in reversed(nodes):
+        if isinstance(node, tuple):
+            left, right = built.pop(), built.pop()
             counts = {}
             for child in (left, right):
                 for lab, c in child.counts.items():
                     counts[lab] = counts.get(lab, 0) + c
-            return _Split(col[parts[2]], threshold, left, right, counts)
-        raise bad(at, "bad node line")
-
-    model.root_ = parse_node()
-    if pos != len(lines):
-        raise bad(pos, "trailing content after tree")
+            node = _Split(*node, left, right, counts)
+        built.append(node)
+    model.root_ = built.pop()
     return model, constraint
 
 

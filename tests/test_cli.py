@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 
@@ -190,6 +191,8 @@ class TestTrainPredictSchedule:
 
         for module in (engine, features, cli, scheduler):
             monkeypatch.setattr(module, "simulate_run", counted)
+        # One worker: runs in forked sweep workers would not be counted here.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         out = tmp_path / "models"
         assert run_cli("train", "--traces", *traces, "--all-constraints",
                        "--config", cfg_path, "--out", out,
@@ -197,6 +200,15 @@ class TestTrainPredictSchedule:
         # One profiling window and one 22-point sweep per trace.
         assert len(calls) == 2 + 2 * 22
         monkeypatch.undo()
+
+        # Sweeps on the default number of workers write the same files.
+        parallel = tmp_path / "parallel"
+        assert run_cli("train", "--traces", *traces, "--all-constraints",
+                       "--config", cfg_path, "--out", parallel,
+                       "--no-timestamp") == 0
+        for kind in KINDS:
+            name = f"model-{kind}.txt"
+            assert (parallel / name).read_bytes() == (out / name).read_bytes()
 
         # The same models as labelling each constraint with its own sweep.
         cfg = load_config(cfg_path)
@@ -234,6 +246,21 @@ class TestTrainPredictSchedule:
         assert run_cli("predict", "--model", bad, "--trace", traces[0],
                        "--config", cfg) == 1
         assert str(bad) in capsys.readouterr().err
+
+    def test_deep_model_file_is_config_error(self, trained_models, tmp_path,
+                                             capsys):
+        models, traces, cfg = trained_models
+        text = (models / "model-none.txt").read_text()
+        head = text[:text.index("node ")]
+        feature = head.split("features ")[1].split()[0]
+        split = f"node split {feature} 0.5"
+        bad = tmp_path / "model-none.txt"
+        bad.write_text(head + f"{split}\nnode leaf core1 core1=1\n" * 3000
+                       + "node leaf core2 core2=1\n")
+        assert run_cli("predict", "--model", bad, "--trace", traces[0],
+                       "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: line 16: split deeper than max_depth=5" in err
 
     def test_predict_prints_label_and_ranking(self, trained_models, capsys):
         out, traces, cfg = trained_models

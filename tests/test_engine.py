@@ -1,11 +1,13 @@
 import hashlib
 import math
+import os
 import random
 from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sttsim import engine
 from sttsim import (CacheGeometry, CacheStats, Constraint, PowerModel,
                     STT_10US, SRAM, SynthParams, System, Trace, TraceEvent,
                     UniformGaps, access_cycles, cache_energy, default_system,
@@ -342,3 +344,103 @@ class TestShadowSharing:
         assert len(lru_passes) == 2
         fresh = Trace(second.events, name="fresh")
         assert run.stats == simulate_run(fresh, core, 1.6, power).stats
+
+
+def sweep_on(cpus, *args, **kwargs):
+    """`exhaustive_sweep` with `os.cpu_count()` reading `cpus` (None: as is)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if cpus is not None:
+            mp.setattr(os, "cpu_count", lambda: cpus)
+        return exhaustive_sweep(*args, **kwargs)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestParallelSweep:
+    """Sweeps split over forked workers give the one-worker results."""
+
+    @pytest.mark.parametrize("case", ["default", "sram", "limit", "one-access",
+                                      "fewer-points-than-workers"])
+    def test_rows_equal_one_worker(self, case, system, power):
+        trace, limit = rand_trace(31), None
+        if case == "sram":
+            system = sram_system()
+        elif case == "limit":
+            limit = 15_000
+        elif case == "one-access":
+            trace = one_gap_trace(7)
+        elif case == "fewer-points-than-workers":
+            system = System(cores=(system.core("core1"),))
+        serial = sweep_on(1, trace, system, power, Constraint("slack10"),
+                          limit=limit)
+        for cpus in (None, 3, 64):
+            sweep = sweep_on(cpus, trace, system, power, Constraint("slack10"),
+                             limit=limit)
+            assert repr(sweep) == repr(serial)
+        assert no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_points_run_in_children_that_inherit_the_shadow(
+            self, monkeypatch, tmp_path, system, power):
+        log = tmp_path / "calls"
+
+        def logged(name):
+            original = getattr(engine, name)
+
+            def call(*args, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(f"{name} {os.getpid()}\n")
+                return original(*args, **kwargs)
+            monkeypatch.setattr(engine, name, call)
+
+        logged("lru_hits")
+        logged("simulate_run")
+        sweep_on(3, rand_trace(34), system, power, Constraint("none"))
+        calls = log.read_text().splitlines()
+        runs = [c for c in calls if c.startswith("simulate_run")]
+        points = sum(len(core.dvfs.grid()) for core in system.cores)
+        assert len(runs) == points and len(set(runs)) == 3
+        # One LRU pass, made before the fork.
+        assert calls[0] == f"lru_hits {os.getpid()}" and len(calls) == points + 1
+
+    @pytest.mark.parametrize("cpus, failing", [
+        (None, lambda i, core: core.core_id == "core2"),
+        (2, lambda i, core: i == 0),  # the caller's share
+        (2, lambda i, core: i == 1),  # the forked worker's share
+    ])
+    def test_a_failing_point_reaches_the_caller(self, monkeypatch, system,
+                                                power, cpus, failing):
+        points = [core for core in system.cores for _ in core.dvfs.grid()]
+        original = engine.simulate_run
+
+        def flaky(trace, core, freq, *args, **kwargs):
+            i = points.index(core) + core.dvfs.grid().index(freq)
+            if failing(i, core):
+                raise ValueError(f"no run at point {i}")
+            return original(trace, core, freq, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "simulate_run", flaky)
+        with pytest.raises(ValueError, match=r"^no run at point \d+$"):
+            sweep_on(cpus, rand_trace(32), system, power, Constraint("none"))
+        assert no_child_left()
+
+    def test_a_worker_that_dies_has_its_share_rerun(self, monkeypatch, system,
+                                                    power):
+        parent = os.getpid()
+        original = engine.simulate_run
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(0)
+            return original(*args, **kwargs)
+
+        trace = rand_trace(33)
+        serial = sweep_on(1, trace, system, power, Constraint("none"))
+        monkeypatch.setattr(engine, "simulate_run", dying)
+        sweep = sweep_on(2, trace, system, power, Constraint("none"))
+        assert repr(sweep) == repr(serial)
+        assert no_child_left()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sttsim import (Constraint, CorePredictor, FeatureVector, TrainingSet,
                     dump_tree, features_from_run, gini, label_oracle,
@@ -199,6 +200,30 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_tree(good + "node leaf alien a=1\n")
 
+    def test_deep_tree_is_rejected_at_its_line(self):
+        depth = 3000
+        head = ("sttsim-tree v1\nconstraint none\n"
+                "hyper max_depth={} min_samples_leaf=1\n"
+                "features fa fb\nlabels core1 core2\n")
+        body = ("node split fa 0.5\nnode leaf core1 core1=1\n" * depth
+                + "node leaf core2 core2=1\n")
+        with pytest.raises(ValueError, match=r"^line 16: split deeper than "
+                                             r"max_depth=5: 'node split fa 0.5'$"):
+            load_tree(head.format(5) + body)
+        # Parsing is not recursive: a tree that deep loads when allowed.
+        model, _ = load_tree(head.format(depth) + body)
+        assert model.predict_one([1.0, 0.0]) == "core2"
+        assert model.rank_labels([0.0, 0.0]) == ["core1", "core2"]
+
+    @pytest.mark.parametrize("hyper", ["max_depth=-1 min_samples_leaf=1",
+                                       "max_depth=0 min_samples_leaf=1",
+                                       "max_depth=3 min_samples_leaf=0"])
+    def test_hyper_values_below_one_are_rejected(self, hyper):
+        text = dump_tree(self._model(), Constraint("none"))
+        text = text.replace("max_depth=6 min_samples_leaf=1", hyper)
+        with pytest.raises(ValueError, match=r"^line 3: "):
+            load_tree(text)
+
     def test_models_are_independent(self):
         model = self._model()
         before = dump_tree(model, Constraint("none"))
@@ -304,3 +329,73 @@ class TestOracleTraining:
         o = train_oracle[0]
         assert label_oracle(o.app.trace, system, power,
                             Constraint("none")) == o.label("none")
+
+
+def _dumps():
+    rng = random.Random(8)
+    X = [[rng.random(), rng.random()] for _ in range(40)]
+    y = [rng.choice(["core1", "core2", "core3"]) for _ in range(40)]
+    deep = fit(X, y, max_depth=4, feature_names=("fa", "fb"),
+               label_order=("core1", "core2", "core3"))
+    leaf = fit([[0.0, 1.0]], ["core2"], feature_names=("fa", "fb"),
+               label_order=("core1", "core2"))
+    return [dump_tree(deep, Constraint("slack10")),
+            dump_tree(leaf, Constraint("none"))]
+
+
+DUMPS = _dumps()
+TOKENS = st.one_of(st.sampled_from(
+    ["node", "leaf", "split", "fa", "fb", "fz", "core1", "core9", "0.5", "nan",
+     "-1", "x", "=", "core1=2", "core1=x,core2=1", "max_depth=-1", "v1", ""]),
+    st.text(max_size=8))
+
+
+@st.composite
+def mutated_dumps(draw):
+    """A valid model file with a few lines dropped, repeated, swapped,
+    inserted or given a changed token."""
+    lines = draw(st.sampled_from(DUMPS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["drop", "repeat", "swap", "insert", "token"]))
+        if op == "insert" or not lines:
+            lines.insert(i, " ".join(draw(st.lists(TOKENS, max_size=5))))
+            continue
+        i = min(i, len(lines) - 1)
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            words = lines[i].split(" ")
+            words[draw(st.integers(0, len(words) - 1))] = draw(TOKENS)
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+class TestModelFuzz:
+    """load_tree raises only ValueError, and whatever it loads predicts."""
+
+    def _load(self, text):
+        try:
+            model, _ = load_tree(text)
+        except ValueError:
+            return
+        row = [0.0] * model.n_features_in_
+        assert model.rank_labels(row)[0] == model.predict_one(row)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_dumps())
+    def test_mutated_dumps(self, text):
+        self._load(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.text(max_size=30),
+                              st.lists(TOKENS, max_size=5).map(" ".join)),
+                    max_size=12),
+           st.sampled_from(["", "sttsim-tree v1\n"]))
+    def test_arbitrary_lines(self, lines, head):
+        self._load(head + "\n".join(lines))
