@@ -3,11 +3,11 @@ relaxed-retention STT-RAM, plus the runtime that predicts and schedules the
 best core per application under DVFS and performance constraints."""
 
 from .cache import (AccessOutcome, CacheState, CacheStats, HIT, MISS,
-                    MISS_EXPIRATION, MISS_NONE, MISS_OTHER, snapshot_stats)
+                    MISS_EXPIRATION, MISS_NONE, MISS_OTHER)
 from .config import (CacheGeometry, CoreSpec, DvfsRange, MemTechnology, SRAM,
                      STT_10US, STT_26_5US, STT_75US, STT_400US, System,
                      TECHNOLOGIES, access_cycles, default_system,
-                     homogeneous_system, instruction_tech, sram_system,
+                     homogeneous_system, sram_system,
                      validate_core_spec, validate_system, voltage_for_frequency)
 from .configfile import ConfigError, ExperimentConfig, default_config, load_config, parse_config
 from .constraints import (BEST_PERF, Constraint, FEATURE_SETS, KINDS,

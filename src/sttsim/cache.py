@@ -1,9 +1,9 @@
 """Set-associative L1 data cache with per-block retention expiry.
 
-Volatile blocks carry a k-state monitor counter ticking at retention/k from
+Volatile blocks have a k-state monitor counter ticking at retention/k from
 their fill (or last write). When the counter reaches k-1 the block is written
 back if dirty and invalidated, so no block's age ever reaches the full
-retention time.
+retention time. A block keeps only that instant, its expiry time.
 
 A miss is an expiration miss exactly when a shadow copy with infinite
 retention still hits. That shadow is a plain LRU cache, a function of the
@@ -12,19 +12,20 @@ bits in one pass; the engine computes them once per (trace, geometry, first
 simulated access) and every operating point reads them, instead of replaying
 the shadow at each point.
 
-Each set is a dict from tag to (expiry_ns, dirty, fill_ns), least recently
-used first, plus a lower bound on the expiry times it holds. An access
-settles the set's expired blocks only when its time reaches that bound, so
-the common access neither scans the ways nor tests an expiry.
+Each set is a dict from tag to (expiry_ns, dirty), least recently used
+first, plus a lower bound on the expiry times it holds. A block expires at
+the first time `now >= expiry_ns`, for an access and at the end of a run
+alike. Both settle a set's expired blocks only when the time reaches its
+bound, so the common access neither scans the ways nor tests an expiry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from itertools import repeat
 
-from .config import CoreSpec, MemTechnology, access_cycles
+from .config import CoreSpec, access_cycles
 
 HIT = "hit"
 MISS = "miss"
@@ -78,40 +79,6 @@ class CacheStats:
         """Array write operations: fills, write hits and all write-backs."""
         return self.mem_read_hits + self.write_hits + self.writebacks + self.early_writebacks
 
-    def copy(self) -> "CacheStats":
-        return replace(self)
-
-    def delta(self, start: "CacheStats") -> "CacheStats":
-        """Element-wise difference since `start`; either operand unchanged."""
-        if not isinstance(start, CacheStats):
-            raise ValueError(f"snapshot must be CacheStats, got {type(start).__name__}")
-        out = CacheStats()
-        for f in fields(CacheStats):
-            d = getattr(self, f.name) - getattr(start, f.name)
-            if d < 0:
-                raise ValueError(
-                    f"snapshot mismatch: {f.name} would be negative ({d}); "
-                    "the snapshot does not precede this state")
-            setattr(out, f.name, d)
-        return out
-
-    def settle_idle(self, total_cycles: float) -> None:
-        """Derive idle cycles from total minus bus-busy cycles.
-
-        Kept monotone (never decreased) so window deltas stay non-negative
-        even when write-back bursts momentarily outrun the cycle count.
-        """
-        busy = self.mem_busy_read_cycles + self.mem_busy_write_cycles
-        self.mem_idle_cycles = max(self.mem_idle_cycles,
-                                   int(max(0, total_cycles - busy)))
-
-
-def snapshot_stats(state_or_stats, window_start: CacheStats) -> CacheStats:
-    """Window delta since a previously captured snapshot; accepts either a
-    CacheState or its stats object."""
-    current = getattr(state_or_stats, "stats", state_or_stats)
-    return current.delta(window_start)
-
 
 @dataclass(frozen=True)
 class AccessOutcome:
@@ -119,20 +86,6 @@ class AccessOutcome:
     miss_class: str  # MISS_NONE | MISS_EXPIRATION | MISS_OTHER
     stall_cycles: int
     writeback_issued: bool
-
-
-@dataclass(frozen=True)
-class ExpiredBlock:
-    set_index: int
-    way: int
-    tag: int
-    age_ns: float
-    was_dirty: bool
-
-
-# Fields of a block, the value of its tag in the set's dict; `replay`
-# indexes them by number.
-_EXPIRY, _DIRTY, _FILL = range(3)
 
 
 def lru_hits(addrs, geometry, sets=None) -> bytearray:
@@ -170,14 +123,12 @@ class CacheState:
     distinct instances are independent.
     """
 
-    def __init__(self, core: CoreSpec, freq_ghz: float | None = None,
-                 tech: MemTechnology | None = None):
-        self.core = core
-        self.tech = tech if tech is not None else core.data_tech
-        self.geometry = core.geometry
-        self.freq_ghz = freq_ghz if freq_ghz is not None else core.operating_freq_ghz
+    def __init__(self, core: CoreSpec, freq_ghz: float | None = None):
+        self.tech = core.data_tech
+        self.geometry = geo = core.geometry
+        if freq_ghz is None:
+            freq_ghz = core.operating_freq_ghz
 
-        geo = self.geometry
         self._line_shift = geo.line_bytes.bit_length() - 1
         self._set_mask = geo.sets - 1
         self._sets = [{} for _ in range(geo.sets)]
@@ -187,19 +138,15 @@ class CacheState:
         # shadow bits from the engine instead.
         self._shadow = None
 
+        # The monitor counter ticks every retention/k and expires the block
+        # on reaching k-1; the float form of that instant is pinned.
         k = core.counter_states_k
-        self.counter_states_k = k
-        if self.volatile:
-            retention_ns = self.tech.retention_time * 1e9
-            self._tick_ns = retention_ns / k
-            self.lifetime_ns = self._tick_ns * (k - 1)
-        else:
-            self._tick_ns = math.inf
-            self.lifetime_ns = math.inf
+        self.lifetime_ns = (self.tech.retention_time * 1e9 / k * (k - 1)
+                            if self.volatile else math.inf)
 
-        self.read_cycles = access_cycles(self.freq_ghz, self.tech.hit_latency_ns)
-        self.write_cycles = access_cycles(self.freq_ghz, self.tech.write_latency_ns)
-        self.penalty_cycles = access_cycles(self.freq_ghz, core.miss_penalty_ns)
+        self.read_cycles = access_cycles(freq_ghz, self.tech.hit_latency_ns)
+        self.write_cycles = access_cycles(freq_ghz, self.tech.write_latency_ns)
+        self.penalty_cycles = access_cycles(freq_ghz, core.miss_penalty_ns)
 
         self.stats = CacheStats()
         self._last_now_ns = 0.0
@@ -211,32 +158,27 @@ class CacheState:
 
     # -- retention ---------------------------------------------------------
 
-    def advance_retention(self, now_ns: float) -> list[ExpiredBlock]:
-        """Advance every monitor counter to `now_ns`, expiring stale blocks.
-
-        Counters equal floor(age / (retention/k)) capped at k-1; a block
-        reaching k-1 is written back if dirty and invalidated, always at age
-        lifetime_ns = (k-1)/k x retention.
-        """
+    def advance_retention(self, now_ns: float) -> int:
+        """Settle every set at `now_ns`: each block whose lifetime of (k-1)/k
+        x retention has run out is written back if dirty and invalidated, by
+        the rule an access applies. Returns the number of blocks expired."""
         self._check_time(now_ns)
         self._last_now_ns = now_ns
-        if not self.volatile:
-            return []
-        expired = []
-        lifetime = self.lifetime_ns
-        for si, blocks in enumerate(self._sets):
+        bounds = self._bounds
+        expired = dirty = 0
+        for index, blocks in enumerate(self._sets):
+            if now_ns < bounds[index]:
+                continue
             bound = math.inf
-            for way, (tag, block) in enumerate(list(blocks.items())):
-                # Reaching state k-1 and reaching age (k-1)*tick are the same
-                # event; the age comparison is the float-robust form.
-                if now_ns - block[_FILL] >= lifetime:
-                    expired.append(ExpiredBlock(si, way, tag, lifetime,
-                                                bool(block[_DIRTY])))
+            for tag, (expiry, was_dirty) in list(blocks.items()):
+                if now_ns >= expiry:
                     del blocks[tag]
-                else:
-                    bound = min(bound, block[_EXPIRY])
-            self._bounds[si] = bound
-        self._count_writebacks(0, sum(e.was_dirty for e in expired))
+                    expired += 1
+                    dirty += was_dirty
+                elif expiry < bound:
+                    bound = expiry
+            bounds[index] = bound
+        self._count_writebacks(0, dirty)
         return expired
 
     def _count_writebacks(self, evicted: int, expired: int) -> None:
@@ -317,7 +259,7 @@ class CacheState:
                 if write:
                     # An array write fully restores the cell, so retention
                     # restarts.
-                    blocks[tag] = (now + lifetime, 1, now)
+                    blocks[tag] = (now + lifetime, 1)
                     write_hits += 1
                     cycles += write_cycles
                 else:
@@ -337,7 +279,7 @@ class CacheState:
                 evictions += 1
             elif not blocks:
                 bounds[index] = now + lifetime
-            blocks[tag] = (now + lifetime, write, now)
+            blocks[tag] = (now + lifetime, write)
         self._last_now_ns = now
 
         st = self.stats
@@ -356,19 +298,3 @@ class CacheState:
         st.mem_busy_read_cycles += misses * self.penalty_cycles
         self._count_writebacks(writebacks, early)
         return cycles
-
-    # -- inspection --------------------------------------------------------
-
-    def snapshot(self) -> CacheStats:
-        return self.stats.copy()
-
-    def valid_blocks(self) -> list[tuple[int, int, int]]:
-        """(set, way, tag) for every currently valid block; a set's ways are
-        numbered from least to most recently used."""
-        return [(si, way, tag) for si, blocks in enumerate(self._sets)
-                for way, tag in enumerate(blocks)]
-
-    def block_counter(self, set_index: int, way: int) -> int:
-        """The block's monitor counter at the latest time this cache saw."""
-        block = list(self._sets[set_index].values())[way]
-        return int((self._last_now_ns - block[_FILL]) / self._tick_ns)

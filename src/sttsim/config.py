@@ -146,7 +146,6 @@ class CoreSpec:
 
     core_id: str
     data_tech: MemTechnology
-    instr_tech: MemTechnology
     geometry: CacheGeometry = CacheGeometry()
     dvfs: DvfsRange = DvfsRange()
     operating_freq_ghz: float = 2.0
@@ -311,21 +310,6 @@ STT_400US = MemTechnology("stt_400us", "sttram", 400e-6, 0.443, 1.389,
 
 TECHNOLOGIES = {t.name: t for t in (SRAM, STT_10US, STT_26_5US, STT_75US, STT_400US)}
 
-# The instruction cache keeps a long (100 ms) retention; no published row
-# exists for it, so it reuses the longest-retention row's latencies/energies
-# scaled by a configurable factor (1.0 by default).
-DEFAULT_INSTR_RETENTION_S = 100e-3
-
-
-def instruction_tech(scale: float = 1.0,
-                     base: MemTechnology = STT_400US) -> MemTechnology:
-    return MemTechnology(
-        "instr_100ms", base.kind, DEFAULT_INSTR_RETENTION_S,
-        base.hit_latency_ns * scale, base.write_latency_ns * scale,
-        base.read_energy_j * scale, base.write_energy_j * scale,
-        base.leakage_w * scale)
-
-
 def _default_dvfs(cap_ghz: float) -> DvfsRange:
     base = DvfsRange()
     return DvfsRange(base.min_freq_ghz, cap_ghz, base.step_ghz,
@@ -335,11 +319,9 @@ def _default_dvfs(cap_ghz: float) -> DvfsRange:
 def default_system(cluster_count: int = 1) -> System:
     """The four-core reference system: retention times paired with frequency
     caps that hold each cache's write access to its cycle budget."""
-    instr = instruction_tech()
     mk = lambda cid, tech, cap, budget: CoreSpec(
-        core_id=cid, data_tech=tech, instr_tech=instr,
-        dvfs=_default_dvfs(cap), operating_freq_ghz=cap,
-        write_cycle_budget=budget)
+        core_id=cid, data_tech=tech, dvfs=_default_dvfs(cap),
+        operating_freq_ghz=cap, write_cycle_budget=budget)
     return System(cores=(
         mk("core1", STT_10US, 1.6, 1),
         mk("core2", STT_26_5US, 1.2, 1),
@@ -351,10 +333,9 @@ def default_system(cluster_count: int = 1) -> System:
 def homogeneous_system(tech: MemTechnology, count: int = 4,
                        cap_ghz: float = 2.0) -> System:
     """A system whose cores all share one data technology (baseline builds)."""
-    instr = instruction_tech()
     budget = access_cycles(cap_ghz, tech.write_latency_ns)
     cores = tuple(
-        CoreSpec(core_id=f"core{i + 1}", data_tech=tech, instr_tech=instr,
+        CoreSpec(core_id=f"core{i + 1}", data_tech=tech,
                  dvfs=_default_dvfs(cap_ghz), operating_freq_ghz=cap_ghz,
                  write_cycle_budget=budget)
         for i in range(count))

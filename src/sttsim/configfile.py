@@ -4,20 +4,20 @@ Line-oriented `key = value` pairs grouped under bracketed section headers:
 
     [dvfs] [cache] [power] [system] [tech.<name>] [core.<id>]
 
-Unknown sections, unknown keys and duplicate keys are errors carrying the
-offending line number. When any [core.*] section is present the file defines
-the whole core set; otherwise the built-in four-core system is used and the
-other sections only tune it. See the README for the full key reference.
+Every error carries a line number: the offending line's, or for a value
+the section rejects as a whole, its header's. When any [core.*] section is
+present the file defines the whole core set; otherwise the built-in
+four-core system is used and the other sections only tune it. See the
+README for the full key reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import (CacheGeometry, CoreSpec, DvfsRange, MemTechnology, System,
-                     TECHNOLOGIES, instruction_tech, default_system,
-                     voltage_for_frequency)
+                     TECHNOLOGIES, default_system, voltage_for_frequency)
 from .engine import PowerModel
 from .scheduler import (DEFAULT_HISTORY_CAPACITY, DEFAULT_MIGRATION_TIME_S,
                         DEFAULT_PREDICTION_TIME_S, DEFAULT_PROFILING_INTERVAL)
@@ -37,10 +37,10 @@ _SECTION_KEYS = {
     "power": {"effective_capacitance_f", "static_power_points"},
     "system": {"cluster_count", "profiling_core", "base_core",
                "history_capacity", "profiling_interval",
-               "prediction_time_us", "migration_time_us", "instr_tech_scale"},
+               "prediction_time_us", "migration_time_us"},
     "tech": {"kind", "retention_s", "hit_latency_ns", "write_latency_ns",
              "read_energy_nj", "write_energy_nj", "leakage_mw"},
-    "core": {"data_tech", "instr_tech", "min_freq_ghz", "max_freq_ghz",
+    "core": {"data_tech", "min_freq_ghz", "max_freq_ghz",
              "operating_freq_ghz", "write_cycle_budget", "counter_states_k",
              "base_cpi", "miss_penalty_ns"},
 }
@@ -65,7 +65,7 @@ def default_config() -> ExperimentConfig:
 def _tokenize(text: str):
     """Yield (line_no, section, key, value) plus section-open events."""
     section = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
@@ -75,6 +75,9 @@ def _tokenize(text: str):
             section = line[1:-1].strip()
             if not section:
                 raise ConfigError(line_no, "empty section name")
+            family, _, name = section.partition(".")
+            if family == "core" and name.isdigit():
+                section = f"core.core{name}"  # [core.1] defines core1
             yield line_no, section, None, None
             continue
         if section is None:
@@ -114,14 +117,14 @@ def _intval(line_no, key, value) -> int:
 
 def parse_config(text: str) -> ExperimentConfig:
     sections: dict[str, dict[str, tuple[int, str]]] = {}
-    order: list[str] = []
+    headers: dict[str, int] = {}  # the line of each section's header
     for line_no, section, key, value in _tokenize(text):
         _check_key(line_no, section, key)
         if key is None:
             if section in sections:
                 raise ConfigError(line_no, f"duplicate section [{section}]")
             sections[section] = {}
-            order.append(section)
+            headers[section] = line_no
             continue
         if key in sections[section]:
             raise ConfigError(line_no, f"duplicate key {key!r} in [{section}]")
@@ -133,53 +136,39 @@ def parse_config(text: str) -> ExperimentConfig:
         line_no, value = sections[section][key]
         return conv(line_no, key, value)
 
-    base_dvfs = DvfsRange(
+    base_dvfs = _build(headers.get("dvfs"), "dvfs", DvfsRange,
         min_freq_ghz=take("dvfs", "min_freq_ghz", _num, 0.8),
         max_freq_ghz=take("dvfs", "max_freq_ghz", _num, 2.0),
         step_ghz=take("dvfs", "step_ghz", _num, 0.2),
         min_voltage_v=take("dvfs", "min_voltage_v", _num, 0.9),
         max_voltage_v=take("dvfs", "max_voltage_v", _num, 1.35),
     )
-    geometry = CacheGeometry(
+    geometry = _build(headers.get("cache"), "cache", CacheGeometry,
         capacity_bytes=take("cache", "capacity_bytes", _intval, 32 * 1024),
         line_bytes=take("cache", "line_bytes", _intval, 64),
         ways=take("cache", "ways", _intval, 4),
     )
 
-    power = _parse_power(sections)
+    power = _parse_power(sections.get("power", {}), headers.get("power"))
     technologies = dict(TECHNOLOGIES)
-    for name, spec in _iter_named(sections, "tech"):
-        technologies[name] = _parse_tech(name, spec)
+    for name, spec, at in _iter_named(sections, headers, "tech"):
+        technologies[name] = _parse_tech(name, spec, at)
 
-    scale = take("system", "instr_tech_scale", _num, 1.0)
-    instr_default = instruction_tech(scale)
-
-    core_sections = list(_iter_named(sections, "core"))
+    core_sections = list(_iter_named(sections, headers, "core"))
     if core_sections:
         cores = tuple(
-            _parse_core(name, spec, technologies, base_dvfs, geometry,
-                        instr_default)
-            for name, spec in core_sections)
+            _parse_core(name, spec, at, technologies, base_dvfs, geometry)
+            for name, spec, at in core_sections)
     else:
         cores = tuple(
-            CoreSpec(core_id=c.core_id, data_tech=c.data_tech,
-                     instr_tech=instr_default, geometry=geometry, dvfs=c.dvfs,
-                     operating_freq_ghz=c.operating_freq_ghz,
-                     write_cycle_budget=c.write_cycle_budget,
-                     counter_states_k=c.counter_states_k, base_cpi=c.base_cpi,
-                     miss_penalty_ns=c.miss_penalty_ns)
-            for c in default_system().cores)
+            replace(c, geometry=geometry) for c in default_system().cores)
 
-    try:
-        system = System(
-            cores=cores,
-            cluster_count=take("system", "cluster_count", _intval, 1),
-            profiling_core=take("system", "profiling_core",
-                                lambda l, k, v: v, ""),
-            base_core=take("system", "base_core", lambda l, k, v: v, ""),
-        )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(None, str(exc)) from exc
+    system = _build(headers.get("system"), "system", System,
+        cores=cores,
+        cluster_count=take("system", "cluster_count", _intval, 1),
+        profiling_core=take("system", "profiling_core", lambda l, k, v: v, ""),
+        base_core=take("system", "base_core", lambda l, k, v: v, ""),
+    )
 
     return ExperimentConfig(
         system=system,
@@ -196,16 +185,22 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def _iter_named(sections, family):
-    for section in sections:
+def _build(at, section, make, **kw):
+    """`make(**kw)`, its ValueError turned into a ConfigError at `at`, the
+    line of the section's header."""
+    try:
+        return make(**kw)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(at, f"[{section}]: {exc}") from None
+
+
+def _iter_named(sections, headers, family):
+    for section, spec in sections.items():
         if section.startswith(family + "."):
-            suffix = section.split(".", 1)[1]
-            name = f"core{suffix}" if family == "core" and suffix.isdigit() else suffix
-            yield name, sections[section]
+            yield section.split(".", 1)[1], spec, headers[section]
 
 
-def _parse_power(sections) -> PowerModel:
-    spec = sections.get("power", {})
+def _parse_power(spec, at) -> PowerModel:
     cap = 10e-12
     points = None
     if "effective_capacitance_f" in spec:
@@ -221,18 +216,16 @@ def _parse_power(sections) -> PowerModel:
                                   f"static_power_points: expected 'V:W', got {chunk!r}")
             points.append((_num(line_no, "voltage", v), _num(line_no, "watts", w)))
         points = tuple(points)
-    try:
-        if points is None:
-            return PowerModel(effective_capacitance_f=cap)
-        return PowerModel(effective_capacitance_f=cap, static_points=points)
-    except ValueError as exc:
-        raise ConfigError(None, f"[power]: {exc}") from exc
+    if points is None:
+        return _build(at, "power", PowerModel, effective_capacitance_f=cap)
+    return _build(at, "power", PowerModel, effective_capacitance_f=cap,
+                  static_points=points)
 
 
-def _parse_tech(name, spec) -> MemTechnology:
+def _parse_tech(name, spec, at) -> MemTechnology:
     def need(key):
         if key not in spec:
-            raise ConfigError(None, f"[tech.{name}] is missing {key!r}")
+            raise ConfigError(at, f"[tech.{name}] is missing {key!r}")
         return spec[key]
 
     line_no, kind = need("kind")
@@ -252,31 +245,24 @@ def _parse_tech(name, spec) -> MemTechnology:
         ln, value = need(key)
         return _num(ln, key, value)
 
-    try:
-        return MemTechnology(
-            name=name, kind=kind, retention_time=retention,
-            hit_latency_ns=num("hit_latency_ns"),
-            write_latency_ns=num("write_latency_ns"),
-            read_energy_j=num("read_energy_nj") * 1e-9,
-            write_energy_j=num("write_energy_nj") * 1e-9,
-            leakage_w=num("leakage_mw") * 1e-3)
-    except ValueError as exc:
-        raise ConfigError(None, f"[tech.{name}]: {exc}") from exc
+    return _build(
+        at, f"tech.{name}", MemTechnology,
+        name=name, kind=kind, retention_time=retention,
+        hit_latency_ns=num("hit_latency_ns"),
+        write_latency_ns=num("write_latency_ns"),
+        read_energy_j=num("read_energy_nj") * 1e-9,
+        write_energy_j=num("write_energy_nj") * 1e-9,
+        leakage_w=num("leakage_mw") * 1e-3)
 
 
-def _parse_core(name, spec, technologies, base_dvfs, geometry,
-                instr_default) -> CoreSpec:
-    def tech_ref(key, default):
-        if key not in spec:
-            return default
-        line_no, value = spec[key]
-        if value not in technologies:
-            raise ConfigError(line_no, f"{key}: unknown technology {value!r}")
-        return technologies[value]
-
-    data_tech = tech_ref("data_tech", None)
-    if data_tech is None:
-        raise ConfigError(None, f"[core.{name}] is missing 'data_tech'")
+def _parse_core(name, spec, at, technologies, base_dvfs,
+                geometry) -> CoreSpec:
+    if "data_tech" not in spec:
+        raise ConfigError(at, f"[core.{name}] is missing 'data_tech'")
+    line_no, value = spec["data_tech"]
+    if value not in technologies:
+        raise ConfigError(line_no, f"data_tech: unknown technology {value!r}")
+    data_tech = technologies[value]
 
     def num(key, default):
         if key not in spec:
@@ -286,24 +272,21 @@ def _parse_core(name, spec, technologies, base_dvfs, geometry,
 
     cap = num("max_freq_ghz", base_dvfs.max_freq_ghz)
     low = num("min_freq_ghz", base_dvfs.min_freq_ghz)
+    operating = num("operating_freq_ghz", cap)
+    budget = num("write_cycle_budget", 1)
+    k = num("counter_states_k", 4)
+    cpi = num("base_cpi", 1.0)
+    penalty = num("miss_penalty_ns", 50.0)
     try:
         dvfs = DvfsRange(low, cap, base_dvfs.step_ghz,
                          voltage_for_frequency(base_dvfs, low),
                          voltage_for_frequency(base_dvfs, cap))
         return CoreSpec(
-            core_id=name,
-            data_tech=data_tech,
-            instr_tech=tech_ref("instr_tech", instr_default),
-            geometry=geometry,
-            dvfs=dvfs,
-            operating_freq_ghz=num("operating_freq_ghz", cap),
-            write_cycle_budget=int(num("write_cycle_budget", 1)),
-            counter_states_k=int(num("counter_states_k", 4)),
-            base_cpi=num("base_cpi", 1.0),
-            miss_penalty_ns=num("miss_penalty_ns", 50.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(None, f"[core.{name}]: {exc}") from exc
+            core_id=name, data_tech=data_tech, geometry=geometry, dvfs=dvfs,
+            operating_freq_ghz=operating, write_cycle_budget=int(budget),
+            counter_states_k=int(k), base_cpi=cpi, miss_penalty_ns=penalty)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(at, f"[core.{name}]: {exc}") from None
 
 
 def load_config(path) -> ExperimentConfig:

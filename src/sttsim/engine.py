@@ -177,14 +177,16 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
     if tail:
         cycles += tail * cpi
     nonmem = sum(gaps) + tail
-    penalty_stalls = cache.stats.misses * cache.penalty_cycles
+    stats = cache.stats
+    penalty_stalls = stats.misses * cache.penalty_cycles
 
     cache.advance_retention(cycles * ns_per_cycle)
-    cache.stats.settle_idle(cycles)
+    busy = stats.mem_busy_read_cycles + stats.mem_busy_write_cycles
+    stats.mem_idle_cycles = int(max(0, cycles - busy))
 
     wall_time_s = cycles * ns_per_cycle * 1e-9
     active = cycles - penalty_stalls
-    cache_dyn, cache_leak = cache_energy(cache.stats, cache.tech, wall_time_s)
+    cache_dyn, cache_leak = cache_energy(stats, cache.tech, wall_time_s)
     core_dyn, core_stat = processor_energy(active, wall_time_s, core, freq_ghz, power)
     total = cache_dyn + cache_leak + core_dyn + core_stat
     return RunResult(
@@ -204,7 +206,7 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
         core_static_j=core_stat,
         total_energy_j=total,
         edp_js=edp(total, wall_time_s),
-        stats=cache.stats,
+        stats=stats,
     )
 
 

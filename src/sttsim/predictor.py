@@ -231,19 +231,21 @@ class CorePredictor:
                 seen.add(lab)
         return ranking
 
+    def _walk(self):
+        """(node, depth) of every node in preorder, kept on an explicit stack
+        so no depth of tree can exhaust the call stack."""
+        stack = [(self.root_, 0)]
+        while stack:
+            node, depth = stack.pop()
+            yield node, depth
+            if isinstance(node, _Split):
+                stack += [(node.right, depth + 1), (node.left, depth + 1)]
+
     def leaf_count(self) -> int:
-        def walk(node):
-            if isinstance(node, _Leaf):
-                return 1
-            return walk(node.left) + walk(node.right)
-        return walk(self.root_)
+        return sum(isinstance(node, _Leaf) for node, _ in self._walk())
 
     def depth(self) -> int:
-        def walk(node):
-            if isinstance(node, _Leaf):
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        return walk(self.root_)
+        return max(depth for _, depth in self._walk())
 
 
 @dataclass(frozen=True)
@@ -326,7 +328,7 @@ def dump_tree(model: CorePredictor, constraint: Constraint) -> str:
         "labels " + " ".join(model.classes_),
     ]
 
-    def walk(node):
+    for node, _ in model._walk():
         if isinstance(node, _Leaf):
             counts = ",".join(f"{lab}={node.counts[lab]}"
                               for lab in sorted(node.counts,
@@ -335,10 +337,6 @@ def dump_tree(model: CorePredictor, constraint: Constraint) -> str:
         else:
             lines.append(
                 f"node split {model.feature_names[node.feature]} {node.threshold!r}")
-            walk(node.left)
-            walk(node.right)
-
-    walk(model.root_)
     return "\n".join(lines) + "\n"
 
 
@@ -415,6 +413,10 @@ def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
                 raise bad(pos, "bad leaf counts") from None
             if not {label, *counts} <= set(labels):
                 raise bad(pos, "leaf label is not in the labels line")
+            if min(counts.values()) < 1:
+                raise bad(pos, "leaf counts must be >= 1")
+            if label != model._majority(counts):
+                raise bad(pos, "leaf label is not the majority of its counts")
             nodes.append(_Leaf(label, counts))
         elif parts[:2] == ["node", "split"] and len(parts) == 4:
             if parts[2] not in col:

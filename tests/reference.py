@@ -92,10 +92,11 @@ class ReferenceRetentionCache:
         return latency + self.penalty_cycles
 
     def finish(self, now_ns):
-        """Expire every block whose age has reached its lifetime."""
+        """Expire every block whose lifetime has run out, by the rule an
+        access applies."""
         for blocks in self.sets:
             for block in list(blocks):
-                if now_ns - block["filled_ns"] >= self.lifetime_ns:
+                if now_ns >= block["filled_ns"] + self.lifetime_ns:
                     blocks.remove(block)
                     if block["dirty"]:
                         self._write_back("early_writebacks")

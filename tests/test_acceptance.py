@@ -5,6 +5,7 @@ fixtures (training/test workload oracles, per-constraint models) are shared
 session-wide; criterion 5 folds their build time into its runtime budget.
 """
 
+import math
 import random
 import time
 from dataclasses import replace
@@ -100,11 +101,10 @@ def test_c3_expiration_miss_semantics(system):
         core = replace(core1, counter_states_k=k)
         cache = CacheState(core, 1.6)
         cache.access(0x40, "W", 0.0)
-        cache.access(0x80, "R", 1.0)
-        expired = cache.advance_retention(20_000.0)
+        cache.access(0x80, "R", 0.0)
         lifetime = (STT_10US.retention_time * 1e9 / k) * (k - 1)
-        assert len(expired) == 2
-        assert all(e.age_ns == lifetime for e in expired)
+        assert cache.advance_retention(math.nextafter(lifetime, 0.0)) == 0
+        assert cache.advance_retention(lifetime) == 2
 
     # (d) the three-access fill/hit/expire scenario yields exactly one
     # expiration miss

@@ -3,9 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from sttsim import (CacheGeometry, CacheState, CacheStats, HIT, MISS,
-                    MISS_EXPIRATION, MISS_NONE, MISS_OTHER, STT_10US,
-                    SRAM, default_system, snapshot_stats)
+from sttsim import (CacheGeometry, CacheState, HIT, MISS, MISS_EXPIRATION,
+                    MISS_NONE, MISS_OTHER, STT_10US, SRAM, default_system)
 from reference import ReferenceLru
 
 US = 1000.0  # ns per microsecond
@@ -24,26 +23,46 @@ def toy_core(ways=1, sets=1, tech=STT_10US):
 
 class TestRetention:
     def test_counter_states_follow_block_age(self, core1):
+        # k = 4 over 10 us: the counter ticks every 2.5 us and the block
+        # survives states 0-2, expiring when the counter reaches 3.
         c = CacheState(core1, 1.6)
         c.access(0x40, "R", 0.0)
-        assert c.advance_retention(4.9 * US) == []
-        set_idx, way, _ = c.valid_blocks()[0]
-        assert c.block_counter(set_idx, way) == 1  # floor(4.9 / 2.5)
+        for now in (2.4 * US, 4.9 * US, 7.4 * US):
+            assert c.advance_retention(now) == 0
+            assert c.access(0x40, "R", now).kind == HIT
+        assert c.advance_retention(7.5 * US) == 1
 
     def test_invalidated_at_exact_lifetime(self, core1):
         c = CacheState(core1, 1.6)
         c.access(0x40, "R", 0.0)
-        expired = c.advance_retention(7.5 * US)  # (k-1)/k x 10us
-        assert len(expired) == 1
-        assert expired[0].age_ns == c.lifetime_ns == (10.0 * US / 4) * 3
-        assert c.valid_blocks() == []
+        assert c.lifetime_ns == (10.0 * US / 4) * 3
+        assert c.advance_retention(c.lifetime_ns) == 1  # (k-1)/k x 10us
+        out = c.access(0x40, "R", c.lifetime_ns)
+        assert (out.kind, out.miss_class) == (MISS, MISS_EXPIRATION)
+
+    def test_end_of_run_and_access_expire_at_the_same_instant(self, core1):
+        # A float instant where `now - fill >= lifetime` fails while
+        # `now >= fill + lifetime` holds: both paths must expire the block.
+        fill = 4178.825519599349
+        c = CacheState(core1, 1.6)
+        c.access(0x40, "W", fill)
+        now = fill + c.lifetime_ns
+        assert now - fill < c.lifetime_ns
+        assert c.advance_retention(now) == 1
+        assert c.stats.early_writebacks == 1
+
+        c = CacheState(core1, 1.6)
+        c.access(0x40, "W", fill)
+        out = c.access(0x40, "R", now)
+        assert (out.kind, out.miss_class) == (MISS, MISS_EXPIRATION)
+        assert c.stats.early_writebacks == 1
 
     def test_infinite_retention_never_expires(self, system):
         core = replace(system.core("core1"), data_tech=SRAM)
         c = CacheState(core, 1.6)
         c.access(0x40, "R", 0.0)
-        assert c.advance_retention(1e12) == []
-        assert c.valid_blocks() != []
+        assert c.advance_retention(1e12) == 0
+        assert c.access(0x40, "R", 1e12).kind == HIT
 
     def test_time_regression_rejected(self, core1):
         c = CacheState(core1, 1.6)
@@ -56,8 +75,7 @@ class TestRetention:
     def test_dirty_block_written_back_on_expiry(self, core1):
         c = CacheState(core1, 1.6)
         c.access(0x40, "W", 0.0)
-        expired = c.advance_retention(8 * US)
-        assert expired[0].was_dirty
+        assert c.advance_retention(8 * US) == 1
         assert c.stats.early_writebacks == 1
         assert c.stats.bus_write_requests == 1
         assert c.stats.mem_busy_write_cycles == c.penalty_cycles
@@ -65,33 +83,37 @@ class TestRetention:
     def test_clean_block_expires_without_writeback(self, core1):
         c = CacheState(core1, 1.6)
         c.access(0x40, "R", 0.0)
-        expired = c.advance_retention(8 * US)
-        assert not expired[0].was_dirty
+        assert c.advance_retention(8 * US) == 1
         assert c.stats.early_writebacks == 0
 
     def test_write_restores_full_retention(self, core1):
         c = CacheState(core1, 1.6)
         c.access(0x40, "W", 0.0)
         c.access(0x40, "W", 7.0 * US)  # refresh just before expiry
-        assert c.advance_retention(14.0 * US) == []  # age 7us from rewrite
+        assert c.advance_retention(14.0 * US) == 0  # age 7us from rewrite
         out = c.access(0x40, "R", 14.2 * US)
         assert out.kind == HIT
 
     def test_no_settled_block_outlives_its_lifetime(self, core1):
-        # After settling the counters, every valid block is younger than the
-        # monitor lifetime, so no block's age ever reaches the retention time.
+        # Every hit reads a block younger than the monitor lifetime, counted
+        # from its fill or last write, so no block's age ever reaches the
+        # retention time; settling the counters between accesses keeps it so.
         rng = random.Random(13)
         c = CacheState(core1, 1.6)
+        restored = {}
         now = 0.0
         for _ in range(300):
             now += rng.uniform(10.0, 4000.0)
-            c.access(64 * rng.randrange(96), "W" if rng.random() < 0.4 else "R",
-                     now)
-            c.advance_retention(now)
-            for si, _way, tag in c.valid_blocks():
-                _expiry, _dirty, fill_ns = c._sets[si][tag]
-                age = now - fill_ns
+            addr = 64 * rng.randrange(96)
+            op = "W" if rng.random() < 0.4 else "R"
+            out = c.access(addr, op, now)
+            if out.kind == HIT:
+                age = now - restored[addr]
                 assert age < c.lifetime_ns < c.tech.retention_time * 1e9
+            if out.kind == MISS or op == "W":
+                restored[addr] = now
+            c.advance_retention(now)
+        assert c.stats.hits > 0 and c.stats.expiration_misses > 0
 
     def test_read_hit_does_not_refresh(self, core1):
         c = CacheState(core1, 1.6)
@@ -136,8 +158,8 @@ class TestAccess:
             c.access(i * 64, "R", float(i))
         c.access(0, "R", 10.0)  # block 0 becomes MRU
         c.access(4 * 64, "R", 11.0)  # evicts block 1, the LRU
-        tags = {t for _, _, t in c.valid_blocks()}
-        assert 1 not in tags and 0 in tags
+        assert c.access(0, "R", 12.0).kind == HIT
+        assert c.access(64, "R", 13.0).kind == MISS
 
     def test_invalid_way_preferred_over_lru(self, core1):
         c = CacheState(core1, 1.6)
@@ -173,6 +195,18 @@ class TestAccess:
         assert c.stats.mem_read_hits == 1
         assert c.stats.bus_read_requests == 1
         assert c.stats.mem_busy_read_cycles == c.penalty_cycles
+
+    def test_totals_are_consistent(self, core1):
+        c = CacheState(core1, 1.6)
+        rng = random.Random(5)
+        now = 0.0
+        for _ in range(400):
+            now += rng.uniform(1.0, 4000.0)
+            c.access(64 * rng.randrange(200), "W" if rng.random() < 0.5 else "R", now)
+        st = c.stats
+        assert st.hits + st.misses == 400
+        assert st.expiration_misses <= st.misses
+        assert st.mem_read_hits == st.misses  # every miss fills
 
 
 class TestClassificationSoundness:
@@ -231,50 +265,3 @@ class TestClassificationSoundness:
         assert not ref.access(0x40)
         assert c.stats.hits == 2
         assert c.stats.shadow_misses == ref.misses == 4
-
-
-class TestSnapshots:
-    def test_delta_subtracts_counters(self, core1):
-        c = CacheState(core1, 1.6)
-        for i in range(10):
-            c.access(0x40, "R", float(i))
-        snap = c.snapshot()
-        for i in range(15):
-            c.access(0x40, "R", 100.0 + i)
-        delta = snapshot_stats(c.stats, snap)
-        assert delta.read_hits == 15
-        assert snap.read_hits == 9  # snapshot unchanged
-
-    def test_empty_window_is_zero(self, core1):
-        c = CacheState(core1, 1.6)
-        c.access(0x40, "R", 0.0)
-        snap = c.snapshot()
-        assert snapshot_stats(c.stats, snap) == CacheStats()
-
-    def test_full_run_equals_cumulative(self, core1):
-        c = CacheState(core1, 1.6)
-        zero = CacheStats()
-        for i in range(20):
-            c.access(64 * i, "W", float(i))
-        assert snapshot_stats(c.stats, zero) == c.stats
-
-    def test_mismatched_snapshot_rejected(self, core1):
-        c = CacheState(core1, 1.6)
-        c.access(0x40, "R", 0.0)
-        later = c.snapshot()
-        with pytest.raises(ValueError):
-            snapshot_stats(CacheStats(), later)
-        with pytest.raises(ValueError):
-            snapshot_stats(c.stats, object())
-
-    def test_totals_are_consistent(self, core1):
-        c = CacheState(core1, 1.6)
-        rng = random.Random(5)
-        now = 0.0
-        for _ in range(400):
-            now += rng.uniform(1.0, 4000.0)
-            c.access(64 * rng.randrange(200), "W" if rng.random() < 0.5 else "R", now)
-        st = c.stats
-        assert st.hits + st.misses == 400
-        assert st.expiration_misses <= st.misses
-        assert st.mem_read_hits == st.misses  # every miss fills

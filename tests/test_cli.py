@@ -329,7 +329,11 @@ class TestTrainPredictSchedule:
 
 class TestEntryPoint:
     def test_console_script_runs(self):
+        # The child imports the same package, installed or not.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "sttsim.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "gen-trace" in proc.stdout

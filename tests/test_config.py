@@ -4,9 +4,8 @@ import pytest
 
 from sttsim import (CacheGeometry, CoreSpec, DvfsRange, MemTechnology, SRAM,
                     STT_10US, STT_26_5US, STT_75US, STT_400US, TECHNOLOGIES,
-                    System, access_cycles, default_system, instruction_tech,
-                    sram_system, validate_core_spec, validate_system,
-                    voltage_for_frequency)
+                    System, access_cycles, default_system, sram_system,
+                    validate_core_spec, validate_system, voltage_for_frequency)
 
 STT_TECHS = [STT_10US, STT_26_5US, STT_75US, STT_400US]
 
@@ -99,12 +98,6 @@ class TestTypes:
         lats = [t.write_latency_ns for t in STT_TECHS]
         assert lats == sorted(lats) and len(set(lats)) == len(lats)
 
-    def test_instruction_tech_scaling(self):
-        base = instruction_tech()
-        scaled = instruction_tech(2.0)
-        assert scaled.write_energy_j == pytest.approx(2 * base.write_energy_j)
-        assert base.retention_time == pytest.approx(100e-3)
-
 
 class TestValidation:
     def test_default_cores_are_clean(self):
@@ -119,10 +112,8 @@ class TestValidation:
         assert budgets == {"core1": 1, "core2": 1, "core3": 2, "core4": 3}
 
     def test_overclocked_cap_breaks_the_budget(self):
-        base = default_system().core("core1")
         dvfs = DvfsRange(0.8, 1.8, 0.2, 0.9, 1.275)
-        spec = CoreSpec(core_id="x", data_tech=STT_10US,
-                        instr_tech=base.instr_tech, dvfs=dvfs,
+        spec = CoreSpec(core_id="x", data_tech=STT_10US, dvfs=dvfs,
                         operating_freq_ghz=1.8, write_cycle_budget=1)
         report = validate_core_spec(spec)
         assert not report.ok
@@ -136,8 +127,7 @@ class TestValidation:
 
     def test_off_grid_operating_freq_flagged(self):
         base = default_system().core("core1")
-        spec = CoreSpec(core_id="x", data_tech=base.data_tech,
-                        instr_tech=base.instr_tech, dvfs=base.dvfs,
+        spec = CoreSpec(core_id="x", data_tech=base.data_tech, dvfs=base.dvfs,
                         operating_freq_ghz=1.5, write_cycle_budget=1)
         assert any("off the DVFS grid" in str(i)
                    for i in validate_core_spec(spec).issues)
@@ -149,7 +139,6 @@ class TestValidation:
                                  0.003e-9, 0.04e-9, 13.1448e-3)
         cores = list(sys_.cores)
         cores[3] = CoreSpec(core_id="core4", data_tech=shuffled,
-                            instr_tech=cores[3].instr_tech,
                             dvfs=cores[3].dvfs, operating_freq_ghz=2.0,
                             write_cycle_budget=2)
         issues = validate_system(System(cores=tuple(cores)))
@@ -159,8 +148,7 @@ class TestValidation:
 class TestSystem:
     def test_duplicate_labels_rejected(self):
         core = default_system().core("core1")
-        twin = CoreSpec(core_id="core1", data_tech=core.data_tech,
-                        instr_tech=core.instr_tech, dvfs=core.dvfs,
+        twin = CoreSpec(core_id="core1", data_tech=core.data_tech, dvfs=core.dvfs,
                         operating_freq_ghz=core.operating_freq_ghz,
                         write_cycle_budget=core.write_cycle_budget)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sttsim import ConfigError, parse_config
 from sttsim.configfile import default_config
@@ -145,3 +146,83 @@ class TestErrors:
     def test_unnamed_core_section(self):
         with pytest.raises(ConfigError):
             parse_config("[core]\ndata_tech = sram\n")
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("[dvfs]\nmin_freq_ghz = 3.0\n", 1),
+        ("[cache]\nways = 3\n", 1),
+        ("\n[system]\ncluster_count = 0\n", 2),
+        ("[core.1]\ndata_tech = sram\nwrite_cycle_budget = 1e999\n", 1),
+        ("[core.1]\ndata_tech = sram\noperating_freq_ghz = x\n", 3),
+        ("[core.1]\ndata_tech = sram\n[core.core1]\ndata_tech = sram\n", 3)])
+    def test_every_error_names_a_line(self, text, line_no):
+        # A value the section rejects as a whole names the section's header.
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("[core.1]\ndata_tech = stt_10us\ninstr_tech = stt_400us\n", 3),
+        ("[system]\ncluster_count = 2\ninstr_tech_scale = 1.5\n", 3)])
+    def test_instruction_cache_keys_are_unknown(self, text, line_no):
+        with pytest.raises(ConfigError, match="unknown key 'instr_tech") as err:
+            parse_config(text)
+        assert err.value.line_no == line_no
+
+
+TUNING = """
+[cache]
+capacity_bytes = 16384
+ways = 2
+
+[system]
+cluster_count = 2
+profiling_core = core2
+prediction_time_us = 1.5
+"""
+LEGACY = FULL.replace("write_cycle_budget = 3\n",
+                      "write_cycle_budget = 3\ninstr_tech = stt_400us\n")
+LEGACY = LEGACY.replace("[system]\n", "[system]\ninstr_tech_scale = 2.0\n")
+VALUES = st.one_of(st.sampled_from(
+    ["0", "1", "-1", "0.5", "1e999", "-inf", "nan", "infinite", "x", "",
+     "sram", "stt_10us", "fast_stt", "core1", "core2", "0.9:0.35", "1:x",
+     "[core.1]", "[core.core2]", "[tech.t]", "[dvfs]", "[", "=", "# c",
+     "instr_tech = stt_400us", "instr_tech_scale = 2.0", "data_tech"]),
+    st.text(max_size=8))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config text, or one that still sets an instruction-cache key,
+    with a few lines dropped, repeated, swapped, inserted or changed."""
+    lines = draw(st.sampled_from([FULL, TUNING, LEGACY])).split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["drop", "repeat", "swap", "insert", "value"]))
+        if op == "insert" or not lines:
+            lines.insert(i, draw(VALUES))
+            continue
+        i = min(i, len(lines) - 1)
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            key, eq, _ = lines[i].partition("=")
+            lines[i] = key + eq + " " + draw(VALUES) if eq else draw(VALUES)
+    return "\n".join(lines)
+
+
+class TestFuzz:
+    """parse_config raises only ConfigError, naming a line of the text."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(mutated_configs())
+    def test_mutated_configs(self, text):
+        try:
+            parse_config(text)
+        except ConfigError as exc:
+            assert exc.line_no is not None, exc
+            assert 1 <= exc.line_no <= len(text.split("\n"))

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sttsim import (Constraint, CorePredictor, FeatureVector, TrainingSet,
                     dump_tree, features_from_run, gini, label_oracle,
@@ -215,6 +215,29 @@ class TestSerialization:
         assert model.predict_one([1.0, 0.0]) == "core2"
         assert model.rank_labels([0.0, 0.0]) == ["core1", "core2"]
 
+    def test_deep_tree_measures_and_redumps(self):
+        depth = 3000
+        text = ("sttsim-tree v1\nconstraint none\n"
+                f"hyper max_depth={depth} min_samples_leaf=1\n"
+                "features fa fb\nlabels core1 core2\n"
+                + "node split fa 0.5\nnode leaf core1 core1=1\n" * depth
+                + "node leaf core2 core2=1\n")
+        model, constraint = load_tree(text)
+        assert model.depth() == depth
+        assert model.leaf_count() == depth + 1
+        assert dump_tree(model, constraint) == text
+
+    @pytest.mark.parametrize("leaf", ["node leaf core1 core2=1",
+                                      "node leaf core1 core1=0",
+                                      "node leaf core1 core1=-2,core2=1",
+                                      "node leaf core2 core1=1,core2=1"])
+    def test_leaf_disagreeing_with_its_counts_is_rejected(self, leaf):
+        text = ("sttsim-tree v1\nconstraint none\n"
+                "hyper max_depth=5 min_samples_leaf=1\n"
+                f"features fa fb\nlabels core1 core2\n{leaf}\n")
+        with pytest.raises(ValueError, match=r"^line 6: leaf "):
+            load_tree(text)
+
     @pytest.mark.parametrize("hyper", ["max_depth=-1 min_samples_leaf=1",
                                        "max_depth=0 min_samples_leaf=1",
                                        "max_depth=3 min_samples_leaf=0"])
@@ -389,6 +412,9 @@ class TestModelFuzz:
 
     @settings(max_examples=400, deadline=None)
     @given(mutated_dumps())
+    @example("sttsim-tree v1\nconstraint none\n"
+             "hyper max_depth=5 min_samples_leaf=1\n"
+             "features fa fb\nlabels core1 core2\nnode leaf core1 core2=1\n")
     def test_mutated_dumps(self, text):
         self._load(text)
 
