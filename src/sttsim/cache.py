@@ -7,10 +7,15 @@ retention time. A block keeps only that instant, its expiry time.
 
 A miss is an expiration miss exactly when a shadow copy with infinite
 retention still hits. That shadow is a plain LRU cache, a function of the
-address stream alone (Mattson et al., 1970), so `lru_hits` computes its hit
-bits in one pass; the engine computes them once per (trace, geometry, first
-simulated access) and every operating point reads them, instead of replaying
-the shadow at each point.
+access stream alone (Mattson et al., 1970), so `LruShadow` runs it in one
+pass; the engine runs it once per (trace, geometry, first simulated access)
+and every operating point reads its hit bits, instead of replaying the
+shadow at each point.
+
+The same pass bounds, in counts no frequency changes, how long a block goes
+between restores of its retention; where that bound stays below the lifetime
+no block expires, and `CacheState.derive` counts the run from the shadow
+instead of replaying it (stack simulation over frequency; Hill & Smith 1989).
 
 Each set is a dict from tag to (expiry_ns, dirty), least recently used
 first, plus a lower bound on the expiry times it holds. A block expires at
@@ -88,32 +93,78 @@ class AccessOutcome:
     writeback_issued: bool
 
 
-def lru_hits(addrs, geometry, sets=None) -> bytearray:
-    """One byte per address: 1 where an LRU cache of `geometry` with infinite
-    retention hits, 0 where it misses.
+class LruShadow:
+    """An LRU cache of `geometry` with infinite retention, run in one pass
+    over a stream of accesses that each `run` continues.
 
-    The cache starts cold, or from `sets` (one recency-ordered dict of tags
-    per set, updated in place) to continue an earlier pass.
+    Besides the hit bits it keeps what no frequency changes, in `totals`:
+    gaps, reads, writes, misses, write hits, evictions and dirty evictions.
+    A block's restore span starts at its fill or write hit and ends at its
+    next write hit, its eviction or the end of the stream (a read hit does
+    not restore retention). It covers the gaps after its first access and
+    the reads, writes and misses before its last.
     """
-    shift = geometry.line_bytes.bit_length() - 1
-    mask = geometry.sets - 1
-    ways = geometry.ways
-    if sets is None:
-        sets = [{} for _ in range(geometry.sets)]
-    bits = bytearray()
-    record = bits.append
-    for addr in addrs:
-        tag = addr >> shift
-        blocks = sets[tag & mask]
-        if tag in blocks:
-            del blocks[tag]
-            record(1)
-        else:
-            if len(blocks) >= ways:
-                del blocks[next(iter(blocks))]
-            record(0)
-        blocks[tag] = None
-    return bits
+
+    def __init__(self, geometry):
+        self.geometry = geometry
+        # Tag -> the totals at its restore and its dirty bit, LRU first.
+        self._sets = [{} for _ in range(geometry.sets)]
+        self.totals, self._widest = (0,) * 7, (0,) * 4
+
+    def run(self, gaps, writes, addrs) -> bytearray:
+        """One byte per access: 1 where the cache hits, 0 where it misses."""
+        sets, ways = self._sets, self.geometry.ways
+        shift, mask = self.geometry.line_bytes.bit_length() - 1, len(sets) - 1
+        g, r, w, m, write_hits, evictions, dirty = self.totals
+        mg, mr, mw, mm = self._widest
+        bits = bytearray()
+        record = bits.append
+        for gap, write, addr in zip(gaps, writes, addrs):
+            g += gap
+            tag = addr >> shift
+            blocks = sets[tag & mask]
+            block = blocks.pop(tag, None)
+            if block is None:
+                record(0)
+                miss = 1
+                if len(blocks) >= ways:
+                    block = blocks.pop(next(iter(blocks)))
+                    evictions += 1
+                    dirty += block[4]
+            else:
+                record(1)
+                if not write:
+                    blocks[tag] = block
+                    r += 1
+                    continue
+                miss = 0
+                write_hits += 1
+            if block is not None:
+                # This access ends `block`'s restore span.
+                g0, r0, w0, m0, _ = block
+                if g - g0 > mg:
+                    mg = g - g0
+                if r - r0 > mr:
+                    mr = r - r0
+                if w - w0 > mw:
+                    mw = w - w0
+                if m - m0 > mm:
+                    mm = m - m0
+            blocks[tag] = (g, r, w, m, write)
+            r += not write
+            w += write
+            m += miss
+        self.totals = g, r, w, m, write_hits, evictions, dirty
+        self._widest = mg, mr, mw, mm
+        return bits
+
+    def span(self) -> tuple[int, int, int, int]:
+        """The componentwise maximum of (gaps, reads, writes, misses) over
+        every restore span so far, those still open ending here."""
+        marks = [b for blocks in self._sets for b in blocks.values()]
+        return tuple(
+            max(widest, total - min((b[i] for b in marks), default=total))
+            for i, (widest, total) in enumerate(zip(self._widest, self.totals)))
 
 
 class CacheState:
@@ -178,17 +229,8 @@ class CacheState:
                 elif expiry < bound:
                     bound = expiry
             bounds[index] = bound
-        self._count_writebacks(0, dirty)
+        self._count(early=dirty)
         return expired
-
-    def _count_writebacks(self, evicted: int, expired: int) -> None:
-        """Dirty blocks written back on eviction and on expiry; each is one
-        bus write of a miss penalty."""
-        st = self.stats
-        st.writebacks += evicted
-        st.early_writebacks += expired
-        st.bus_write_requests += evicted + expired
-        st.mem_busy_write_cycles += (evicted + expired) * self.penalty_cycles
 
     # -- access ------------------------------------------------------------
 
@@ -201,8 +243,8 @@ class CacheState:
         shadow = None
         if self.volatile:
             if self._shadow is None:
-                self._shadow = [{} for _ in range(self.geometry.sets)]
-            shadow = lru_hits((addr,), self.geometry, self._shadow)
+                self._shadow = LruShadow(self.geometry)
+            shadow = self._shadow.run((0,), (write,), (addr,))
         st = self.stats
         hits, expirations, writebacks = st.hits, st.expiration_misses, st.writebacks
         # Zero instructions before the access, one nanosecond per cycle: the
@@ -281,20 +323,62 @@ class CacheState:
                 bounds[index] = now + lifetime
             blocks[tag] = (now + lifetime, write)
         self._last_now_ns = now
+        accesses = read_hits + write_hits + read_misses + write_misses
+        shadow_hits = (read_hits + write_hits if shadow is None
+                       else shadow.count(1, 0, accesses))
+        self._count(read_hits, write_hits, read_misses, write_misses,
+                    expirations, evictions, writebacks, early,
+                    accesses - shadow_hits)
+        return cycles
 
+    def derive(self, totals, span, gaps: int, cpi: float,
+               ns_per_cycle: float) -> float | None:
+        """The cycles of a whole run from a cold cache, with its counters
+        added to `stats` and the cache's contents left as they were; None,
+        counting nothing, unless no block can expire in it. `totals` and
+        `span` are those of an `LruShadow` that ran the run's accesses from a
+        cold start, and `gaps` is the run's own sum.
+
+        A restore span of g gaps, r reads, w writes and m misses lasts at
+        most cpi·g + rc·r + wc·w + pen·m cycles. If the shadow's widest span
+        stays below the lifetime by more than the rounding of the run's
+        times, no block expires and the run is the shadow's LRU run; with an
+        integer `cpi`, its cycles are an exact integer sum, as in a replay.
+        """
+        rc, wc, pen = self.read_cycles, self.write_cycles, self.penalty_cycles
+        _, reads, writes, misses, write_hits, evictions, dirty = totals
+        cycles = cpi * gaps + rc * reads + wc * writes + pen * misses
+        g, r, w, m = span
+        widest_ns = (cpi * g + rc * r + wc * w + pen * m) * ns_per_cycle
+        margin_ns = 1e-12 * (cycles * ns_per_cycle + self.lifetime_ns)
+        if (not float(cpi).is_integer() or cycles >= 2 ** 53
+                or widest_ns + margin_ns >= self.lifetime_ns):
+            return None
+        write_misses = writes - write_hits
+        self._count(reads - misses + write_misses, write_hits,
+                    misses - write_misses, write_misses, 0, evictions, dirty,
+                    0, misses)
+        return float(cycles)
+
+    def _count(self, read_hits=0, write_hits=0, read_misses=0, write_misses=0,
+               expirations=0, evictions=0, writebacks=0, early=0,
+               shadow_misses=0):
+        """Add events to `stats`: each miss is a bus read of a miss penalty,
+        each dirty block written back (evicted or expired) a bus write."""
         st = self.stats
         misses = read_misses + write_misses
-        accesses = read_hits + write_hits + misses
+        written = writebacks + early
         st.read_hits += read_hits
         st.write_hits += write_hits
         st.read_misses += read_misses
         st.write_misses += write_misses
         st.expiration_misses += expirations
         st.evictions += evictions
-        st.shadow_misses += (misses if shadow is None
-                             else accesses - shadow.count(1, 0, accesses))
+        st.shadow_misses += shadow_misses
         st.mem_read_hits += misses
         st.bus_read_requests += misses
         st.mem_busy_read_cycles += misses * self.penalty_cycles
-        self._count_writebacks(writebacks, early)
-        return cycles
+        st.writebacks += writebacks
+        st.early_writebacks += early
+        st.bus_write_requests += written
+        st.mem_busy_write_cycles += written * self.penalty_cycles

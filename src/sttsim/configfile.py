@@ -130,11 +130,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(line_no, f"duplicate key {key!r} in [{section}]")
         sections[section][key] = (line_no, value)
 
-    def take(section, key, conv, default):
+    def take(section, key, conv, default, low=None):
         if section not in sections or key not in sections[section]:
             return default
         line_no, value = sections[section][key]
-        return conv(line_no, key, value)
+        number = conv(line_no, key, value)
+        if low is not None and not low <= number < math.inf:
+            raise ConfigError(line_no, f"{key}: must be a finite number >= {low}")
+        return number
 
     base_dvfs = _build(headers.get("dvfs"), "dvfs", DvfsRange,
         min_freq_ghz=take("dvfs", "min_freq_ghz", _num, 0.8),
@@ -175,13 +178,13 @@ def parse_config(text: str) -> ExperimentConfig:
         power=power,
         technologies=technologies,
         history_capacity=take("system", "history_capacity", _intval,
-                              DEFAULT_HISTORY_CAPACITY),
+                              DEFAULT_HISTORY_CAPACITY, low=1),
         profiling_interval=take("system", "profiling_interval", _intval,
-                                DEFAULT_PROFILING_INTERVAL),
+                                DEFAULT_PROFILING_INTERVAL, low=1),
         prediction_time_s=take("system", "prediction_time_us", _num,
-                               DEFAULT_PREDICTION_TIME_S * 1e6) * 1e-6,
+                               DEFAULT_PREDICTION_TIME_S * 1e6, low=0) * 1e-6,
         migration_time_s=take("system", "migration_time_us", _num,
-                              DEFAULT_MIGRATION_TIME_S * 1e6) * 1e-6,
+                              DEFAULT_MIGRATION_TIME_S * 1e6, low=0) * 1e-6,
     )
 
 

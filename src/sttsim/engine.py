@@ -13,7 +13,7 @@ import marshal
 import os
 from dataclasses import dataclass
 
-from .cache import CacheState, CacheStats, lru_hits
+from .cache import CacheState, CacheStats, LruShadow
 from .config import CoreSpec, MemTechnology, System, voltage_for_frequency
 from .constraints import Constraint
 from .trace import Trace
@@ -119,15 +119,17 @@ def _window(gaps, limit: int) -> tuple[int, int]:
     return len(gaps), 0
 
 
-def _shadow_hits(trace: Trace, geometry, first: int) -> bytearray:
+def _shadow(trace: Trace, geometry, first: int):
     """The infinite-retention hit bits of the trace's accesses from `first`
-    on, computed once per trace: a `limit` run reads a prefix of them."""
+    on, with the shadow's totals and widest restore span, computed once per
+    trace: a `limit` run reads a prefix of the bits."""
     key = (geometry, first)
-    bits = trace._shadow_bits.get(key)
-    if bits is None:
-        addrs = memoryview(trace.addrs)[first:]
-        bits = trace._shadow_bits[key] = lru_hits(addrs, geometry)
-    return bits
+    if key not in trace._shadow_bits:
+        shadow = LruShadow(geometry)
+        bits = shadow.run(*(memoryview(column)[first:] for column in
+                            (trace.gaps, trace.writes, trace.addrs)))
+        trace._shadow_bits[key] = bits, shadow.totals, shadow.span()
+    return trace._shadow_bits[key]
 
 
 def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
@@ -138,7 +140,9 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
     `limit` caps the simulated instruction count (profiling windows);
     `start` skips that many leading instructions and begins with cold
     caches, which is how a migrated application resumes on a new core.
-    Deterministic: identical inputs give bit-identical results.
+    A whole run (no `limit`) that no expiry can touch is derived from the
+    trace's shadow pass instead of replayed. Deterministic: identical inputs
+    give bit-identical results, derived or replayed.
     """
     if not len(trace):
         raise ValueError("trace is empty")
@@ -170,17 +174,20 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
         gaps, writes, addrs = gaps[:count], writes[:count], addrs[:count]
 
     cache = CacheState(core, freq_ghz)
-    shadow = _shadow_hits(trace, core.geometry, first) if cache.volatile else None
     cpi = core.base_cpi
     ns_per_cycle = 1.0 / freq_ghz
-    cycles = cache.replay(gaps, writes, addrs, shadow, 0.0, cpi, ns_per_cycle)
-    if tail:
-        cycles += tail * cpi
     nonmem = sum(gaps) + tail
+    bits = cycles = None
+    if cache.volatile:
+        bits, totals, span = _shadow(trace, core.geometry, first)
+        if limit is None:
+            cycles = cache.derive(totals, span, nonmem, cpi, ns_per_cycle)
+    if cycles is None:
+        cycles = cache.replay(gaps, writes, addrs, bits, 0.0, cpi,
+                              ns_per_cycle) + tail * cpi
+        cache.advance_retention(cycles * ns_per_cycle)
     stats = cache.stats
     penalty_stalls = stats.misses * cache.penalty_cycles
-
-    cache.advance_retention(cycles * ns_per_cycle)
     busy = stats.mem_busy_read_cycles + stats.mem_busy_write_cycles
     stats.mem_idle_cycles = int(max(0, cycles - busy))
 
@@ -274,7 +281,7 @@ def _run_points(trace: Trace, points, power: PowerModel,
         return share(0, 1)
     for core, _ in points:
         if core.data_tech.is_volatile:
-            _shadow_hits(trace, core.geometry, 0)
+            _shadow(trace, core.geometry, 0)
     rows, children, sent = [None] * len(points), [], {}
     try:
         for w in range(1, n):

@@ -67,9 +67,9 @@ class Trace:
     plus its preceding gap, is counted once at construction. Readers share
     the columns and must not mutate them.
 
-    `_shadow_bits` is where the engine keeps the trace's infinite-retention
-    hit bits, computed once per geometry and first access; they die with
-    the trace and take no part in equality.
+    `_shadow_bits` is where the engine keeps the trace's shadow pass (hit
+    bits, totals, widest restore span), once per geometry and first access;
+    it dies with the trace and takes no part in equality.
     """
 
     __slots__ = ("name", "gaps", "writes", "addrs", "instructions",

@@ -44,12 +44,12 @@ def power() -> PowerModel:
 def lru_passes(monkeypatch):
     """The address streams `simulate_run` computes shadow hit bits for."""
     passes = []
-    original = engine.lru_hits
 
-    def counted(addrs, geometry):
-        passes.append((len(addrs), geometry))
-        return original(addrs, geometry)
-    monkeypatch.setattr(engine, "lru_hits", counted)
+    class Counted(engine.LruShadow):
+        def run(self, gaps, writes, addrs):
+            passes.append((len(addrs), self.geometry))
+            return super().run(gaps, writes, addrs)
+    monkeypatch.setattr(engine, "LruShadow", Counted)
     return passes
 
 

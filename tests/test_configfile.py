@@ -153,7 +153,11 @@ class TestErrors:
         ("\n[system]\ncluster_count = 0\n", 2),
         ("[core.1]\ndata_tech = sram\nwrite_cycle_budget = 1e999\n", 1),
         ("[core.1]\ndata_tech = sram\noperating_freq_ghz = x\n", 3),
-        ("[core.1]\ndata_tech = sram\n[core.core1]\ndata_tech = sram\n", 3)])
+        ("[core.1]\ndata_tech = sram\n[core.core1]\ndata_tech = sram\n", 3),
+        ("[system]\nhistory_capacity = -1\n", 2),
+        ("[system]\ncluster_count = 1\nprofiling_interval = 0\n", 3),
+        ("[system]\nprediction_time_us = -0.5\n", 2),
+        ("[system]\nmigration_time_us = -1e-3\n", 2)])
     def test_every_error_names_a_line(self, text, line_no):
         # A value the section rejects as a whole names the section's header.
         with pytest.raises(ConfigError) as err:

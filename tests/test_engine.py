@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sttsim import engine
-from sttsim import (CacheGeometry, CacheStats, Constraint, PowerModel,
-                    STT_10US, SRAM, SynthParams, System, Trace, TraceEvent,
-                    UniformGaps, access_cycles, cache_energy, default_system,
-                    edp, exhaustive_sweep, gen_synthetic,
+from sttsim import (CacheGeometry, CacheState, CacheStats, Constraint,
+                    PowerModel, STT_10US, SRAM, SynthParams, System, Trace,
+                    TraceEvent, UniformGaps, access_cycles, cache_energy,
+                    default_system, edp, exhaustive_sweep, gen_synthetic,
                     pareto_flags, processor_energy, simulate_run, sram_system)
 from sttsim.trace import READ, WRITE
 
@@ -246,28 +246,59 @@ class TestSweep:
             assert best_key <= key
 
 
-@st.composite
-def reference_cases(draw):
-    """A random toy core, grid frequency, trace, limit and start."""
+def toy_cores(draw, cpis):
+    """A random toy core: 1-4 ways, 1-8 sets, 16 or 64-byte lines, SRAM or
+    a 0.2-12 us retention with k 2-6, and a base CPI from `cpis`."""
     ways = draw(st.sampled_from([1, 2, 4]))
     sets = draw(st.sampled_from([1, 2, 4, 8]))
     line = draw(st.sampled_from([16, 64]))
     tech = draw(st.sampled_from([SRAM, STT_10US]))
     if tech.is_volatile:
         tech = replace(tech, retention_time=draw(st.floats(0.2e-6, 12e-6)))
-    core = replace(default_system().core("core1"), core_id="toy",
+    return replace(default_system().core("core1"), core_id="toy",
                    geometry=CacheGeometry(line * ways * sets, line, ways),
                    data_tech=tech, counter_states_k=draw(st.integers(2, 6)),
-                   base_cpi=draw(st.sampled_from([1.0, 1.3])))
-    freq = draw(st.sampled_from(core.dvfs.grid()))
-    events = draw(st.lists(
-        st.tuples(st.integers(0, 4000), st.booleans(),
+                   base_cpi=draw(st.sampled_from(cpis)))
+
+
+def toy_events(draw, line, max_gap):
+    return draw(st.lists(
+        st.tuples(st.integers(0, max_gap), st.booleans(),
                   st.integers(0, 40 * line - 1)),
         min_size=1, max_size=60))
+
+
+@st.composite
+def reference_cases(draw):
+    """A random toy core, grid frequency, trace, limit and start."""
+    core = toy_cores(draw, [1.0, 1.3])
+    freq = draw(st.sampled_from(core.dvfs.grid()))
+    events = toy_events(draw, core.geometry.line_bytes, 4000)
     total = sum(gap + 1 for gap, _, _ in events)
     limit = draw(st.none() | st.integers(1, total + 5))
     start = draw(st.just(0) | st.integers(0, total + 5))
     return core, freq, events, limit, start
+
+
+def events_trace(events):
+    return Trace([TraceEvent(gap, WRITE if w else READ, addr)
+                  for gap, w, addr in events], name="ref")
+
+
+def reference_for(core, freq, events, limit=None, start=0):
+    geo = core.geometry
+    return reference_run(
+        events, geo.sets, geo.ways, geo.line_bytes,
+        core.data_tech.retention_time, core.counter_states_k,
+        core.base_cpi, freq,
+        access_cycles(freq, core.data_tech.hit_latency_ns),
+        access_cycles(freq, core.data_tech.write_latency_ns),
+        access_cycles(freq, core.miss_penalty_ns),
+        limit=limit, start=start)
+
+
+def counters(run):
+    return {**asdict(run.stats), "cycles": run.cycles}
 
 
 class TestAgainstReference:
@@ -275,20 +306,10 @@ class TestAgainstReference:
     @given(reference_cases())
     def test_counters_and_cycles_match(self, case):
         core, freq, events, limit, start = case
-        trace = Trace([TraceEvent(gap, WRITE if w else READ, addr)
-                       for gap, w, addr in events], name="ref")
-        run = simulate_run(trace, core, freq, PowerModel(), limit=limit,
-                           start=start)
-        geo = core.geometry
-        expected = reference_run(
-            events, geo.sets, geo.ways, geo.line_bytes,
-            core.data_tech.retention_time, core.counter_states_k,
-            core.base_cpi, freq,
-            access_cycles(freq, core.data_tech.hit_latency_ns),
-            access_cycles(freq, core.data_tech.write_latency_ns),
-            access_cycles(freq, core.miss_penalty_ns),
-            limit=limit, start=start)
-        assert {**asdict(run.stats), "cycles": run.cycles} == expected
+        run = simulate_run(events_trace(events), core, freq, PowerModel(),
+                           limit=limit, start=start)
+        assert counters(run) == reference_for(core, freq, events, limit,
+                                              start)
 
 
 # SHA-256 over the repr of every run below, computed before the access loop
@@ -346,6 +367,117 @@ class TestShadowSharing:
         assert run.stats == simulate_run(fresh, core, 1.6, power).stats
 
 
+def forced_replay(*args, **kwargs):
+    """`simulate_run` with the no-expiry certificate refused, so every run
+    replays its accesses."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CacheState, "derive", lambda *a, **kw: None)
+        return simulate_run(*args, **kwargs)
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """One entry per `CacheState.replay` call."""
+    calls = []
+    original = CacheState.replay
+
+    def counted(self, *args):
+        calls.append(len(args[0]))
+        return original(self, *args)
+    monkeypatch.setattr(CacheState, "replay", counted)
+    return calls
+
+
+@st.composite
+def derivable_cases(draw):
+    """A random toy core, grid frequency, whole-run trace and start; short
+    gaps make many of them runs that no expiry touches."""
+    core = toy_cores(draw, [1.0, 1.5])
+    freq = draw(st.sampled_from(core.dvfs.grid()))
+    max_gap = draw(st.sampled_from([20, 300, 4000]))
+    events = toy_events(draw, core.geometry.line_bytes, max_gap)
+    total = sum(gap + 1 for gap, _, _ in events)
+    start = draw(st.just(0) | st.integers(0, total + 5))
+    return core, freq, events, start
+
+
+def boundary_core(**kw):
+    """A 2-way core whose blocks live exactly 2,000 ns; at 1 GHz that is
+    2,000 cycles and every time is an integer."""
+    return replace(default_system().core("core1"), core_id="edge",
+                   geometry=CacheGeometry(64 * 2 * 4, 64, 2),
+                   data_tech=replace(STT_10US, retention_time=4e-6),
+                   counter_states_k=2, **kw)
+
+
+class TestDerivedRuns:
+    """A whole run that no expiry can touch is derived from the shadow pass
+    instead of replayed, with bit-identical results."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(derivable_cases())
+    def test_derived_runs_equal_replays_and_the_reference(self, case):
+        core, freq, events, start = case
+        trace = events_trace(events)
+        run = simulate_run(trace, core, freq, PowerModel(), start=start)
+        replayed = forced_replay(events_trace(events), core, freq,
+                                 PowerModel(), start=start)
+        assert repr(run) == repr(replayed)
+        assert counters(run) == reference_for(core, freq, events, start=start)
+
+    def test_only_runs_that_can_expire_replay(self, system, power, replays):
+        hot = gen_synthetic(archetype_params("A", 4301, False), name="hot")
+        run = simulate_run(hot, system.core("core3"), 2.0, power)
+        assert replays == [] and run.stats.hits > 0.9 * run.mem_accesses
+        assert repr(run) == repr(forced_replay(hot, system.core("core3"), 2.0,
+                                               power))
+        replays.clear()
+        cold = gen_synthetic(archetype_params("C", 4302, False), name="cold")
+        run = simulate_run(cold, system.core("core1"), 0.8, power)
+        assert len(replays) == 1 and run.stats.expiration_misses > 0
+
+    @pytest.mark.parametrize("gap, early", [(1898, 1), (1897, 0)])
+    def test_a_span_of_the_lifetime_replays(self, power, replays, gap, early):
+        # A write fills 0x40 at 0 ns (1 + 50 cycles) and a read of 0x80
+        # (1 + 50 cycles) ends the run, so 0x40's restore span is the whole
+        # run: 2,000 cycles with the longer gap, 1,999 with the shorter.
+        core = boundary_core()
+        events = [(0, True, 0x40), (gap, False, 0x80)]
+        run = simulate_run(events_trace(events), core, 1.0, power)
+        assert run.cycles == 2000 - (1 - early)
+        assert run.stats.early_writebacks == early
+        assert len(replays) == early
+        assert repr(run) == repr(forced_replay(events_trace(events), core,
+                                               1.0, power))
+        assert counters(run) == reference_for(core, 1.0, events)
+
+    @pytest.mark.parametrize("window", [{"cpi": 1.5}, {"limit": 30}])
+    def test_fractional_cpi_and_limit_windows_replay(self, power, replays,
+                                                     window):
+        core = boundary_core(base_cpi=window.get("cpi", 1.0))
+        events = [(3, False, 0x40), (3, True, 0x40), (3, False, 0x80)]
+        limit = window.get("limit")
+        run = simulate_run(events_trace(events), core, 1.0, power,
+                           limit=limit)
+        assert len(replays) == 1 and run.stats.expiration_misses == 0
+        assert counters(run) == reference_for(core, 1.0, events, limit)
+
+    def test_a_block_that_expires_before_its_eviction_replays(self, power,
+                                                              replays):
+        # At 1 GHz a time is a cycle count: 0x0 @ 0 ns, 0x40 @ 1,000,
+        # 0x0 @ 2,000, 0x80 @ 7,600 and 0x40 @ 7,700. 0x0 expires at
+        # 7,500 ns, so 0x80 takes its way and the last read hits, while the
+        # shadow evicts 0x40 and misses it.
+        core = replace(default_system().core("core1"),
+                       geometry=CacheGeometry(128, 64, 2))
+        events = [(0, False, 0x0), (949, False, 0x40), (949, False, 0x0),
+                  (5599, False, 0x80), (49, False, 0x40)]
+        run = simulate_run(events_trace(events), core, 1.0, power)
+        assert len(replays) == 1
+        assert run.stats.hits == 2 and run.stats.shadow_misses == 4
+        assert counters(run) == reference_for(core, 1.0, events)
+
+
 def sweep_on(cpus, *args, **kwargs):
     """`exhaustive_sweep` with `os.cpu_count()` reading `cpus` (None: as is)."""
     with pytest.MonkeyPatch.context() as mp:
@@ -397,7 +529,7 @@ class TestParallelSweep:
                 return original(*args, **kwargs)
             monkeypatch.setattr(engine, name, call)
 
-        logged("lru_hits")
+        logged("LruShadow")
         logged("simulate_run")
         sweep_on(3, rand_trace(34), system, power, Constraint("none"))
         calls = log.read_text().splitlines()
@@ -405,7 +537,7 @@ class TestParallelSweep:
         points = sum(len(core.dvfs.grid()) for core in system.cores)
         assert len(runs) == points and len(set(runs)) == 3
         # One LRU pass, made before the fork.
-        assert calls[0] == f"lru_hits {os.getpid()}" and len(calls) == points + 1
+        assert calls[0] == f"LruShadow {os.getpid()}" and len(calls) == points + 1
 
     @pytest.mark.parametrize("cpus, failing", [
         (None, lambda i, core: core.core_id == "core2"),
