@@ -16,6 +16,9 @@ The same pass bounds, in counts no frequency changes, how long a block goes
 between restores of its retention; where that bound stays below the lifetime
 no block expires, and `CacheState.derive` counts the run from the shadow
 instead of replaying it (stack simulation over frequency; Hill & Smith 1989).
+A window that ends before the pass's first eviction is an LRU run of its
+own; its spans are bounded by the componentwise minimum of the pass's widest
+span and the whole window taken as one span.
 
 Each set is a dict from tag to (expiry_ns, dirty), least recently used
 first, plus a lower bound on the expiry times it holds. A block expires at
@@ -103,6 +106,10 @@ class LruShadow:
     next write hit, its eviction or the end of the stream (a read hit does
     not restore retention). It covers the gaps after its first access and
     the reads, writes and misses before its last.
+
+    `cold` is the number of accesses before the first eviction (None while
+    there is none): a prefix no longer than that is an LRU run of its own
+    that evicts nothing.
     """
 
     def __init__(self, geometry):
@@ -110,6 +117,7 @@ class LruShadow:
         # Tag -> the totals at its restore and its dirty bit, LRU first.
         self._sets = [{} for _ in range(geometry.sets)]
         self.totals, self._widest = (0,) * 7, (0,) * 4
+        self.cold = None
 
     def run(self, gaps, writes, addrs) -> bytearray:
         """One byte per access: 1 where the cache hits, 0 where it misses."""
@@ -117,6 +125,7 @@ class LruShadow:
         shift, mask = self.geometry.line_bytes.bit_length() - 1, len(sets) - 1
         g, r, w, m, write_hits, evictions, dirty = self.totals
         mg, mr, mw, mm = self._widest
+        cold = self.cold
         bits = bytearray()
         record = bits.append
         for gap, write, addr in zip(gaps, writes, addrs):
@@ -131,6 +140,8 @@ class LruShadow:
                     block = blocks.pop(next(iter(blocks)))
                     evictions += 1
                     dirty += block[4]
+                    if cold is None:
+                        cold = r + w
             else:
                 record(1)
                 if not write:
@@ -156,6 +167,7 @@ class LruShadow:
             m += miss
         self.totals = g, r, w, m, write_hits, evictions, dirty
         self._widest = mg, mr, mw, mm
+        self.cold = cold
         return bits
 
     def span(self) -> tuple[int, int, int, int]:
@@ -333,11 +345,14 @@ class CacheState:
 
     def derive(self, totals, span, gaps: int, cpi: float,
                ns_per_cycle: float) -> float | None:
-        """The cycles of a whole run from a cold cache, with its counters
-        added to `stats` and the cache's contents left as they were; None,
-        counting nothing, unless no block can expire in it. `totals` and
-        `span` are those of an `LruShadow` that ran the run's accesses from a
-        cold start, and `gaps` is the run's own sum.
+        """The cycles of a run from a cold cache, with its counters added to
+        `stats` and the cache's contents left as they were; None, counting
+        nothing, unless no block can expire in it. `totals` are those of an
+        `LruShadow` that ran the run's accesses from a cold start, `span`
+        bounds each of their restore spans componentwise (for a whole run,
+        the shadow's widest; for a window the shadow evicts nothing in, the
+        smaller of that and the whole window) and `gaps` is the run's own
+        non-memory instruction count.
 
         A restore span of g gaps, r reads, w writes and m misses lasts at
         most cpi·g + rc·r + wc·w + pen·m cycles. If the shadow's widest span

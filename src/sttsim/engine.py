@@ -106,30 +106,74 @@ def edp(energy_j: float, wall_time_s: float) -> float:
     return energy_j * wall_time_s
 
 
-def _window(gaps, limit: int) -> tuple[int, int]:
-    """(accesses, non-memory instructions after the last of them) that fit
-    in the first `limit` instructions."""
-    done = 0
-    for i, gap in enumerate(gaps):
-        if done + gap >= limit:
-            return i, limit - done
-        done += gap + 1
-        if done >= limit:
-            return i + 1, 0
-    return len(gaps), 0
+def _window(trace: Trace, start: int, limit: int | None):
+    """(first, cut, count, tail, nonmem) of the run of `limit` instructions
+    (None: all the rest) from instruction `start`: it begins with the last
+    `gaps[first] - cut` instructions of access `first`'s gap, holds `count`
+    accesses, ends with `tail` non-memory instructions and has `nonmem` in
+    all. Computed once per trace and window: a scheduler asks for the same
+    window at every grid frequency."""
+    key = (start, limit)
+    window = trace._windows.get(key)
+    if window is None:
+        gaps, n = trace.gaps, len(trace)
+        # Skip the accesses that end at or before `start`.
+        first = pos = 0
+        while first < n and pos + gaps[first] + 1 <= start:
+            pos += gaps[first] + 1
+            first += 1
+        cut, end, tail = start - pos, n, 0
+        if limit is not None:
+            # Take the accesses whose own instruction comes before `stop`.
+            stop, end = start + limit, first
+            while end < n and pos + gaps[end] < stop:
+                pos += gaps[end] + 1
+                end += 1
+            if end < n:
+                tail = stop - max(pos, start)
+        nonmem = (sum(memoryview(gaps)[first:end]) + tail
+                  - (cut if end > first else 0))
+        window = trace._windows[key] = first, cut, end - first, tail, nonmem
+    return window
 
 
 def _shadow(trace: Trace, geometry, first: int):
     """The infinite-retention hit bits of the trace's accesses from `first`
-    on, with the shadow's totals and widest restore span, computed once per
-    trace: a `limit` run reads a prefix of the bits."""
+    on, with the shadow's totals, widest restore span and accesses before
+    its first eviction, computed once per trace: a window reads a prefix."""
     key = (geometry, first)
     if key not in trace._shadow_bits:
         shadow = LruShadow(geometry)
         bits = shadow.run(*(memoryview(column)[first:] for column in
                             (trace.gaps, trace.writes, trace.addrs)))
-        trace._shadow_bits[key] = bits, shadow.totals, shadow.span()
+        cold = len(bits) if shadow.cold is None else shadow.cold
+        trace._shadow_bits[key] = bits, shadow.totals, shadow.span(), cold
     return trace._shadow_bits[key]
+
+
+def _prefix(trace: Trace, window, bits, span, cold):
+    """The shadow's totals over a window's accesses and a bound on each of
+    their restore spans, or (None, None) when the shadow evicts before the
+    window ends. Without an eviction the window is an LRU run of its own: a
+    span the window's end cuts off is at most the whole-run span it belongs
+    to (`tail` is at most the next gap) and at most the whole window, so the
+    bound is the componentwise minimum of the shadow's widest span and the
+    window taken as one span (the gaps after its first access plus `tail`,
+    with all its reads, writes and misses)."""
+    first, cut, count, tail, nonmem = window
+    if count > cold:
+        return None, None
+    end = first + count
+    writes = trace.writes.count(1, first, end)
+    misses = count - bits.count(1, 0, count)
+    write_hits = (int.from_bytes(memoryview(bits)[:count], "little")
+                  & int.from_bytes(memoryview(trace.writes)[first:end],
+                                   "little")
+                  ).bit_count()
+    reads = count - writes
+    after_first = nonmem - (trace.gaps[first] - cut if count else 0)
+    bound = tuple(map(min, span, (after_first, reads, writes, misses)))
+    return (nonmem - tail, reads, writes, misses, write_hits, 0, 0), bound
 
 
 def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
@@ -140,9 +184,12 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
     `limit` caps the simulated instruction count (profiling windows);
     `start` skips that many leading instructions and begins with cold
     caches, which is how a migrated application resumes on a new core.
-    A whole run (no `limit`) that no expiry can touch is derived from the
-    trace's shadow pass instead of replayed. Deterministic: identical inputs
-    give bit-identical results, derived or replayed.
+    A run that no expiry can touch, whole or a window that ends before the
+    shadow's first eviction, is derived from the trace's shadow pass
+    instead of replayed; a window's restore spans are bounded by the
+    componentwise minimum of the pass's widest span and the whole window
+    taken as one span. Deterministic: identical inputs give bit-identical
+    results, derived or replayed.
     """
     if not len(trace):
         raise ValueError("trace is empty")
@@ -157,32 +204,26 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
         if limit <= 0:
             raise ValueError("limit must be positive")
 
-    gaps, writes, addrs = trace.gaps, trace.writes, trace.addrs
-    first = 0
-    if start:
-        # Skip the accesses that end at or before `start`; the first one
-        # left keeps only the part of its gap after `start`.
-        pos = 0
-        while first < len(gaps) and pos + gaps[first] + 1 <= start:
-            pos += gaps[first] + 1
-            first += 1
-        gaps, writes, addrs = gaps[first:], writes[first:], addrs[first:]
-        if gaps:
-            gaps[0] -= start - pos
-    count, tail = (len(gaps), 0) if limit is None else _window(gaps, limit)
-    if count < len(gaps):
-        gaps, writes, addrs = gaps[:count], writes[:count], addrs[:count]
-
+    first, cut, count, tail, nonmem = window = _window(trace, start, limit)
     cache = CacheState(core, freq_ghz)
     cpi = core.base_cpi
     ns_per_cycle = 1.0 / freq_ghz
-    nonmem = sum(gaps) + tail
     bits = cycles = None
     if cache.volatile:
-        bits, totals, span = _shadow(trace, core.geometry, first)
-        if limit is None:
+        bits, totals, span, cold = _shadow(trace, core.geometry, first)
+        if count < len(bits):
+            totals, span = _prefix(trace, window, bits, span, cold)
+        if totals is not None:
             cycles = cache.derive(totals, span, nonmem, cpi, ns_per_cycle)
     if cycles is None:
+        gaps, writes, addrs = trace.gaps, trace.writes, trace.addrs
+        if count < len(gaps) or cut:
+            # The first access keeps only the part of its gap after `start`.
+            end = first + count
+            gaps, writes, addrs = (gaps[first:end], writes[first:end],
+                                   addrs[first:end])
+            if count:
+                gaps[0] -= cut
         cycles = cache.replay(gaps, writes, addrs, bits, 0.0, cpi,
                               ns_per_cycle) + tail * cpi
         cache.advance_retention(cycles * ns_per_cycle)

@@ -68,12 +68,15 @@ class Trace:
     the columns and must not mutate them.
 
     `_shadow_bits` is where the engine keeps the trace's shadow pass (hit
-    bits, totals, widest restore span), once per geometry and first access;
-    it dies with the trace and takes no part in equality.
+    bits, totals, widest restore span, accesses before the first eviction),
+    once per geometry and first access, and `_windows` where it keeps each
+    run's bounds (first access, cut, count, tail, non-memory instructions),
+    once per start and limit. Both die with the trace and take no part in
+    equality.
     """
 
     __slots__ = ("name", "gaps", "writes", "addrs", "instructions",
-                 "_shadow_bits")
+                 "_shadow_bits", "_windows")
 
     def __init__(self, events: Iterable[TraceEvent], name: str = "trace"):
         gaps, writes, addrs = array("q"), bytearray(), array("Q")
@@ -111,6 +114,7 @@ class Trace:
         self.addrs = addrs
         self.instructions = sum(gaps) + len(gaps)
         self._shadow_bits = {}
+        self._windows = {}
 
     @property
     def events(self) -> Sequence[TraceEvent]:

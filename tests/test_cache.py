@@ -5,6 +5,7 @@ import pytest
 
 from sttsim import (CacheGeometry, CacheState, HIT, MISS, MISS_EXPIRATION,
                     MISS_NONE, MISS_OTHER, STT_10US, SRAM, default_system)
+from sttsim.cache import LruShadow
 from reference import ReferenceLru
 
 US = 1000.0  # ns per microsecond
@@ -265,3 +266,45 @@ class TestClassificationSoundness:
         assert not ref.access(0x40)
         assert c.stats.hits == 2
         assert c.stats.shadow_misses == ref.misses == 4
+
+
+def first_eviction(geometry, addrs):
+    """The number of accesses before the first that misses in a full set of
+    `ReferenceLru`, or None when none does."""
+    ref = ReferenceLru(geometry.sets, geometry.ways, geometry.line_bytes)
+    for i, addr in enumerate(addrs):
+        line = addr // geometry.line_bytes
+        blocks = ref.content[line % geometry.sets]
+        if line not in blocks and len(blocks) == geometry.ways:
+            return i
+        ref.access(addr)
+    return None
+
+
+class TestLruShadow:
+    @pytest.mark.parametrize("ways, sets, lines_per_way", [
+        (1, 1, 3), (2, 4, 2), (4, 2, 4), (2, 4, 1)])
+    def test_cold_counts_the_accesses_before_the_first_eviction(
+            self, ways, sets, lines_per_way):
+        # With one line per way no set ever overflows, so nothing is evicted.
+        rng = random.Random(100 * ways + 10 * sets + lines_per_way)
+        geometry = toy_core(ways, sets).geometry
+        addrs = [64 * rng.randrange(lines_per_way * ways * sets)
+                 for _ in range(300)]
+        writes = [int(rng.random() < 0.3) for _ in addrs]
+        gaps = [rng.randrange(50) for _ in addrs]
+        expected = first_eviction(geometry, addrs)
+        assert (expected is None) == (lines_per_way == 1)
+
+        whole = LruShadow(geometry)
+        whole.run(gaps, writes, addrs)
+        assert whole.cold == expected
+
+        # The same stream over several continuations: after each, `cold`
+        # is that of the prefix run so far.
+        split = LruShadow(geometry)
+        cuts = [0, *sorted(rng.sample(range(1, len(addrs)), 6)), len(addrs)]
+        for a, b in zip(cuts, cuts[1:]):
+            split.run(gaps[a:b], writes[a:b], addrs[a:b])
+            assert split.cold == first_eviction(geometry, addrs[:b])
+        assert split.cold == expected

@@ -390,15 +390,16 @@ def replays(monkeypatch):
 
 @st.composite
 def derivable_cases(draw):
-    """A random toy core, grid frequency, whole-run trace and start; short
-    gaps make many of them runs that no expiry touches."""
+    """A random toy core, grid frequency, trace, limit and start; short gaps
+    make many of them runs that no expiry touches."""
     core = toy_cores(draw, [1.0, 1.5])
     freq = draw(st.sampled_from(core.dvfs.grid()))
     max_gap = draw(st.sampled_from([20, 300, 4000]))
     events = toy_events(draw, core.geometry.line_bytes, max_gap)
     total = sum(gap + 1 for gap, _, _ in events)
+    limit = draw(st.none() | st.integers(1, total + 5))
     start = draw(st.just(0) | st.integers(0, total + 5))
-    return core, freq, events, start
+    return core, freq, events, limit, start
 
 
 def boundary_core(**kw):
@@ -411,19 +412,32 @@ def boundary_core(**kw):
 
 
 class TestDerivedRuns:
-    """A whole run that no expiry can touch is derived from the shadow pass
-    instead of replayed, with bit-identical results."""
+    """A run that no expiry can touch, whole or a window that ends before
+    the shadow's first eviction, is derived from the shadow pass instead of
+    replayed, with bit-identical results."""
 
-    @settings(deadline=None, max_examples=300)
-    @given(derivable_cases())
-    def test_derived_runs_equal_replays_and_the_reference(self, case):
-        core, freq, events, start = case
-        trace = events_trace(events)
-        run = simulate_run(trace, core, freq, PowerModel(), start=start)
-        replayed = forced_replay(events_trace(events), core, freq,
-                                 PowerModel(), start=start)
-        assert repr(run) == repr(replayed)
-        assert counters(run) == reference_for(core, freq, events, start=start)
+    def test_derived_runs_equal_replays_and_the_reference(self, replays):
+        derived_windows = []
+
+        @settings(deadline=None, max_examples=300)
+        @given(derivable_cases())
+        def check(case):
+            core, freq, events, limit, start = case
+            replays.clear()
+            run = simulate_run(events_trace(events), core, freq, PowerModel(),
+                               limit=limit, start=start)
+            total = sum(gap + 1 for gap, _, _ in events)
+            if not replays and run.instructions < total - start:
+                derived_windows.append(case)
+            replayed = forced_replay(events_trace(events), core, freq,
+                                     PowerModel(), limit=limit, start=start)
+            assert repr(run) == repr(replayed)
+            assert counters(run) == reference_for(core, freq, events, limit,
+                                                  start)
+
+        check()
+        # Some windows that end before the trace does are derived.
+        assert derived_windows
 
     def test_only_runs_that_can_expire_replay(self, system, power, replays):
         hot = gen_synthetic(archetype_params("A", 4301, False), name="hot")
@@ -451,15 +465,74 @@ class TestDerivedRuns:
                                                1.0, power))
         assert counters(run) == reference_for(core, 1.0, events)
 
-    @pytest.mark.parametrize("window", [{"cpi": 1.5}, {"limit": 30}])
+    @pytest.mark.parametrize("window", [{"cpi": 1.5}, {"limit": 10}])
     def test_fractional_cpi_and_limit_windows_replay(self, power, replays,
                                                      window):
+        # A fractional CPI replays. A window of the first two accesses and
+        # two instructions of the third one's gap expires nothing and is
+        # derived from the shadow pass.
         core = boundary_core(base_cpi=window.get("cpi", 1.0))
         events = [(3, False, 0x40), (3, True, 0x40), (3, False, 0x80)]
         limit = window.get("limit")
         run = simulate_run(events_trace(events), core, 1.0, power,
                            limit=limit)
-        assert len(replays) == 1 and run.stats.expiration_misses == 0
+        assert len(replays) == (limit is None)
+        assert run.stats.expiration_misses == 0
+        if limit is not None:
+            assert run.mem_accesses == 2
+            assert repr(run) == repr(forced_replay(events_trace(events), core,
+                                                   1.0, power, limit=limit))
+        assert counters(run) == reference_for(core, 1.0, events, limit)
+
+    @pytest.mark.parametrize("limit, early", [(1950, 1), (1949, 0)])
+    def test_a_window_span_of_the_lifetime_through_its_tail_replays(
+            self, power, replays, limit, early):
+        # A write fills 0x40 at 0 ns (1 + 50 cycles) and the window ends
+        # `limit - 1` instructions later, long before the read of 0x80. The
+        # whole run's span of 0x40 outlasts the lifetime, so only the window
+        # bounds it: 2,000 cycles through the longer tail, 1,999 through the
+        # shorter.
+        core = boundary_core()
+        events = [(0, True, 0x40), (5000, False, 0x80)]
+        run = simulate_run(events_trace(events), core, 1.0, power,
+                           limit=limit)
+        assert run.mem_accesses == 1 and run.cycles == 2000 - (1 - early)
+        assert run.stats.early_writebacks == early
+        assert len(replays) == early
+        assert repr(run) == repr(forced_replay(events_trace(events), core,
+                                               1.0, power, limit=limit))
+        assert counters(run) == reference_for(core, 1.0, events, limit)
+
+    def test_a_window_longer_than_the_lifetime_takes_the_run_bound(
+            self, power, replays):
+        # 0x40 is written every 500 instructions, so no restore span of the
+        # run reaches 551 cycles, while the 3,000-instruction window, taken
+        # as one span, outlasts the 2,000-cycle lifetime.
+        core = boundary_core()
+        events = [(0, True, 0x40)] + [(499, True, 0x40)] * 8
+        run = simulate_run(events_trace(events), core, 1.0, power, limit=3000)
+        assert run.mem_accesses == 6 and run.cycles > 2000 and replays == []
+        assert repr(run) == repr(forced_replay(events_trace(events), core,
+                                               1.0, power, limit=3000))
+        assert counters(run) == reference_for(core, 1.0, events, 3000)
+
+    @pytest.mark.parametrize("limit, accesses", [(8, 2), (11, 2), (12, 3)])
+    def test_a_window_that_evicts_replays(self, power, replays, limit,
+                                          accesses):
+        # 0x0, 0x100 and 0x200 share a set of two ways, so the shadow's first
+        # eviction is the third access, of dirty 0x0. A window of the first
+        # two accesses, with or without a tail, is derived; one of three
+        # evicts and replays.
+        core = boundary_core()
+        events = [(3, True, 0x0), (3, False, 0x100), (3, False, 0x200),
+                  (3, False, 0x0)]
+        run = simulate_run(events_trace(events), core, 1.0, power,
+                           limit=limit)
+        evicted = int(accesses > 2)
+        assert run.mem_accesses == accesses and len(replays) == evicted
+        assert run.stats.evictions == run.stats.writebacks == evicted
+        assert repr(run) == repr(forced_replay(events_trace(events), core,
+                                               1.0, power, limit=limit))
         assert counters(run) == reference_for(core, 1.0, events, limit)
 
     def test_a_block_that_expires_before_its_eviction_replays(self, power,
