@@ -120,17 +120,17 @@ def _scheduler(cfg: ExperimentConfig, models) -> Scheduler:
 
 def _parse_gaps(spec: str):
     kind, _, rest = spec.partition(":")
+    fields = rest.split(":") if rest else []
     try:
-        nums = [float(x) for x in rest.split(":")] if rest else []
-        if kind == "uniform" and len(nums) == 2:
-            return UniformGaps(int(nums[0]), int(nums[1]))
-        if kind == "bimodal" and len(nums) == 5:
-            return BimodalGaps(int(nums[0]), int(nums[1]), int(nums[2]),
-                               int(nums[3]), nums[4])
+        if kind == "uniform" and len(fields) == 2:
+            return UniformGaps(*map(int, fields))
+        if kind == "bimodal" and len(fields) == 5:
+            return BimodalGaps(*map(int, fields[:4]), float(fields[4]))
     except ValueError as exc:
         raise ConfigError(None, f"bad --gaps value {spec!r}: {exc}") from exc
     raise ConfigError(None, f"--gaps must be uniform:LO:HI or "
-                            f"bimodal:SL:SH:LL:LH:W, got {spec!r}")
+                            f"bimodal:SL:SH:LL:LH:W with integer bounds, "
+                            f"got {spec!r}")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -138,6 +138,14 @@ def _parse_gaps(spec: str):
 def cmd_gen_trace(args) -> int:
     if args.seed is None:
         raise ConfigError(None, "synthetic generation requires an explicit --seed")
+    for flag, value, ok, want in (
+            ("--mem-fraction", args.mem_fraction, 0 < args.mem_fraction <= 1,
+             "in (0, 1]"),
+            ("--write-fraction", args.write_fraction,
+             0 <= args.write_fraction <= 1, "in [0, 1]"),
+            ("--total", args.total, args.total >= 1, "at least 1")):
+        if not ok:
+            raise ConfigError(None, f"{flag} must be {want}, got {value}")
     params = SynthParams.for_rate(
         reuse_gaps=_parse_gaps(args.gaps),
         memory_op_fraction=args.mem_fraction,
@@ -145,7 +153,10 @@ def cmd_gen_trace(args) -> int:
         total_instructions=args.total,
         seed=args.seed,
     )
-    trace = gen_synthetic(params, name=args.name or f"synth-{args.seed}")
+    try:
+        trace = gen_synthetic(params, name=args.name or f"synth-{args.seed}")
+    except ValueError as exc:  # an empty trace
+        raise ConfigError(None, f"--total {args.total}: {exc}") from None
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{trace.name}.trace"
     header = list(params.describe())

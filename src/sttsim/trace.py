@@ -330,6 +330,11 @@ def load_trace(path) -> Trace:
             raise TraceParseError(exc.line_no, exc.message, path) from None
 
 
+def _check_bounds(*bounds) -> None:
+    if not all(isinstance(b, int) for b in bounds):
+        raise ValueError(f"gap bounds must be integers, got {list(bounds)}")
+
+
 @dataclass(frozen=True)
 class UniformGaps:
     """Per-block reuse gaps drawn uniformly from [low, high] instructions."""
@@ -338,6 +343,7 @@ class UniformGaps:
     high: int
 
     def __post_init__(self):
+        _check_bounds(self.low, self.high)
         if not 0 < self.low <= self.high:
             raise ValueError(f"need 0 < low <= high, got [{self.low}, {self.high}]")
 
@@ -345,8 +351,11 @@ class UniformGaps:
     def mean(self) -> float:
         return (self.low + self.high) / 2
 
-    def sample(self, rng: random.Random) -> int:
-        return rng.randint(self.low, self.high)
+    def modes(self) -> tuple[None, tuple[int, int], tuple[int, int]]:
+        """What `gen_synthetic` draws from: no mode weight, then the one mode
+        twice, as (low, number of values)."""
+        mode = (self.low, self.high - self.low + 1)
+        return None, mode, mode
 
     def describe(self) -> str:
         return f"uniform low={self.low} high={self.high}"
@@ -363,6 +372,8 @@ class BimodalGaps:
     short_weight: float = 0.2
 
     def __post_init__(self):
+        _check_bounds(self.short_low, self.short_high, self.long_low,
+                      self.long_high)
         if not 0 < self.short_low <= self.short_high <= self.long_low <= self.long_high:
             raise ValueError("modes must satisfy 0 < short <= long")
         if not 0.0 <= self.short_weight <= 1.0:
@@ -374,10 +385,12 @@ class BimodalGaps:
         long = (self.long_low + self.long_high) / 2
         return self.short_weight * short + (1 - self.short_weight) * long
 
-    def sample(self, rng: random.Random) -> int:
-        if rng.random() < self.short_weight:
-            return rng.randint(self.short_low, self.short_high)
-        return rng.randint(self.long_low, self.long_high)
+    def modes(self) -> tuple[float, tuple[int, int], tuple[int, int]]:
+        """What `gen_synthetic` draws from: the short-mode weight, then the
+        short and long modes as (low, number of values)."""
+        return (self.short_weight,
+                (self.short_low, self.short_high - self.short_low + 1),
+                (self.long_low, self.long_high - self.long_low + 1))
 
     def describe(self) -> str:
         return (f"bimodal short=[{self.short_low},{self.short_high}] "
@@ -441,6 +454,13 @@ def gen_synthetic(params: SynthParams, name: str | None = None) -> Trace:
     time; accesses are emitted in time order, so realized per-block gaps
     equal the drawn values up to same-instruction collisions. Addresses
     stride by the line size so every block occupies its own cache line.
+
+    A seed always yields the same trace. The draws come from
+    `random.Random(seed)` in a fixed order: each block's first touch
+    (`randrange`), then per access its write flag (`random`), for a bimodal
+    mixture its mode (`random`), and its next reuse gap. A gap is `low + r`
+    with `r` drawn by rejection over `getrandbits`, exactly as `randint`
+    draws it.
     """
     rng = random.Random(params.seed)
     blocks = params.working_set_blocks
@@ -448,25 +468,36 @@ def gen_synthetic(params: SynthParams, name: str | None = None) -> Trace:
 
     # Stagger first touches across one mean gap so accesses don't arrive in
     # a single burst at t=0.
-    heap: list[tuple[int, int]] = []
     spread = max(1, int(params.reuse_gaps.mean))
-    for b in range(blocks):
-        first = 1 + rng.randrange(spread)
-        heap.append((first, b))
+    heap = [(1 + rng.randrange(spread), b) for b in range(blocks)]
     heapq.heapify(heap)
 
+    weight, *modes = params.reuse_gaps.modes()
+    short, long = [(low, n, n.bit_length()) for low, n in modes]
+    bimodal = weight is not None
+    write_fraction = params.write_fraction
+    base, line = params.base_addr, params.line_bytes
+    random_, getrandbits, heapreplace = rng.random, rng.getrandbits, heapq.heapreplace
     gaps, writes, addrs = array("q"), bytearray(), array("Q")
+    gaps_append, writes_append, addrs_append = gaps.append, writes.append, addrs.append
     cursor = 0  # instructions emitted so far
-    while heap:
-        due, b = heapq.heappop(heap)
-        at = max(due, cursor + 1)  # serialize same-instruction collisions
+    while True:
+        due, b = heap[0]
+        # Serialize same-instruction collisions.
+        at = due if due > cursor else cursor + 1
         if at > total:
             break
-        gaps.append(at - cursor - 1)
-        writes.append(rng.random() < params.write_fraction)
-        addrs.append(params.base_addr + b * params.line_bytes)
+        gaps_append(at - cursor - 1)
+        writes_append(random_() < write_fraction)
+        addrs_append(base + b * line)
         cursor = at
-        heapq.heappush(heap, (at + params.reuse_gaps.sample(rng), b))
+        low, n, k = short if bimodal and random_() < weight else long
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        # Blocks are unique, so replacing the root pops in the same order
+        # as a pop followed by a push.
+        heapreplace(heap, (at + low + r, b))
 
     if not gaps:
         raise ValueError("parameters produced an empty trace; "

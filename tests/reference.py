@@ -1,6 +1,13 @@
 """Deliberately simple set-associative LRU model, written independently of
 the package, used as the oracle for miss classification: a reference hit
-means an infinite-retention cache would have hit."""
+means an infinite-retention cache would have hit. Also the plain synthetic
+generator the fast one must reproduce draw for draw."""
+
+import heapq
+import random
+from array import array
+
+from sttsim import BimodalGaps, Trace
 
 
 class ReferenceLru:
@@ -153,3 +160,48 @@ def reference_run(events, sets, ways, line_bytes, retention_s, k, cpi,
     counts["mem_idle_cycles"] = int(max(0, cycles - busy))
     counts["cycles"] = cycles
     return counts
+
+
+def reference_sample(reuse_gaps, rng: random.Random) -> int:
+    """One reuse gap: a bimodal mixture first picks its mode with
+    `rng.random()`, then the gap is `rng.randint` over the mode."""
+    if isinstance(reuse_gaps, BimodalGaps):
+        if rng.random() < reuse_gaps.short_weight:
+            return rng.randint(reuse_gaps.short_low, reuse_gaps.short_high)
+        return rng.randint(reuse_gaps.long_low, reuse_gaps.long_high)
+    return rng.randint(reuse_gaps.low, reuse_gaps.high)
+
+
+def reference_gen_synthetic(params, name=None) -> Trace:
+    """The synthetic generator as a heap of (due, block) popped and pushed
+    once per access, drawing through `reference_sample`."""
+    rng = random.Random(params.seed)
+    blocks = params.working_set_blocks
+    total = params.total_instructions
+
+    heap = []
+    spread = max(1, int(params.reuse_gaps.mean))
+    for b in range(blocks):
+        first = 1 + rng.randrange(spread)
+        heap.append((first, b))
+    heapq.heapify(heap)
+
+    gaps, writes, addrs = array("q"), bytearray(), array("Q")
+    cursor = 0  # instructions emitted so far
+    while heap:
+        due, b = heapq.heappop(heap)
+        at = max(due, cursor + 1)  # serialize same-instruction collisions
+        if at > total:
+            break
+        gaps.append(at - cursor - 1)
+        writes.append(rng.random() < params.write_fraction)
+        addrs.append(params.base_addr + b * params.line_bytes)
+        cursor = at
+        heapq.heappush(heap, (at + reference_sample(params.reuse_gaps, rng), b))
+
+    if not gaps:
+        raise ValueError("parameters produced an empty trace; "
+                         "total_instructions is shorter than the first reuse gap")
+    gaps[-1] += total - cursor
+    return Trace.from_columns(gaps, writes, addrs,
+                              name=name or f"synth-{params.seed}")

@@ -54,6 +54,21 @@ class TestGenTrace:
                        "--out", tmp_path) == 1
         assert "gaps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--gaps", "uniform:1:inf"),
+        ("--gaps", "uniform:10.7:20.2"),
+        ("--gaps", "bimodal:10:20:30.5:40:0.2"),
+        ("--mem-fraction", "0"),
+        ("--write-fraction", "2"),
+        ("--total", "0"),
+        ("--total", "5"),  # ends before the first access: an empty trace
+    ])
+    def test_bad_argument_is_config_error(self, tmp_path, capsys, flag, value):
+        assert run_cli("gen-trace", "--seed", 1, flag, value,
+                       "--out", tmp_path) == 1
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_seed_is_mandatory(self, tmp_path, capsys):
         assert run_cli("gen-trace", "--out", tmp_path) == 1
         assert "--seed" in capsys.readouterr().err

@@ -1,9 +1,10 @@
+import hashlib
 import random
 import string
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sttsim import (BimodalGaps, Constraint, CorePredictor, Scheduler,
@@ -14,6 +15,9 @@ from sttsim import (BimodalGaps, Constraint, CorePredictor, Scheduler,
 from sttsim import trace as trace_module
 from sttsim.constraints import KINDS
 from sttsim.trace import READ, WRITE, concat_traces
+
+from reference import reference_gen_synthetic
+from workloads import ARCHETYPES, archetype_params, phase_change_app
 
 
 def random_trace(seed, events=100, addr_span=40):
@@ -153,6 +157,10 @@ class TestGenerator:
             UniformGaps(20, 10)
         with pytest.raises(ValueError):
             BimodalGaps(100, 50, 200, 300)
+        with pytest.raises(ValueError, match="integers"):
+            UniformGaps(10.0, 20)
+        with pytest.raises(ValueError, match="integers"):
+            BimodalGaps(1, 2, 3, 4.5)
 
     def test_lifetime_control_raises_expirations(self, power):
         # Longer long-mode gaps push reuse past the monitor lifetime on a
@@ -416,3 +424,117 @@ def test_hot_paths_read_only_columns(power):
     for _ in range(2):  # a fresh decision, then a history hit
         sched.run_application(tr, Constraint("slack10"))
     sched.dispatch_workload([tr], Constraint("slack10"))
+
+
+# -- the generator against the plain heap + randint reference -----------------
+
+# Widths of a gap range, `high - low + 1`: one value, powers of two and one
+# past them, where `getrandbits` rejects most often, and anything else.
+WIDTHS = st.one_of(st.just(1), st.integers(0, 12).map(lambda k: 1 << k),
+                   st.integers(0, 12).map(lambda k: (1 << k) + 1),
+                   st.integers(1, 3000))
+UNIFORM_GAPS = st.builds(lambda low, width: UniformGaps(low, low + width - 1),
+                         st.integers(1, 2000), WIDTHS)
+
+
+def bimodal_gaps(short_low, short_width, jump, long_width, weight):
+    short_high = short_low + short_width - 1
+    long_low = short_high + jump
+    return BimodalGaps(short_low, short_high, long_low,
+                       long_low + long_width - 1, weight)
+
+
+BIMODAL_GAPS = st.builds(bimodal_gaps, st.integers(1, 500), WIDTHS,
+                         st.integers(0, 2000), WIDTHS,
+                         st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)))
+SYNTH_PARAMS = st.builds(
+    SynthParams,
+    working_set_blocks=st.integers(1, 30),
+    reuse_gaps=st.one_of(UNIFORM_GAPS, BIMODAL_GAPS),
+    write_fraction=st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)),
+    memory_op_fraction=st.floats(0.001, 1),
+    # Short totals often end before the first touch: an empty trace.
+    total_instructions=st.one_of(st.integers(1, 50), st.integers(1, 6000)),
+    seed=st.integers(0, 2**64),
+    line_bytes=st.sampled_from([1, 8, 64, 4096]),
+    base_addr=st.integers(0, 2**48))
+
+
+def test_generator_draws_the_reference_stream():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(SYNTH_PARAMS)
+    # One value, a power of two and one past it, each with one mode and
+    # with a mixture at weight 0 and 1.
+    @example(SynthParams(5, UniformGaps(7, 7), 0.5, 0.1, 20_000, 7))
+    @example(SynthParams(5, BimodalGaps(64, 127, 127, 383, 0.0), 0.5, 0.1,
+                         20_000, 64, line_bytes=32, base_addr=0x1234))
+    @example(SynthParams(5, BimodalGaps(65, 193, 193, 449, 1.0), 0.5, 0.1,
+                         20_000, 65, line_bytes=32, base_addr=0x1234))
+    def check(params):
+        try:
+            expected = reference_gen_synthetic(params, name="g")
+        except ValueError as exc:
+            seen.add("empty")
+            with pytest.raises(ValueError) as err:
+                gen_synthetic(params, name="g")
+            assert str(err.value) == str(exc)
+            return
+        seen.add(type(params.reuse_gaps).__name__)
+        got = gen_synthetic(params, name="g")
+        assert got.gaps == expected.gaps
+        assert got.writes == expected.writes
+        assert got.addrs == expected.addrs
+        assert got == expected
+
+    check()
+    assert seen == {"empty", "UniformGaps", "BimodalGaps"}
+
+
+# SHA-256 of `serialize_trace` of the A-D archetypes, each drawn with uniform
+# and with bimodal gaps, at seeds 1 and 2: pins the generator's random stream
+# apart from the reference copy.
+GENERATED_DIGESTS = {
+    ("A", False, 1): "761cc31383b78a1a24ba278926d42dc49c632d96b5b05f75bac0be7575d485fa",
+    ("A", False, 2): "ff8eb5ee14153b904ef98ca5fcfe05650949552de5e0ea958a66cce13fa8c0ae",
+    ("A", True, 1): "d7b7ba05e38af4447c766dac81dcf38d45fe56a0fdc93e951470d8e5f4df7f52",
+    ("A", True, 2): "980430d7a4b581875aaa81d1a05cc870373ff0af01be1a2b66f555e2e853ddb7",
+    ("B", False, 1): "bcf6dc90a6d363b66c214be742790693ce2c33b541ee4652f0e0da5c95e243ce",
+    ("B", False, 2): "c90c3efb6eef6bc6bbdbfb9680bc5d742fbf917039b91a06dcb5722553cda91f",
+    ("B", True, 1): "be87fad23626ed36d6227f56e34bae1b1e15f57b5367a0b08778c0832dd31c08",
+    ("B", True, 2): "c8764886436c9dd794d19ab7633bb3d9c94637223f28425a04382e1bf09e65c9",
+    ("C", False, 1): "f1eaef920a3919269c7faa2780e5abb077aa4269138f78a36607e16996ec5a50",
+    ("C", False, 2): "6ceccc8e0234c364da5b8771b629858ec5c6503498466e55aa3affadbc4b52e2",
+    ("C", True, 1): "b89f7b4a1c34421db46ab6e166c9536551523c8cf636d42030d572cce5bb4aa2",
+    ("C", True, 2): "cb33650c8e0746d16250d235b18e987c451828a005fb55d26f44b69ac84a098f",
+    ("D", False, 1): "b8ee8eb2f7fc95fc0f55d88c4f83782ce56d325c7b4ed1ccf2717cfebe2cb0b4",
+    ("D", False, 2): "59cc99ed2a34f71ff571456f7f7bcdbdd2a1bc9f5fed960da0ee4707d79c47c0",
+    ("D", True, 1): "44304f79f41bddb8416eebadfc8aa3cb7e882c847e0214fb3dbc279e36507725",
+    ("D", True, 2): "5e573f7eb6ae1afca40c0d8dbfdb5a3db8dacd3898a45006be17d6dd9431e9f0",
+}
+
+
+@pytest.mark.parametrize("arch", ARCHETYPES)
+@pytest.mark.parametrize("bimodal", [False, True], ids=["uniform", "bimodal"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_generated_text_matches_the_pinned_digest(arch, bimodal, seed):
+    text = serialize_trace(gen_synthetic(archetype_params(arch, seed, bimodal)))
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == GENERATED_DIGESTS[arch, bimodal, seed]
+
+
+def test_phase_change_head_is_cut_through_the_columns():
+    head = gen_synthetic(archetype_params("B", 5000, False), name="head")
+    events, done = [], 0
+    for e in head.events:
+        if done + e.gap + 1 > 200_000:
+            break
+        events.append(e)
+        done += e.gap + 1
+    tail = gen_synthetic(
+        SynthParams.for_rate(UniformGaps(300, 500), 0.05, 0.1, 400_000,
+                             5001, base_addr=0x900000), name="tail")
+    old = concat_traces(Trace(tuple(events), name="head"), tail,
+                        name="test-phase")
+    assert phase_change_app().trace == old

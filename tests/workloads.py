@@ -11,7 +11,9 @@ exhaustive oracle maps them to different cores with real margins:
 Half of each archetype uses the bimodal gap mixture, half uniform gaps.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from sttsim import BimodalGaps, SynthParams, Trace, UniformGaps, gen_synthetic
 from sttsim.trace import concat_traces
@@ -69,14 +71,11 @@ def phase_change_app(seed: int = 5000) -> App:
     The profiled window looks miss-heavy (a capped-core prediction), but the
     tail needs the full 2 GHz, so tight deadlines force an escalation.
     """
-    head_full = gen_synthetic(archetype_params("B", seed, False), name="head")
-    events, done = [], 0
-    for e in head_full.events:
-        if done + e.gap + 1 > 200_000:
-            break
-        events.append(e)
-        done += e.gap + 1
-    head = Trace(tuple(events), name="head")
+    full = gen_synthetic(archetype_params("B", seed, False), name="head")
+    # The accesses that end within the first 200,000 instructions.
+    cut = bisect_right(list(accumulate(gap + 1 for gap in full.gaps)), 200_000)
+    head = Trace.from_columns(full.gaps[:cut], full.writes[:cut],
+                              full.addrs[:cut], name="head")
     tail = gen_synthetic(
         SynthParams.for_rate(UniformGaps(300, 500), 0.05, 0.1, 400_000,
                              seed + 1, base_addr=0x900000), name="tail")
