@@ -7,8 +7,7 @@ from .cache import (AccessOutcome, CacheState, CacheStats, HIT, MISS,
 from .config import (CacheGeometry, CoreSpec, DvfsRange, MemTechnology, SRAM,
                      STT_10US, STT_26_5US, STT_75US, STT_400US, System,
                      TECHNOLOGIES, access_cycles, default_system,
-                     homogeneous_system, sram_system,
-                     validate_core_spec, validate_system, voltage_for_frequency)
+                     homogeneous_system, sram_system, voltage_for_frequency)
 from .configfile import ConfigError, ExperimentConfig, default_config, load_config, parse_config
 from .constraints import (BEST_PERF, Constraint, FEATURE_SETS, KINDS,
                           NO_CONSTRAINT, SLACK10, SLACK20)

@@ -225,9 +225,7 @@ def cmd_train(args) -> int:
         rows = tuple(
             (feats, select_best(sweep_rows, cfg.system, constraint)[0].core_id)
             for feats, sweep_rows in profiled)
-        data = TrainingSet(rows=rows, constraint=constraint, label_order=labels,
-                           provenance=f"profiling_core={cfg.system.profiling_core} "
-                                      f"interval={cfg.profiling_interval}")
+        data = TrainingSet(rows=rows, constraint=constraint, label_order=labels)
         model = train_tree(data, max_depth=args.max_depth,
                            min_samples_leaf=args.min_samples_leaf)
         path = args.out / f"model-{kind}.txt"

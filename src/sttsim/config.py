@@ -142,17 +142,35 @@ def voltage_for_frequency(dvfs: DvfsRange, freq_ghz: float) -> float:
 
 @dataclass(frozen=True)
 class CoreSpec:
-    """One heterogeneous core: memory technologies, DVFS range, timing knobs."""
+    """One heterogeneous core: memory technologies, DVFS range, timing knobs.
+
+    The operating frequency defaults to the cap and must lie on the DVFS grid.
+    """
 
     core_id: str
     data_tech: MemTechnology
     geometry: CacheGeometry = CacheGeometry()
     dvfs: DvfsRange = DvfsRange()
-    operating_freq_ghz: float = 2.0
-    write_cycle_budget: int = 1
+    operating_freq_ghz: float | None = None
     counter_states_k: int = 4
     base_cpi: float = 1.0
     miss_penalty_ns: float = 50.0
+
+    def __post_init__(self):
+        if self.operating_freq_ghz is None:
+            object.__setattr__(self, "operating_freq_ghz", self.freq_cap_ghz)
+        if not self.dvfs.on_grid(self.operating_freq_ghz):
+            raise ValueError(f"operating frequency {self.operating_freq_ghz} GHz "
+                             f"is off the DVFS grid")
+        k = self.counter_states_k
+        if not (k >= 2 and float(k).is_integer()):
+            raise ValueError(f"counter_states_k must be an integer >= 2, got {k}")
+        object.__setattr__(self, "counter_states_k", int(k))
+        if not 0 < self.base_cpi < INFINITE:
+            raise ValueError(f"base_cpi must be finite and > 0, got {self.base_cpi}")
+        if not 0 <= self.miss_penalty_ns < INFINITE:
+            raise ValueError(f"miss_penalty_ns must be finite and >= 0, "
+                             f"got {self.miss_penalty_ns}")
 
     @property
     def freq_cap_ghz(self) -> float:
@@ -165,51 +183,17 @@ class CoreSpec:
         return access_cycles(freq_ghz, self.data_tech.hit_latency_ns)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    subject: str
-    message: str
-
-    def __str__(self):
-        return f"{self.subject}: {self.message}"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
-    write_cycles_at_cap: int
-    read_cycles_at_cap: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate_core_spec(spec: CoreSpec) -> ValidationReport:
-    """Check every core invariant; findings are reported, never raised."""
-    issues = []
-
-    def flag(msg):
-        issues.append(ValidationIssue(spec.core_id, msg))
-
-    if not spec.dvfs.on_grid(spec.operating_freq_ghz):
-        flag(f"operating frequency {spec.operating_freq_ghz} GHz is off the DVFS grid")
-    if spec.counter_states_k < 2:
-        flag(f"counter needs >= 2 states, got {spec.counter_states_k}")
-    if spec.base_cpi <= 0:
-        flag(f"base CPI must be > 0, got {spec.base_cpi}")
-    if spec.miss_penalty_ns < 0:
-        flag(f"miss penalty must be >= 0, got {spec.miss_penalty_ns}")
-
-    cap = spec.freq_cap_ghz
-    wc = spec.write_cycles(cap)
-    rc = spec.read_cycles(cap)
-    if wc != spec.write_cycle_budget:
-        flag(f"write cycles at {cap} GHz cap are {wc}, "
-             f"declared budget is {spec.write_cycle_budget}")
-    if rc != 1:
-        flag(f"read cycles at {cap} GHz cap are {rc}, expected 1")
-    return ValidationReport(tuple(issues), wc, rc)
+def make_core(core_id: str, data_tech: MemTechnology, line: DvfsRange = DvfsRange(),
+              min_freq_ghz: float | None = None, max_freq_ghz: float | None = None,
+              **knobs) -> CoreSpec:
+    """A core whose DVFS range is [min_freq_ghz, max_freq_ghz] on `line`'s
+    grid (the whole line by default), its voltages read off the line.
+    `knobs` are the remaining CoreSpec fields."""
+    low = line.min_freq_ghz if min_freq_ghz is None else min_freq_ghz
+    cap = line.max_freq_ghz if max_freq_ghz is None else max_freq_ghz
+    dvfs = DvfsRange(low, cap, line.step_ghz, voltage_for_frequency(line, low),
+                     voltage_for_frequency(line, cap))
+    return CoreSpec(core_id=core_id, data_tech=data_tech, dvfs=dvfs, **knobs)
 
 
 @dataclass(frozen=True)
@@ -277,24 +261,6 @@ class System:
         return [self.cores[i].core_id for i in ranked]
 
 
-def validate_system(system: System) -> list[ValidationIssue]:
-    """Per-core checks plus the cross-technology monotonicity invariant."""
-    issues = []
-    for core in system.cores:
-        issues.extend(validate_core_spec(core).issues)
-    stt = sorted(
-        {c.data_tech for c in system.cores if c.data_tech.kind == "sttram"},
-        key=lambda t: t.retention_time,
-    )
-    for lo, hi in zip(stt, stt[1:]):
-        if hi.write_latency_ns <= lo.write_latency_ns:
-            issues.append(ValidationIssue(
-                hi.name,
-                f"write latency {hi.write_latency_ns} ns does not increase over "
-                f"{lo.name} ({lo.write_latency_ns} ns) despite longer retention"))
-    return issues
-
-
 # Published device rows: hit/write latency (ns), read/write energy (J/access),
 # leakage (W). STT-RAM rows share one leakage figure.
 SRAM = MemTechnology("sram", "sram", INFINITE, 0.453, 0.312,
@@ -310,36 +276,24 @@ STT_400US = MemTechnology("stt_400us", "sttram", 400e-6, 0.443, 1.389,
 
 TECHNOLOGIES = {t.name: t for t in (SRAM, STT_10US, STT_26_5US, STT_75US, STT_400US)}
 
-def _default_dvfs(cap_ghz: float) -> DvfsRange:
-    base = DvfsRange()
-    return DvfsRange(base.min_freq_ghz, cap_ghz, base.step_ghz,
-                     base.min_voltage_v, voltage_for_frequency(base, cap_ghz))
+# The reference system: retention times paired with frequency caps that hold
+# each cache's write access to one, one, two and three cycles.
+DEFAULT_CORES = (("core1", "stt_10us", 1.6), ("core2", "stt_26_5us", 1.2),
+                 ("core3", "stt_75us", 2.0), ("core4", "stt_400us", 2.0))
 
 
 def default_system(cluster_count: int = 1) -> System:
-    """The four-core reference system: retention times paired with frequency
-    caps that hold each cache's write access to its cycle budget."""
-    mk = lambda cid, tech, cap, budget: CoreSpec(
-        core_id=cid, data_tech=tech, dvfs=_default_dvfs(cap),
-        operating_freq_ghz=cap, write_cycle_budget=budget)
-    return System(cores=(
-        mk("core1", STT_10US, 1.6, 1),
-        mk("core2", STT_26_5US, 1.2, 1),
-        mk("core3", STT_75US, 2.0, 2),
-        mk("core4", STT_400US, 2.0, 3),
-    ), cluster_count=cluster_count)
+    """The four-core reference system (`DEFAULT_CORES`)."""
+    return System(cores=tuple(
+        make_core(cid, TECHNOLOGIES[tech], max_freq_ghz=cap)
+        for cid, tech, cap in DEFAULT_CORES), cluster_count=cluster_count)
 
 
 def homogeneous_system(tech: MemTechnology, count: int = 4,
                        cap_ghz: float = 2.0) -> System:
     """A system whose cores all share one data technology (baseline builds)."""
-    budget = access_cycles(cap_ghz, tech.write_latency_ns)
-    cores = tuple(
-        CoreSpec(core_id=f"core{i + 1}", data_tech=tech,
-                 dvfs=_default_dvfs(cap_ghz), operating_freq_ghz=cap_ghz,
-                 write_cycle_budget=budget)
-        for i in range(count))
-    return System(cores=cores)
+    return System(cores=tuple(make_core(f"core{i + 1}", tech, max_freq_ghz=cap_ghz)
+                              for i in range(count)))
 
 
 def sram_system(count: int = 4) -> System:

@@ -4,11 +4,13 @@ Line-oriented `key = value` pairs grouped under bracketed section headers:
 
     [dvfs] [cache] [power] [system] [tech.<name>] [core.<id>]
 
-Every error carries a line number: the offending line's, or for a value
-the section rejects as a whole, its header's. When any [core.*] section is
-present the file defines the whole core set; otherwise the built-in
-four-core system is used and the other sections only tune it. See the
-README for the full key reference.
+Each section's keys map onto the fields of one object (`_KEYS`); a key the
+file leaves out keeps its class's default. Every error carries a line number:
+the offending line's, or for a value the object rejects as a whole, its
+section header's. When any [core.*] section is present the file defines the
+whole core set; otherwise the built-in cores (`DEFAULT_CORES`) are built by
+the same path, so every other section tunes them. See the README for the full
+key reference.
 """
 
 from __future__ import annotations
@@ -16,41 +18,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .config import (CacheGeometry, CoreSpec, DvfsRange, MemTechnology, System,
-                     TECHNOLOGIES, default_system, voltage_for_frequency)
+from .config import (DEFAULT_CORES, CacheGeometry, DvfsRange, MemTechnology,
+                     System, TECHNOLOGIES, default_system, make_core)
 from .engine import PowerModel
 from .scheduler import (DEFAULT_HISTORY_CAPACITY, DEFAULT_MIGRATION_TIME_S,
                         DEFAULT_PREDICTION_TIME_S, DEFAULT_PROFILING_INTERVAL)
 
 
 class ConfigError(ValueError):
-    def __init__(self, line_no: int | None, message: str):
-        where = f"line {line_no}: " if line_no else ""
+    def __init__(self, line_no: int | None, message: str, path=None):
+        where = "" if path is None else f"{path}: "
+        if line_no:
+            where += f"line {line_no}: "
         super().__init__(where + message)
         self.line_no = line_no
-
-
-_SECTION_KEYS = {
-    "dvfs": {"min_freq_ghz", "max_freq_ghz", "step_ghz",
-             "min_voltage_v", "max_voltage_v"},
-    "cache": {"capacity_bytes", "line_bytes", "ways"},
-    "power": {"effective_capacitance_f", "static_power_points"},
-    "system": {"cluster_count", "profiling_core", "base_core",
-               "history_capacity", "profiling_interval",
-               "prediction_time_us", "migration_time_us"},
-    "tech": {"kind", "retention_s", "hit_latency_ns", "write_latency_ns",
-             "read_energy_nj", "write_energy_nj", "leakage_mw"},
-    "core": {"data_tech", "min_freq_ghz", "max_freq_ghz",
-             "operating_freq_ghz", "write_cycle_budget", "counter_states_k",
-             "base_cpi", "miss_penalty_ns"},
-}
+        self.message = message
+        self.path = path
 
 
 @dataclass
 class ExperimentConfig:
     system: System
     power: PowerModel
-    technologies: dict[str, MemTechnology]
     history_capacity: int = DEFAULT_HISTORY_CAPACITY
     profiling_interval: int = DEFAULT_PROFILING_INTERVAL
     prediction_time_s: float = DEFAULT_PREDICTION_TIME_S
@@ -58,8 +47,83 @@ class ExperimentConfig:
 
 
 def default_config() -> ExperimentConfig:
-    return ExperimentConfig(system=default_system(), power=PowerModel(),
-                            technologies=dict(TECHNOLOGIES))
+    return ExperimentConfig(system=default_system(), power=PowerModel())
+
+
+# Value converters: each turns a value's text into the field's value in the
+# field's unit, or raises ValueError, which `parse_config` reports at the line.
+
+def _number(text) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
+
+
+def _integer(text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _count(text) -> int:
+    number = _integer(text)
+    if number < 1:
+        raise ValueError("must be an integer >= 1")
+    return number
+
+
+def _micros(text) -> float:
+    number = _number(text)
+    if not 0 <= number < math.inf:
+        raise ValueError("must be a finite number >= 0")
+    return number * 1e-6
+
+
+def _retention(text) -> float:
+    return math.inf if text.lower() == "infinite" else _number(text)
+
+
+def _points(text) -> tuple[tuple[float, float], ...]:
+    points = []
+    for chunk in text.split(","):
+        v, sep, w = chunk.strip().partition(":")
+        if not sep:
+            raise ValueError(f"expected 'V:W', got {chunk!r}")
+        points.append((_number(v), _number(w)))
+    return tuple(points)
+
+
+def _same(convert, *keys):
+    return {key: (key, convert) for key in keys}
+
+
+# Each section's keys: key -> (field, converter). [dvfs] builds the global
+# DVFS line, [core.*] the arguments of `make_core`, and [system] the System
+# plus the runtime fields of ExperimentConfig.
+_KEYS = {
+    "dvfs": _same(_number, "min_freq_ghz", "max_freq_ghz", "step_ghz",
+                  "min_voltage_v", "max_voltage_v"),
+    "cache": _same(_integer, "capacity_bytes", "line_bytes", "ways"),
+    "power": {"effective_capacitance_f": ("effective_capacitance_f", _number),
+              "static_power_points": ("static_points", _points)},
+    "system": {**_same(_integer, "cluster_count"),
+               **_same(str, "profiling_core", "base_core"),
+               **_same(_count, "history_capacity", "profiling_interval"),
+               "prediction_time_us": ("prediction_time_s", _micros),
+               "migration_time_us": ("migration_time_s", _micros)},
+    "tech": {"kind": ("kind", str),
+             "retention_s": ("retention_time", _retention),
+             **_same(_number, "hit_latency_ns", "write_latency_ns"),
+             "read_energy_nj": ("read_energy_j", lambda text: _number(text) * 1e-9),
+             "write_energy_nj": ("write_energy_j", lambda text: _number(text) * 1e-9),
+             "leakage_mw": ("leakage_w", lambda text: _number(text) * 1e-3)},
+    "core": {**_same(str, "data_tech"),
+             **_same(_number, "min_freq_ghz", "max_freq_ghz",
+                     "operating_freq_ghz", "counter_states_k", "base_cpi",
+                     "miss_penalty_ns")},
+}
 
 
 def _tokenize(text: str):
@@ -90,7 +154,7 @@ def _tokenize(text: str):
 
 def _check_key(line_no, section, key):
     family = section.split(".", 1)[0]
-    allowed = _SECTION_KEYS.get(family)
+    allowed = _KEYS.get(family)
     if allowed is None:
         raise ConfigError(line_no, f"unknown section [{section}]")
     if family in ("tech", "core") and "." not in section:
@@ -101,21 +165,8 @@ def _check_key(line_no, section, key):
             f"(expected one of: {', '.join(sorted(allowed))})")
 
 
-def _num(line_no, key, value) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(line_no, f"{key}: expected a number, got {value!r}") from None
-
-
-def _intval(line_no, key, value) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(line_no, f"{key}: expected an integer, got {value!r}") from None
-
-
 def parse_config(text: str) -> ExperimentConfig:
+    """The configuration a text sets; an error is a ConfigError naming a line."""
     sections: dict[str, dict[str, tuple[int, str]]] = {}
     headers: dict[str, int] = {}  # the line of each section's header
     for line_no, section, key, value in _tokenize(text):
@@ -130,168 +181,86 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(line_no, f"duplicate key {key!r} in [{section}]")
         sections[section][key] = (line_no, value)
 
-    def take(section, key, conv, default, low=None):
-        if section not in sections or key not in sections[section]:
-            return default
-        line_no, value = sections[section][key]
-        number = conv(line_no, key, value)
-        if low is not None and not low <= number < math.inf:
-            raise ConfigError(line_no, f"{key}: must be a finite number >= {low}")
-        return number
+    def fields(section, family=None):
+        """The fields set by `section`'s keys, converted."""
+        table = _KEYS[family or section]
+        out = {}
+        for key, (line_no, value) in sections.get(section, {}).items():
+            field, convert = table[key]
+            try:
+                out[field] = convert(value)
+            except ValueError as exc:
+                raise ConfigError(line_no, f"{key}: {exc}") from None
+        return out
 
-    base_dvfs = _build(headers.get("dvfs"), "dvfs", DvfsRange,
-        min_freq_ghz=take("dvfs", "min_freq_ghz", _num, 0.8),
-        max_freq_ghz=take("dvfs", "max_freq_ghz", _num, 2.0),
-        step_ghz=take("dvfs", "step_ghz", _num, 0.2),
-        min_voltage_v=take("dvfs", "min_voltage_v", _num, 0.9),
-        max_voltage_v=take("dvfs", "max_voltage_v", _num, 1.35),
-    )
-    geometry = _build(headers.get("cache"), "cache", CacheGeometry,
-        capacity_bytes=take("cache", "capacity_bytes", _intval, 32 * 1024),
-        line_bytes=take("cache", "line_bytes", _intval, 64),
-        ways=take("cache", "ways", _intval, 4),
-    )
+    line = _build(headers.get("dvfs"), "[dvfs]", DvfsRange, **fields("dvfs"))
+    geometry = _build(headers.get("cache"), "[cache]", CacheGeometry, **fields("cache"))
+    power = _build(headers.get("power"), "[power]", PowerModel, **fields("power"))
 
-    power = _parse_power(sections.get("power", {}), headers.get("power"))
     technologies = dict(TECHNOLOGIES)
-    for name, spec, at in _iter_named(sections, headers, "tech"):
-        technologies[name] = _parse_tech(name, spec, at)
+    for name, at in _named(headers, "tech"):
+        technologies[name] = _parse_tech(name, fields(f"tech.{name}", "tech"), at)
 
-    core_sections = list(_iter_named(sections, headers, "core"))
-    if core_sections:
-        cores = tuple(
-            _parse_core(name, spec, at, technologies, base_dvfs, geometry)
-            for name, spec, at in core_sections)
-    else:
-        cores = tuple(
-            replace(c, geometry=geometry) for c in default_system().cores)
+    cores = []  # (core id, make_core arguments, line and label for its errors)
+    for name, at in _named(headers, "core"):
+        spec = fields(f"core.{name}", "core")
+        tech = spec.get("data_tech")
+        if tech is None:
+            raise ConfigError(at, f"[core.{name}] is missing 'data_tech'")
+        if tech not in technologies:
+            raise ConfigError(sections[f"core.{name}"]["data_tech"][0],
+                              f"data_tech: unknown technology {tech!r}")
+        spec["data_tech"] = technologies[tech]
+        cores.append((name, spec, at, f"[core.{name}]"))
+    if not cores:
+        # Only [dvfs] can leave a built-in core unbuildable (its cap off the line).
+        cores = [(cid, {"data_tech": technologies[tech], "max_freq_ghz": cap},
+                  headers.get("dvfs"), f"[dvfs] (built-in {cid})")
+                 for cid, tech, cap in DEFAULT_CORES]
+    built = tuple(_build(at, where, make_core, name, line=line, geometry=geometry, **spec)
+                  for name, spec, at, where in cores)
 
-    system = _build(headers.get("system"), "system", System,
-        cores=cores,
-        cluster_count=take("system", "cluster_count", _intval, 1),
-        profiling_core=take("system", "profiling_core", lambda l, k, v: v, ""),
-        base_core=take("system", "base_core", lambda l, k, v: v, ""),
-    )
-
-    return ExperimentConfig(
-        system=system,
-        power=power,
-        technologies=technologies,
-        history_capacity=take("system", "history_capacity", _intval,
-                              DEFAULT_HISTORY_CAPACITY, low=1),
-        profiling_interval=take("system", "profiling_interval", _intval,
-                                DEFAULT_PROFILING_INTERVAL, low=1),
-        prediction_time_s=take("system", "prediction_time_us", _num,
-                               DEFAULT_PREDICTION_TIME_S * 1e6, low=0) * 1e-6,
-        migration_time_s=take("system", "migration_time_us", _num,
-                              DEFAULT_MIGRATION_TIME_S * 1e6, low=0) * 1e-6,
-    )
+    settings = fields("system")
+    runtime = {f: settings.pop(f) for f in list(settings)
+               if f in ExperimentConfig.__dataclass_fields__}
+    system = _build(headers.get("system"), "[system]", System, cores=built, **settings)
+    return ExperimentConfig(system=system, power=power, **runtime)
 
 
-def _build(at, section, make, **kw):
-    """`make(**kw)`, its ValueError turned into a ConfigError at `at`, the
-    line of the section's header."""
+def _build(at, where, make, *args, **kw):
+    """`make(*args, **kw)`, its ValueError turned into a ConfigError at `at`,
+    the line of the section's header, prefixed by `where`."""
     try:
-        return make(**kw)
+        return make(*args, **kw)
     except (ValueError, OverflowError) as exc:
-        raise ConfigError(at, f"[{section}]: {exc}") from None
+        raise ConfigError(at, f"{where}: {exc}") from None
 
 
-def _iter_named(sections, headers, family):
-    for section, spec in sections.items():
+def _named(headers, family):
+    """(name, header line) of each [family.name] section, in file order."""
+    for section, at in headers.items():
         if section.startswith(family + "."):
-            yield section.split(".", 1)[1], spec, headers[section]
+            yield section.split(".", 1)[1], at
 
 
-def _parse_power(spec, at) -> PowerModel:
-    cap = 10e-12
-    points = None
-    if "effective_capacitance_f" in spec:
-        line_no, value = spec["effective_capacitance_f"]
-        cap = _num(line_no, "effective_capacitance_f", value)
-    if "static_power_points" in spec:
-        line_no, value = spec["static_power_points"]
-        points = []
-        for chunk in value.split(","):
-            v, sep, w = chunk.strip().partition(":")
-            if not sep:
-                raise ConfigError(line_no,
-                                  f"static_power_points: expected 'V:W', got {chunk!r}")
-            points.append((_num(line_no, "voltage", v), _num(line_no, "watts", w)))
-        points = tuple(points)
-    if points is None:
-        return _build(at, "power", PowerModel, effective_capacitance_f=cap)
-    return _build(at, "power", PowerModel, effective_capacitance_f=cap,
-                  static_points=points)
-
-
-def _parse_tech(name, spec, at) -> MemTechnology:
-    def need(key):
-        if key not in spec:
+def _parse_tech(name, fields, at) -> MemTechnology:
+    """A built-in row with the given fields overridden, or a new row that
+    sets every key (`retention_s` defaults to infinite for SRAM)."""
+    if name in TECHNOLOGIES:
+        return _build(at, f"[tech.{name}]", replace, TECHNOLOGIES[name], **fields)
+    if fields.get("kind") == "sram":
+        fields.setdefault("retention_time", math.inf)
+    for key, (field, _) in _KEYS["tech"].items():
+        if field not in fields:
             raise ConfigError(at, f"[tech.{name}] is missing {key!r}")
-        return spec[key]
-
-    line_no, kind = need("kind")
-    if kind not in ("sram", "sttram"):
-        raise ConfigError(line_no, f"kind must be sram or sttram, got {kind!r}")
-    if kind == "sram":
-        retention = math.inf
-        if "retention_s" in spec:
-            line_no2, value = spec["retention_s"]
-            if value.lower() not in ("inf", "infinite"):
-                raise ConfigError(line_no2, "SRAM retention must be 'infinite'")
-    else:
-        line_no2, value = need("retention_s")
-        retention = _num(line_no2, "retention_s", value)
-
-    def num(key):
-        ln, value = need(key)
-        return _num(ln, key, value)
-
-    return _build(
-        at, f"tech.{name}", MemTechnology,
-        name=name, kind=kind, retention_time=retention,
-        hit_latency_ns=num("hit_latency_ns"),
-        write_latency_ns=num("write_latency_ns"),
-        read_energy_j=num("read_energy_nj") * 1e-9,
-        write_energy_j=num("write_energy_nj") * 1e-9,
-        leakage_w=num("leakage_mw") * 1e-3)
-
-
-def _parse_core(name, spec, at, technologies, base_dvfs,
-                geometry) -> CoreSpec:
-    if "data_tech" not in spec:
-        raise ConfigError(at, f"[core.{name}] is missing 'data_tech'")
-    line_no, value = spec["data_tech"]
-    if value not in technologies:
-        raise ConfigError(line_no, f"data_tech: unknown technology {value!r}")
-    data_tech = technologies[value]
-
-    def num(key, default):
-        if key not in spec:
-            return default
-        line_no, value = spec[key]
-        return _num(line_no, key, value)
-
-    cap = num("max_freq_ghz", base_dvfs.max_freq_ghz)
-    low = num("min_freq_ghz", base_dvfs.min_freq_ghz)
-    operating = num("operating_freq_ghz", cap)
-    budget = num("write_cycle_budget", 1)
-    k = num("counter_states_k", 4)
-    cpi = num("base_cpi", 1.0)
-    penalty = num("miss_penalty_ns", 50.0)
-    try:
-        dvfs = DvfsRange(low, cap, base_dvfs.step_ghz,
-                         voltage_for_frequency(base_dvfs, low),
-                         voltage_for_frequency(base_dvfs, cap))
-        return CoreSpec(
-            core_id=name, data_tech=data_tech, geometry=geometry, dvfs=dvfs,
-            operating_freq_ghz=operating, write_cycle_budget=int(budget),
-            counter_states_k=int(k), base_cpi=cpi, miss_penalty_ns=penalty)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(at, f"[core.{name}]: {exc}") from None
+    return _build(at, f"[tech.{name}]", MemTechnology, name=name, **fields)
 
 
 def load_config(path) -> ExperimentConfig:
+    """Parse a config file; an error names the file and the line."""
     with open(path) as fh:
-        return parse_config(fh.read())
+        text = fh.read()
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(exc.line_no, exc.message, path) from None

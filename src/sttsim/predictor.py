@@ -250,12 +250,11 @@ class CorePredictor:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Labeled feature vectors plus the provenance needed to reuse them."""
+    """Feature vectors labelled with the best core under one constraint."""
 
     rows: tuple[tuple[FeatureVector, str], ...]
     constraint: Constraint
     label_order: tuple[str, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         bad = {lab for _, lab in self.rows} - set(self.label_order)
@@ -267,10 +266,6 @@ class TrainingSet:
         X = [fv.row(names) for fv, _ in self.rows]
         y = [lab for _, lab in self.rows]
         return X, y
-
-    @property
-    def distinct_labels(self) -> int:
-        return len({lab for _, lab in self.rows})
 
 
 def train_tree(data: TrainingSet, max_depth: int = 5,

@@ -425,6 +425,13 @@ class SynthParams:
             raise ValueError("memory_op_fraction must be in (0, 1]")
         if self.total_instructions < 1:
             raise ValueError("total_instructions must be >= 1")
+        if self.line_bytes < 1:
+            raise ValueError("line_bytes must be >= 1")
+        if self.base_addr < 0:
+            raise ValueError("base_addr must be >= 0")
+        if self.base_addr + (self.working_set_blocks - 1) * self.line_bytes >= 2**64:
+            raise ValueError("base_addr + (working_set_blocks - 1) * line_bytes "
+                             "must be < 2**64")
 
     @classmethod
     def for_rate(cls, reuse_gaps, memory_op_fraction, write_fraction,

@@ -102,9 +102,7 @@ def models(system, train_oracle) -> dict[str, CorePredictor]:
             constraint = Constraint(kind)
             rows = tuple((o.features, o.label(kind)) for o in train_oracle)
             data = TrainingSet(rows=rows, constraint=constraint,
-                               label_order=labels,
-                               provenance=f"profiling_core={system.profiling_core} "
-                                          f"interval={PROFILING_INTERVAL}")
+                               label_order=labels)
             out[kind] = train_tree(data)
         return out
     return _timed(build)

@@ -124,7 +124,7 @@ class TestSweep:
     def test_row_count_and_reruns_identical(self, tmp_path, fig_trace):
         single = tmp_path / "one.cfg"
         single.write_text("[core.1]\ndata_tech = stt_75us\n"
-                          "max_freq_ghz = 2.0\nwrite_cycle_budget = 2\n")
+                          "max_freq_ghz = 2.0\n")
         args = ["sweep", "--trace", fig_trace, "--config", single,
                 "--out", tmp_path, "--no-timestamp"]
         assert run_cli(*args) == 0
@@ -148,6 +148,22 @@ class TestSweep:
                        "--out", tmp_path)
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, where", [
+        ("counter_states_k = 0", "line 2: [core.core1]: "),
+        ("counter_states_k = 1", "line 2: [core.core1]: "),
+        ("base_cpi = -1", "line 2: [core.core1]: "),
+        ("miss_penalty_ns = -5", "line 2: [core.core1]: "),
+        ("operating_freq_ghz = 1.1", "line 2: [core.core1]: "),
+        ("write_cycle_budget = 1", "line 4: unknown key ")])
+    def test_bad_config_names_file_and_line(self, tmp_path, fig_trace, capsys,
+                                            setting, where):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"# one core\n[core.1]\ndata_tech = stt_10us\n{setting}\n")
+        code = run_cli("simulate", "--trace", fig_trace, "--core", "core1",
+                       "--config", bad, "--out", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {bad}: {where}")
 
 
 def _write_workload(tmp_path, seed, name, gaps="uniform:300:500",
@@ -236,9 +252,7 @@ class TestTrainPredictSchedule:
                          for f, t in zip(feats, loaded))
             data = TrainingSet(
                 rows=rows, constraint=constraint,
-                label_order=tuple(cfg.system.labels()),
-                provenance=f"profiling_core={cfg.system.profiling_core} "
-                           f"interval={cfg.profiling_interval}")
+                label_order=tuple(cfg.system.labels()))
             assert ((out / f"model-{kind}.txt").read_text()
                     == dump_tree(train_tree(data), constraint))
 

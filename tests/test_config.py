@@ -5,7 +5,7 @@ import pytest
 from sttsim import (CacheGeometry, CoreSpec, DvfsRange, MemTechnology, SRAM,
                     STT_10US, STT_26_5US, STT_75US, STT_400US, TECHNOLOGIES,
                     System, access_cycles, default_system, sram_system,
-                    validate_core_spec, validate_system, voltage_for_frequency)
+                    voltage_for_frequency)
 
 STT_TECHS = [STT_10US, STT_26_5US, STT_75US, STT_400US]
 
@@ -102,55 +102,45 @@ class TestTypes:
 class TestValidation:
     def test_default_cores_are_clean(self):
         for core in default_system().cores:
-            report = validate_core_spec(core)
-            assert report.ok, report.issues
-            assert report.read_cycles_at_cap == 1
+            assert core.read_cycles(core.freq_cap_ghz) == 1
+            assert core.operating_freq_ghz == core.freq_cap_ghz
 
     def test_default_write_cycle_budgets(self):
-        budgets = {c.core_id: validate_core_spec(c).write_cycles_at_cap
+        budgets = {c.core_id: c.write_cycles(c.freq_cap_ghz)
                    for c in default_system().cores}
         assert budgets == {"core1": 1, "core2": 1, "core3": 2, "core4": 3}
 
     def test_overclocked_cap_breaks_the_budget(self):
         dvfs = DvfsRange(0.8, 1.8, 0.2, 0.9, 1.275)
-        spec = CoreSpec(core_id="x", data_tech=STT_10US, dvfs=dvfs,
-                        operating_freq_ghz=1.8, write_cycle_budget=1)
-        report = validate_core_spec(spec)
-        assert not report.ok
-        assert report.write_cycles_at_cap == 2
+        spec = CoreSpec(core_id="x", data_tech=STT_10US, dvfs=dvfs)
+        assert spec.write_cycles(spec.freq_cap_ghz) == 2
 
     def test_sram_core_is_single_cycle_at_any_cap(self):
         core = sram_system().cores[0]
-        report = validate_core_spec(core)
-        assert report.ok
-        assert (report.read_cycles_at_cap, report.write_cycles_at_cap) == (1, 1)
+        cap = core.freq_cap_ghz
+        assert (core.read_cycles(cap), core.write_cycles(cap)) == (1, 1)
 
     def test_off_grid_operating_freq_flagged(self):
         base = default_system().core("core1")
-        spec = CoreSpec(core_id="x", data_tech=base.data_tech, dvfs=base.dvfs,
-                        operating_freq_ghz=1.5, write_cycle_budget=1)
-        assert any("off the DVFS grid" in str(i)
-                   for i in validate_core_spec(spec).issues)
+        with pytest.raises(ValueError, match="off the DVFS grid"):
+            CoreSpec(core_id="x", data_tech=base.data_tech, dvfs=base.dvfs,
+                     operating_freq_ghz=1.5)
 
-    def test_system_checks_write_latency_ordering(self):
-        sys_ = default_system()
-        assert validate_system(sys_) == []
-        shuffled = MemTechnology("stt_bad", "sttram", 500e-6, 0.44, 0.9,
-                                 0.003e-9, 0.04e-9, 13.1448e-3)
-        cores = list(sys_.cores)
-        cores[3] = CoreSpec(core_id="core4", data_tech=shuffled,
-                            dvfs=cores[3].dvfs, operating_freq_ghz=2.0,
-                            write_cycle_budget=2)
-        issues = validate_system(System(cores=tuple(cores)))
-        assert any("does not increase" in str(i) for i in issues)
+    @pytest.mark.parametrize("knob, value", [
+        ("counter_states_k", 1), ("counter_states_k", 2.5),
+        ("counter_states_k", math.inf), ("base_cpi", 0.0),
+        ("base_cpi", math.nan), ("miss_penalty_ns", -5.0),
+        ("miss_penalty_ns", math.inf)])
+    def test_core_knobs_rejected(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            CoreSpec(core_id="x", data_tech=STT_10US, **{knob: value})
 
 
 class TestSystem:
     def test_duplicate_labels_rejected(self):
         core = default_system().core("core1")
         twin = CoreSpec(core_id="core1", data_tech=core.data_tech, dvfs=core.dvfs,
-                        operating_freq_ghz=core.operating_freq_ghz,
-                        write_cycle_budget=core.write_cycle_budget)
+                        operating_freq_ghz=core.operating_freq_ghz)
         with pytest.raises(ValueError):
             System(cores=(core, twin))
 

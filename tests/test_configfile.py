@@ -1,8 +1,11 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sttsim import ConfigError, parse_config
-from sttsim.configfile import default_config
+from sttsim import ConfigError, PowerModel, parse_config
+from sttsim.configfile import _KEYS, default_config
 
 FULL = """
 # a complete four-core definition
@@ -34,13 +37,11 @@ leakage_mw = 13.1448
 [core.1]
 data_tech = fast_stt
 max_freq_ghz = 1.6
-write_cycle_budget = 1
 
 [core.2]
 data_tech = stt_400us
 max_freq_ghz = 2.0
 operating_freq_ghz = 1.4
-write_cycle_budget = 3
 
 [system]
 cluster_count = 2
@@ -79,7 +80,7 @@ class TestParsing:
 
     def test_builtin_technologies_referencable(self):
         cfg = parse_config("[core.1]\ndata_tech = stt_75us\n"
-                           "max_freq_ghz = 2.0\nwrite_cycle_budget = 2\n")
+                           "max_freq_ghz = 2.0\n")
         assert cfg.system.cores[0].data_tech.name == "stt_75us"
 
     def test_per_core_voltage_follows_global_line(self):
@@ -91,6 +92,31 @@ class TestParsing:
         cfg = parse_config("[system]\ncluster_count = 4\n")
         assert len(cfg.system.cores) == 4
         assert cfg.system.cluster_count == 4
+
+    def test_empty_file_is_the_default_config(self):
+        cfg, default = parse_config(""), default_config()
+        assert cfg.system == default.system
+        assert cfg.power == default.power
+        assert cfg == default
+
+    def test_unset_capacitance_takes_the_power_model_default(self):
+        cfg = parse_config("[power]\nstatic_power_points = 0.9:0.3\n")
+        assert cfg.power.effective_capacitance_f == PowerModel().effective_capacitance_f
+
+    def test_sections_reach_the_builtin_cores(self):
+        cfg = parse_config("[dvfs]\nstep_ghz = 0.1\nmax_voltage_v = 1.5\n"
+                           "[cache]\nways = 2\n"
+                           "[tech.stt_10us]\nretention_s = 20e-6\n")
+        default = default_config().system
+        for core in cfg.system.cores:
+            assert core.dvfs.step_ghz == 0.1
+            assert core.geometry.ways == 2
+            assert core.data_tech.name == default.core(core.core_id).data_tech.name
+        core1 = cfg.system.core("core1")
+        assert core1.data_tech.retention_time == 20e-6
+        assert core1.data_tech.write_latency_ns == 0.601  # the rest of the row stays
+        assert core1.dvfs.max_voltage_v == pytest.approx(1.3)  # 1.6 GHz on the line
+        assert cfg.system.core("core3").data_tech == default.core("core3").data_tech
 
 
 class TestErrors:
@@ -149,9 +175,15 @@ class TestErrors:
 
     @pytest.mark.parametrize("text, line_no", [
         ("[dvfs]\nmin_freq_ghz = 3.0\n", 1),
+        ("\n[dvfs]\nmax_freq_ghz = 1.8\n", 2),  # off a built-in core's cap
         ("[cache]\nways = 3\n", 1),
         ("\n[system]\ncluster_count = 0\n", 2),
-        ("[core.1]\ndata_tech = sram\nwrite_cycle_budget = 1e999\n", 1),
+        ("[core.1]\ndata_tech = sram\ncounter_states_k = 1e999\n", 1),
+        ("[core.1]\ndata_tech = sram\ncounter_states_k = 0\n", 1),
+        ("[core.1]\ndata_tech = sram\ncounter_states_k = 1\n", 1),
+        ("\n[core.2]\ndata_tech = sram\nbase_cpi = -1\n", 2),
+        ("[core.1]\ndata_tech = sram\nmiss_penalty_ns = -5\n", 1),
+        ("[core.1]\ndata_tech = sram\noperating_freq_ghz = 1.1\n", 1),
         ("[core.1]\ndata_tech = sram\noperating_freq_ghz = x\n", 3),
         ("[core.1]\ndata_tech = sram\n[core.core1]\ndata_tech = sram\n", 3),
         ("[system]\nhistory_capacity = -1\n", 2),
@@ -172,6 +204,28 @@ class TestErrors:
             parse_config(text)
         assert err.value.line_no == line_no
 
+    def test_write_cycle_budget_is_unknown(self):
+        text = "[core.1]\ndata_tech = stt_10us\nwrite_cycle_budget = 1\n"
+        with pytest.raises(ConfigError, match="unknown key 'write_cycle_budget'") as err:
+            parse_config(text)
+        assert err.value.line_no == 3
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_lists_exactly_the_parsed_keys():
+    """Each row of the README's config-key table names the keys the parser
+    accepts for that section: the backticked words outside parentheses."""
+    documented = {}
+    for row in README.read_text().splitlines():
+        cells = row.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`["):
+            family = re.match(r"`\[(\w+)", cells[1].strip()).group(1)
+            documented[family] = set(re.findall(r"`(\w+)`",
+                                                re.sub(r"\([^)]*\)", "", cells[2])))
+    assert documented == {family: set(keys) for family, keys in _KEYS.items()}
+
 
 TUNING = """
 [cache]
@@ -183,8 +237,9 @@ cluster_count = 2
 profiling_core = core2
 prediction_time_us = 1.5
 """
-LEGACY = FULL.replace("write_cycle_budget = 3\n",
-                      "write_cycle_budget = 3\ninstr_tech = stt_400us\n")
+LEGACY = FULL.replace("operating_freq_ghz = 1.4\n",
+                      "operating_freq_ghz = 1.4\nwrite_cycle_budget = 3\n"
+                      "instr_tech = stt_400us\n")
 LEGACY = LEGACY.replace("[system]\n", "[system]\ninstr_tech_scale = 2.0\n")
 VALUES = st.one_of(st.sampled_from(
     ["0", "1", "-1", "0.5", "1e999", "-inf", "nan", "infinite", "x", "",
@@ -196,8 +251,8 @@ VALUES = st.one_of(st.sampled_from(
 
 @st.composite
 def mutated_configs(draw):
-    """A valid config text, or one that still sets an instruction-cache key,
-    with a few lines dropped, repeated, swapped, inserted or changed."""
+    """A valid config text, or one that still sets a deleted key, with a few
+    lines dropped, repeated, swapped, inserted or changed."""
     lines = draw(st.sampled_from([FULL, TUNING, LEGACY])).split("\n")
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(lines)))

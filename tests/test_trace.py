@@ -161,6 +161,14 @@ class TestGenerator:
             UniformGaps(10.0, 20)
         with pytest.raises(ValueError, match="integers"):
             BimodalGaps(1, 2, 3, 4.5)
+        for field, kw in (("line_bytes", {"line_bytes": 0}),
+                          ("base_addr", {"base_addr": -64}),
+                          ("base_addr", {"base_addr": 2**64 - 64})):
+            with pytest.raises(ValueError, match=field):
+                SynthParams(2, UniformGaps(10, 20), 0.5, 0.5, 100, 1, **kw)
+        top = SynthParams(2, UniformGaps(10, 20), 0.5, 0.5, 100, 1,
+                          base_addr=2**64 - 128)
+        assert max(gen_synthetic(top).addrs) == 2**64 - 64
 
     def test_lifetime_control_raises_expirations(self, power):
         # Longer long-mode gaps push reuse past the monitor lifetime on a
