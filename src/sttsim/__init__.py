@@ -17,11 +17,11 @@ from .engine import (PowerModel, RunResult, SweepResult, cache_energy, edp,
 from .features import FeatureVector, features_from_run, profile_application
 from .predictor import (CorePredictor, TrainingSet, dump_tree, gini,
                         label_oracle, load_model, load_tree, save_model,
-                        select_features, train_tree)
+                        train_tree)
 from .scheduler import (AppPlacement, HistoryTable, ScheduleDecision,
                         Scheduler, WorkloadAssignment)
 from .trace import (BimodalGaps, SynthParams, Trace, TraceEvent,
                     TraceParseError, UniformGaps, gen_synthetic, load_trace,
-                    parse_trace, serialize_trace, trace_stats, write_trace)
+                    parse_trace, serialize_trace, write_trace)
 
 __version__ = "0.1.0"

@@ -20,6 +20,16 @@ A window that ends before the pass's first eviction is an LRU run of its
 own; its spans are bounded by the componentwise minimum of the pass's widest
 span and the whole window taken as one span.
 
+The opposite case has a certificate of its own. In a run where every access
+misses, each set is a queue of fills and every access time is a fixed sum of
+counts, so `miss_facts` keeps, in one more frequency-free pass, the shortest
+interval between two accesses of a block that the set could still hold, the
+shortest between an access and the `ways`-th earlier access of its set, and
+the index of that earlier access. Where the first interval lasts a lifetime
+at a point, every access misses and `CacheState.derive_misses` counts the
+run; where the second does too nothing is evicted, and otherwise one pass
+over the run's times finds each eviction and its victim.
+
 Each set is a dict from tag to (expiry_ns, dirty), least recently used
 first, plus a lower bound on the expiry times it holds. A block expires at
 the first time `now >= expiry_ns`, for an access and at the end of a run
@@ -30,8 +40,12 @@ bound, so the common access neither scans the ways nor tests an expiry.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, itemgetter, lt, mul
 
 from .config import CoreSpec, access_cycles
 
@@ -177,6 +191,58 @@ class LruShadow:
         return tuple(
             max(widest, total - min((b[i] for b in marks), default=total))
             for i, (widest, total) in enumerate(zip(self._widest, self.totals)))
+
+
+def miss_facts(geometry, gaps, writes, addrs):
+    """What no frequency changes about a stream of accesses to a cache of
+    `geometry`, read by `CacheState.derive_misses`: (back, reuse, fifo).
+
+    `back[i]` is the index of the `ways`-th earlier access to access i's set,
+    or -1 if there is none. `reuse` and `fifo` record, as (i, gaps, reads,
+    writes), the componentwise minimum over intervals ending at or before
+    access i, each time it drops: `reuse` over the intervals from an access
+    to the next one of its block, if fewer than `ways` accesses to the set
+    lie between (a); `fifo` over those from `back[i]` to i (b). An interval
+    from j to i covers the gaps after j and the reads and writes before i.
+    """
+    ways = geometry.ways
+    shift, mask = geometry.line_bytes.bit_length() - 1, geometry.sets - 1
+    recent = [deque(maxlen=ways) for _ in range(geometry.sets)]
+    last = {}  # block -> (index, gaps, reads) at its latest access
+    back = array("i")
+    keep = back.append
+    reuse, fifo = [], []
+    ag = ar = aw = bg = br = bw = math.inf
+    g = r = 0
+    for i, gap, write, addr in zip(count(), gaps, writes, addrs):
+        g += gap
+        tag = addr >> shift
+        seen = recent[tag & mask]
+        if len(seen) == ways:
+            k, gk, rk = seen[0]
+            dg = g - gk
+            dr = r - rk
+            dw = i - k - dr
+            if dg < bg or dr < br or dw < bw:
+                bg, br, bw = min(bg, dg), min(br, dr), min(bw, dw)
+                fifo.append((i, bg, br, bw))
+        else:
+            k = -1
+        keep(k)
+        prev = last.get(tag)
+        if prev is not None and prev[0] >= k:
+            j, gj, rj = prev
+            dg = g - gj
+            dr = r - rj
+            dw = i - j - dr
+            if dg < ag or dr < ar or dw < aw:
+                ag, ar, aw = min(ag, dg), min(ar, dr), min(aw, dw)
+                reuse.append((i, ag, ar, aw))
+        last[tag] = mark = (i, g, r)
+        seen.append(mark)
+        if not write:
+            r += 1
+    return back, reuse, fifo
 
 
 class CacheState:
@@ -359,6 +425,8 @@ class CacheState:
         stays below the lifetime by more than the rounding of the run's
         times, no block expires and the run is the shadow's LRU run; with an
         integer `cpi`, its cycles are an exact integer sum, as in a replay.
+        A run it refuses may still be one in which every access misses,
+        which `derive_misses` derives.
         """
         rc, wc, pen = self.read_cycles, self.write_cycles, self.penalty_cycles
         _, reads, writes, misses, write_hits, evictions, dirty = totals
@@ -373,6 +441,82 @@ class CacheState:
         self._count(reads - misses + write_misses, write_hits,
                     misses - write_misses, write_misses, 0, evictions, dirty,
                     0, misses)
+        return float(cycles)
+
+    def derive_misses(self, facts, shadow: bytearray, gaps, writes: bytes,
+                      addrs, tail: int, nonmem: int, cpi: float,
+                      ns_per_cycle: float) -> float | None:
+        """The cycles of a run from a cold cache, with its counters added to
+        `stats` and the cache's contents left as they were; None, counting
+        nothing, unless `facts` show that every access of the run misses.
+        The run is `replay`'s accesses followed by `tail` non-memory
+        instructions, `nonmem` in all; `facts` are the `miss_facts` of a
+        stream that begins with the run's accesses, and `shadow` its
+        infinite-retention hit bits.
+
+        If every access misses, each set is a queue of fills, and access i
+        fills at cpi·G + (rc+pen)·R + (wc+pen)·W cycles, with G the gaps up
+        to it and R and W the reads and writes before it. Access i misses if
+        its block's previous access is not among the `ways` latest of its
+        set, or if it came a lifetime or more before; it evicts exactly when
+        the `ways`-th earlier access k of its set came less than a lifetime
+        before, and the victim is k's fill. If the shortest interval (a) of
+        `facts`, taken at this point, reaches the lifetime by more than the
+        rounding of the run's times, every access misses; if the shortest
+        (b) does too, none evicts, and otherwise one pass over the run's
+        times counts the evictions. Early
+        write-backs are the dirty fills that expire by the end of the run
+        and were not evicted. With an integer `cpi` every time is the exact
+        float a replay adds up.
+        """
+        back, reuse, fifo = facts
+        accesses = len(gaps)
+        stall = (self.read_cycles + self.penalty_cycles,
+                 self.write_cycles + self.penalty_cycles)
+        dirty = writes.count(1)
+        cycles = (cpi * nonmem + stall[0] * (accesses - dirty)
+                  + stall[1] * dirty)
+        if not float(cpi).is_integer() or cycles >= 2 ** 53:
+            return None
+        lifetime = self.lifetime_ns
+        sure_ns = lifetime + 1e-12 * (cycles * ns_per_cycle + lifetime)
+
+        def clears(marks) -> bool:
+            """Whether every interval of `marks` ending in the run lasts at
+            least the lifetime, with the margin."""
+            at = bisect_left(marks, accesses, key=itemgetter(0))
+            if not at:
+                return True
+            _, g, r, w = marks[at - 1]
+            shortest = cpi * g + stall[0] * r + stall[1] * w
+            return shortest * ns_per_cycle >= sure_ns
+
+        if not clears(reuse):
+            return None
+        victims = []
+        if not clears(fifo):
+            steps = map(add, map(mul, gaps, repeat(cpi)),
+                        chain((0,), map(stall.__getitem__, writes)))
+            times = list(map(mul, accumulate(steps), repeat(ns_per_cycle)))
+            times.append(-math.inf)  # the time of no access: evicts nothing
+            back = memoryview(back)[:accesses]
+            expiries = map(add, map(times.__getitem__, back), repeat(lifetime))
+            victims = list(compress(back, map(lt, times, expiries)))
+        writebacks = sum(map(writes.__getitem__, victims))
+        # Walk back over the fills that outlive the end of the run.
+        end_ns = cycles * ns_per_cycle
+        at, live = cycles - tail * cpi, accesses
+        while live:
+            at -= stall[writes[live - 1]]
+            if at * ns_per_cycle + lifetime <= end_ns:
+                break
+            live -= 1
+            at -= gaps[live] * cpi
+        early = (writes.count(1, 0, live) - writebacks
+                 + sum(map(writes.__getitem__, filter(live.__le__, victims))))
+        hits = shadow.count(1, 0, accesses)
+        self._count(0, 0, accesses - dirty, dirty, hits, len(victims),
+                    writebacks, early, accesses - hits)
         return float(cycles)
 
     def _count(self, read_hits=0, write_hits=0, read_misses=0, write_misses=0,

@@ -38,16 +38,18 @@ class MemTechnology:
     def __post_init__(self):
         if self.kind not in ("sram", "sttram"):
             raise ValueError(f"unknown memory kind {self.kind!r}")
-        if self.hit_latency_ns <= 0 or self.write_latency_ns <= 0:
-            raise ValueError(f"{self.name}: latencies must be > 0")
-        if self.read_energy_j < 0 or self.write_energy_j < 0:
-            raise ValueError(f"{self.name}: energies must be >= 0")
-        if self.leakage_w < 0:
-            raise ValueError(f"{self.name}: leakage must be >= 0")
+        if not (0 < self.hit_latency_ns < INFINITE
+                and 0 < self.write_latency_ns < INFINITE):
+            raise ValueError(f"{self.name}: latencies must be finite and > 0")
+        if not (0 <= self.read_energy_j < INFINITE
+                and 0 <= self.write_energy_j < INFINITE):
+            raise ValueError(f"{self.name}: energies must be finite and >= 0")
+        if not 0 <= self.leakage_w < INFINITE:
+            raise ValueError(f"{self.name}: leakage must be finite and >= 0")
         if self.kind == "sram" and not math.isinf(self.retention_time):
             raise ValueError(f"{self.name}: SRAM retention must be infinite")
-        if self.retention_time <= 0:
-            raise ValueError(f"{self.name}: retention must be > 0")
+        if not 0 < self.retention_time <= INFINITE:
+            raise ValueError(f"{self.name}: retention must be > 0 or infinite")
 
     @property
     def is_volatile(self) -> bool:
@@ -86,10 +88,16 @@ class DvfsRange:
     max_voltage_v: float = 1.35
 
     def __post_init__(self):
-        if self.min_freq_ghz <= 0 or self.step_ghz <= 0:
-            raise ValueError("frequencies and step must be > 0")
-        if self.min_freq_ghz > self.max_freq_ghz + _EPS:
+        if not (0 < self.min_freq_ghz < INFINITE
+                and 0 < self.step_ghz < INFINITE
+                and self.max_freq_ghz < INFINITE):
+            raise ValueError("frequencies and step must be finite and > 0")
+        if not self.min_freq_ghz <= self.max_freq_ghz + _EPS:
             raise ValueError("min_freq must be <= max_freq")
+        if not 0 < self.min_voltage_v <= self.max_voltage_v < INFINITE:
+            raise ValueError(f"voltages must be finite with 0 < min_voltage "
+                             f"({self.min_voltage_v} V) <= max_voltage "
+                             f"({self.max_voltage_v} V)")
         span = self.max_freq_ghz - self.min_freq_ghz
         steps = span / self.step_ghz
         if abs(steps - round(steps)) > _EPS:

@@ -10,10 +10,11 @@ and core static (voltage-dependent power over the wall time).
 from __future__ import annotations
 
 import marshal
+import math
 import os
 from dataclasses import dataclass
 
-from .cache import CacheState, CacheStats, LruShadow
+from .cache import CacheState, CacheStats, LruShadow, miss_facts
 from .config import CoreSpec, MemTechnology, System, voltage_for_frequency
 from .constraints import Constraint
 from .trace import Trace
@@ -28,14 +29,16 @@ class PowerModel:
     static_points: tuple[tuple[float, float], ...] = ((0.9, 0.35), (1.35, 0.50))
 
     def __post_init__(self):
-        if self.effective_capacitance_f <= 0:
-            raise ValueError("effective capacitance must be > 0")
-        pts = tuple(sorted(self.static_points))
-        if not pts:
+        if not 0 < self.effective_capacitance_f < math.inf:
+            raise ValueError("effective capacitance must be finite and > 0")
+        if not self.static_points:
             raise ValueError("static power needs at least one point")
-        if any(w < 0 for _, w in pts):
-            raise ValueError("static power must be non-negative")
-        object.__setattr__(self, "static_points", pts)
+        if not all(0 < v < math.inf and 0 <= w < math.inf
+                   for v, w in self.static_points):
+            raise ValueError("static power points need finite voltages > 0 "
+                             "and finite powers >= 0")
+        object.__setattr__(self, "static_points",
+                           tuple(sorted(self.static_points)))
 
     def static_power_w(self, voltage_v: float) -> float:
         pts = self.static_points
@@ -151,6 +154,18 @@ def _shadow(trace: Trace, geometry, first: int):
     return trace._shadow_bits[key]
 
 
+def _misses(trace: Trace, geometry, first: int):
+    """`miss_facts` of the trace's accesses from `first` on, computed once
+    per trace when a run first asks: a window reads a prefix."""
+    key = (geometry, first)
+    facts = trace._miss_facts.get(key)
+    if facts is None:
+        facts = trace._miss_facts[key] = miss_facts(
+            geometry, *(memoryview(column)[first:] for column in
+                        (trace.gaps, trace.writes, trace.addrs)))
+    return facts
+
+
 def _prefix(trace: Trace, window, bits, span, cold):
     """The shadow's totals over a window's accesses and a bound on each of
     their restore spans, or (None, None) when the shadow evicts before the
@@ -188,7 +203,9 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
     shadow's first eviction, is derived from the trace's shadow pass
     instead of replayed; a window's restore spans are bounded by the
     componentwise minimum of the pass's widest span and the whole window
-    taken as one span. Deterministic: identical inputs give bit-identical
+    taken as one span. A run, whole or a window, in which every access
+    misses is derived from the trace's `miss_facts`, made once when a run
+    first needs them. Deterministic: identical inputs give bit-identical
     results, derived or replayed.
     """
     if not len(trace):
@@ -224,6 +241,11 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
                                    addrs[first:end])
             if count:
                 gaps[0] -= cut
+        if bits is not None and float(cpi).is_integer():  # else it refuses
+            cycles = cache.derive_misses(
+                _misses(trace, core.geometry, first), bits, gaps, writes,
+                addrs, tail, nonmem, cpi, ns_per_cycle)
+    if cycles is None:
         cycles = cache.replay(gaps, writes, addrs, bits, 0.0, cpi,
                               ns_per_cycle) + tail * cpi
         cache.advance_retention(cycles * ns_per_cycle)

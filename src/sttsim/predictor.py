@@ -1,14 +1,13 @@
 """CART core predictor: Gini-split decision tree over profiled features.
 
-The estimator follows the scikit-learn protocol (fit/predict, get_params/
-set_params) so it drops into standard tooling, but the tree itself is built
-here: greedy binary splits over midpoint thresholds, scored by weighted Gini
-impurity, fully deterministic under fixed tie-breaking.
+The estimator fits and predicts in the scikit-learn style (fit/predict),
+but the tree itself is built here: greedy binary splits over midpoint
+thresholds, scored by weighted Gini impurity, fully deterministic under fixed
+tie-breaking.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .config import System
@@ -64,23 +63,6 @@ class CorePredictor:
         self.feature_names = feature_names
         self.label_order = label_order
 
-    # -- sklearn parameter protocol -----------------------------------------
-
-    def get_params(self, deep=True):
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "feature_names": self.feature_names,
-            "label_order": self.label_order,
-        }
-
-    def set_params(self, **params):
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
     # -- fitting -------------------------------------------------------------
 
     def fit(self, X, y):
@@ -92,7 +74,6 @@ class CorePredictor:
         self.classes_ = tuple(order)
         self._rank = {lab: i for i, lab in enumerate(order)}
         self.n_features_in_ = len(X[0])
-        self.feature_importances_ = [0.0] * self.n_features_in_
         self.root_ = self._build(X, y, list(range(len(y))), depth=0)
         return self
 
@@ -134,7 +115,6 @@ class CorePredictor:
         if split is None:
             return _Leaf(self._majority(counts), counts)
         feature, threshold, gain = split
-        self.feature_importances_[feature] += len(idx) * gain
         left_idx = [i for i in idx if X[i][feature] <= threshold]
         right_idx = [i for i in idx if X[i][feature] > threshold]
         return _Split(feature, threshold,
@@ -286,27 +266,6 @@ def label_oracle(trace: Trace, system: System, power: PowerModel,
     return exhaustive_sweep(trace, system, power, constraint, limit=limit).best_core
 
 
-def select_features(data: TrainingSet, k: int,
-                    candidate_names=None) -> tuple[str, ...]:
-    """Top-k features by total Gini-impurity decrease in a tree trained on
-    all candidates. Deterministic; k above the candidate count clamps with a
-    warning."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    names = tuple(candidate_names or FeatureVector.names())
-    if k > len(names):
-        warnings.warn(f"k={k} exceeds {len(names)} available features; clamping")
-        k = len(names)
-    model = CorePredictor(max_depth=16, min_samples_leaf=1,
-                          feature_names=names,
-                          label_order=tuple(data.label_order))
-    X, y = data.matrix(feature_names=names)
-    model.fit(X, y)
-    ranked = sorted(range(len(names)),
-                    key=lambda i: (-model.feature_importances_[i], i))
-    return tuple(names[i] for i in ranked[:k])
-
-
 # -- model files -------------------------------------------------------------
 
 FORMAT_TAG = "sttsim-tree"
@@ -386,7 +345,6 @@ def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
     model.classes_ = labels
     model._rank = {lab: i for i, lab in enumerate(labels)}
     model.n_features_in_ = len(feature_names)
-    model.feature_importances_ = [0.0] * len(feature_names)
     col = {name: i for i, name in enumerate(feature_names)}
 
     # Nodes come in preorder: check them in one loop, then link them from the

@@ -25,7 +25,6 @@ import operator
 import random
 import re
 from array import array
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
@@ -68,15 +67,15 @@ class Trace:
     the columns and must not mutate them.
 
     `_shadow_bits` is where the engine keeps the trace's shadow pass (hit
-    bits, totals, widest restore span, accesses before the first eviction),
-    once per geometry and first access, and `_windows` where it keeps each
-    run's bounds (first access, cut, count, tail, non-memory instructions),
-    once per start and limit. Both die with the trace and take no part in
-    equality.
+    bits, totals, widest restore span, accesses before the first eviction)
+    and `_miss_facts` the facts of an all-miss run, each once per geometry
+    and first access, and `_windows` where it keeps each run's bounds (first
+    access, cut, count, tail, non-memory instructions), once per start and
+    limit. All die with the trace and take no part in equality.
     """
 
     __slots__ = ("name", "gaps", "writes", "addrs", "instructions",
-                 "_shadow_bits", "_windows")
+                 "_shadow_bits", "_miss_facts", "_windows")
 
     def __init__(self, events: Iterable[TraceEvent], name: str = "trace"):
         gaps, writes, addrs = array("q"), bytearray(), array("Q")
@@ -114,6 +113,7 @@ class Trace:
         self.addrs = addrs
         self.instructions = sum(gaps) + len(gaps)
         self._shadow_bits = {}
+        self._miss_facts = {}
         self._windows = {}
 
     @property
@@ -527,37 +527,3 @@ def concat_traces(*traces: Trace, name: str | None = None) -> Trace:
         addrs.extend(t.addrs)
     return Trace.from_columns(gaps, b"".join(t.writes for t in traces), addrs,
                               name=name or traces[0].name)
-
-
-@dataclass(frozen=True)
-class TraceStats:
-    events: int
-    reads: int
-    writes: int
-    instructions: int
-    unique_blocks: int
-    gap_histogram: dict
-
-    @property
-    def write_fraction(self) -> float:
-        return self.writes / self.events if self.events else 0.0
-
-    @property
-    def memory_op_fraction(self) -> float:
-        return self.events / self.instructions if self.instructions else 0.0
-
-
-def trace_stats(trace: Trace, line_bytes: int = 64) -> TraceStats:
-    """Exact summary counts; the gap histogram buckets by powers of two."""
-    writes = trace.writes.count(1)
-    blocks = {addr // line_bytes for addr in trace.addrs}
-    lengths = Counter(gap.bit_length() for gap in trace.gaps)
-    return TraceStats(
-        events=len(trace),
-        reads=len(trace) - writes,
-        writes=writes,
-        instructions=trace.instructions,
-        unique_blocks=len(blocks),
-        gap_histogram={(1 << (n - 1) if n else 0): count
-                       for n, count in sorted(lengths.items())},
-    )

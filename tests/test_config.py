@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -134,6 +135,27 @@ class TestValidation:
     def test_core_knobs_rejected(self, knob, value):
         with pytest.raises(ValueError, match=knob):
             CoreSpec(core_id="x", data_tech=STT_10US, **{knob: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("hit_latency_ns", math.nan), ("write_latency_ns", math.inf),
+        ("read_energy_j", math.nan), ("write_energy_j", math.inf),
+        ("leakage_w", math.nan), ("retention_time", math.nan),
+        ("retention_time", 0.0)])
+    def test_technology_values_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            replace(STT_10US, **{field: value})
+
+    @pytest.mark.parametrize("volts", [(-5.0, 1.35), (2.0, 1.35), (0.0, 1.35),
+                                       (0.9, math.inf), (math.nan, 1.35)])
+    def test_dvfs_voltages_out_of_range_rejected(self, volts):
+        with pytest.raises(ValueError, match="voltage"):
+            DvfsRange(0.8, 2.0, 0.2, *volts)
+
+    @pytest.mark.parametrize("freqs", [(math.nan, 2.0, 0.2), (0.8, math.inf, 0.2),
+                                       (0.8, 2.0, math.nan)])
+    def test_dvfs_frequencies_out_of_range_rejected(self, freqs):
+        with pytest.raises(ValueError):
+            DvfsRange(*freqs)
 
 
 class TestSystem:

@@ -1,10 +1,11 @@
+import math
 import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sttsim import ConfigError, PowerModel, parse_config
+from sttsim import ConfigError, PowerModel, load_config, parse_config
 from sttsim.configfile import _KEYS, default_config
 
 FULL = """
@@ -196,6 +197,35 @@ class TestErrors:
             parse_config(text)
         assert err.value.line_no == line_no
 
+    @pytest.mark.parametrize("text, match", [
+        ("[power]\neffective_capacitance_f = nan\n", "capacitance"),
+        ("[power]\neffective_capacitance_f = inf\n", "capacitance"),
+        ("[power]\nstatic_power_points = 0.9:nan\n", "static power"),
+        ("[power]\nstatic_power_points = inf:0.5\n", "static power"),
+        ("[tech.stt_10us]\nretention_s = nan\n", "retention"),
+        ("[tech.stt_10us]\nhit_latency_ns = inf\n", "latencies"),
+        ("[tech.stt_10us]\nwrite_latency_ns = nan\n", "latencies"),
+        ("[tech.stt_10us]\nwrite_energy_nj = inf\n", "energies"),
+        ("[tech.stt_10us]\nleakage_mw = nan\n", "leakage"),
+        ("[dvfs]\nmax_freq_ghz = inf\n", "frequencies"),
+        ("[dvfs]\nstep_ghz = nan\n", "frequencies"),
+        ("[dvfs]\nmin_voltage_v = -5\n", "voltages"),
+        ("[dvfs]\nmin_voltage_v = 2\n", "voltages"),
+        ("[dvfs]\nmax_voltage_v = inf\n", "voltages"),
+        ("[dvfs]\nmax_voltage_v = nan\n", "voltages")])
+    def test_a_value_out_of_its_range_names_file_and_line(self, tmp_path,
+                                                           text, match):
+        path = tmp_path / "bad.cfg"
+        path.write_text("# header\n" + text)
+        with pytest.raises(ConfigError, match=match) as err:
+            load_config(path)
+        assert err.value.line_no == 2 and err.value.path == path
+        assert str(err.value).startswith(f"{path}: line 2: ")
+
+    def test_infinite_retention_stays_legal(self):
+        cfg = parse_config("[tech.stt_10us]\nretention_s = inf\n")
+        assert not cfg.system.core("core1").data_tech.is_volatile
+
     @pytest.mark.parametrize("text, line_no", [
         ("[core.1]\ndata_tech = stt_10us\ninstr_tech = stt_400us\n", 3),
         ("[system]\ncluster_count = 2\ninstr_tech_scale = 1.5\n", 3)])
@@ -243,6 +273,7 @@ LEGACY = FULL.replace("operating_freq_ghz = 1.4\n",
 LEGACY = LEGACY.replace("[system]\n", "[system]\ninstr_tech_scale = 2.0\n")
 VALUES = st.one_of(st.sampled_from(
     ["0", "1", "-1", "0.5", "1e999", "-inf", "nan", "infinite", "x", "",
+     "inf", "+inf", "Infinity", "NaN", "-nan", "0.9:nan", "inf:0.5",
      "sram", "stt_10us", "fast_stt", "core1", "core2", "0.9:0.35", "1:x",
      "[core.1]", "[core.core2]", "[tech.t]", "[dvfs]", "[", "=", "# c",
      "instr_tech = stt_400us", "instr_tech_scale = 2.0", "data_tech"]),
@@ -274,14 +305,37 @@ def mutated_configs(draw):
     return "\n".join(lines)
 
 
+def numbers(cfg):
+    """Every number a parsed config holds, by name, except retention times,
+    which may be infinite."""
+    out = {"effective_capacitance_f": cfg.power.effective_capacitance_f,
+           "prediction_time_s": cfg.prediction_time_s,
+           "migration_time_s": cfg.migration_time_s}
+    for v, w in cfg.power.static_points:
+        out[f"static point {v}"] = v
+        out[f"static power at {v}"] = w
+    for core in cfg.system.cores:
+        tech = core.data_tech
+        for name, value in {**vars(core.dvfs), **vars(tech)}.items():
+            if isinstance(value, float) and name != "retention_time":
+                out[f"{core.core_id}.{name}"] = value
+        out[f"{core.core_id}.base_cpi"] = core.base_cpi
+        out[f"{core.core_id}.miss_penalty_ns"] = core.miss_penalty_ns
+    return out
+
+
 class TestFuzz:
-    """parse_config raises only ConfigError, naming a line of the text."""
+    """parse_config raises only ConfigError, naming a line of the text, and
+    what it accepts holds only finite numbers."""
 
     @settings(max_examples=500, deadline=None)
     @given(mutated_configs())
     def test_mutated_configs(self, text):
         try:
-            parse_config(text)
+            cfg = parse_config(text)
         except ConfigError as exc:
             assert exc.line_no is not None, exc
             assert 1 <= exc.line_no <= len(text.split("\n"))
+        else:
+            assert all(map(math.isfinite, numbers(cfg).values())), numbers(cfg)
+            assert all(c.data_tech.retention_time > 0 for c in cfg.system.cores)

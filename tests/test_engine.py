@@ -126,6 +126,16 @@ class TestEnergy:
         with pytest.raises(ValueError):
             cache_energy(CacheStats(), STT_10US, -1.0)
 
+    @pytest.mark.parametrize("kw", [
+        {"effective_capacitance_f": math.nan},
+        {"effective_capacitance_f": math.inf},
+        {"static_points": ((0.9, math.nan),)},
+        {"static_points": ((math.inf, 0.5),)},
+        {"static_points": ((0.9, 0.35), (math.nan, 0.5))}])
+    def test_power_values_out_of_range_rejected(self, kw):
+        with pytest.raises(ValueError):
+            PowerModel(**kw)
+
     def test_zero_active_cycles(self, system, power):
         dyn, _ = processor_energy(0.0, 1e-3, system.core("core3"), 2.0, power)
         assert dyn == 0.0
@@ -246,15 +256,18 @@ class TestSweep:
             assert best_key <= key
 
 
-def toy_cores(draw, cpis):
-    """A random toy core: 1-4 ways, 1-8 sets, 16 or 64-byte lines, SRAM or
-    a 0.2-12 us retention with k 2-6, and a base CPI from `cpis`."""
+def toy_cores(draw, cpis, sets=(1, 2, 4, 8), techs=(SRAM, STT_10US),
+              longest_s=12e-6):
+    """A random toy core: 1-4 ways, 16 or 64-byte lines, a tech from
+    `techs`, its retention, if any, 0.2 us to `longest_s` with k 2-6, and a
+    base CPI from `cpis`."""
     ways = draw(st.sampled_from([1, 2, 4]))
-    sets = draw(st.sampled_from([1, 2, 4, 8]))
+    sets = draw(st.sampled_from(sets))
     line = draw(st.sampled_from([16, 64]))
-    tech = draw(st.sampled_from([SRAM, STT_10US]))
+    tech = draw(st.sampled_from(techs))
     if tech.is_volatile:
-        tech = replace(tech, retention_time=draw(st.floats(0.2e-6, 12e-6)))
+        tech = replace(tech, retention_time=draw(st.floats(0.2e-6,
+                                                            longest_s)))
     return replace(default_system().core("core1"), core_id="toy",
                    geometry=CacheGeometry(line * ways * sets, line, ways),
                    data_tech=tech, counter_states_k=draw(st.integers(2, 6)),
@@ -368,10 +381,11 @@ class TestShadowSharing:
 
 
 def forced_replay(*args, **kwargs):
-    """`simulate_run` with the no-expiry certificate refused, so every run
-    replays its accesses."""
+    """`simulate_run` with both certificates, no expiry and no hit, refused,
+    so every run replays its accesses."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CacheState, "derive", lambda *a, **kw: None)
+        mp.setattr(CacheState, "derive_misses", lambda *a, **kw: None)
         return simulate_run(*args, **kwargs)
 
 
@@ -385,6 +399,28 @@ def replays(monkeypatch):
         calls.append(len(args[0]))
         return original(self, *args)
     monkeypatch.setattr(CacheState, "replay", counted)
+    return calls
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """How each run went: "derive" or "misses" for the certificate, no
+    expiry or no hit, that derived it, "replay" for a replay."""
+    calls = []
+
+    def tracked(name, route):
+        original = getattr(CacheState, name)
+
+        def call(self, *args):
+            result = original(self, *args)
+            if route == "replay" or result is not None:
+                calls.append(route)
+            return result
+        monkeypatch.setattr(CacheState, name, call)
+
+    tracked("derive", "derive")
+    tracked("derive_misses", "misses")
+    tracked("replay", "replay")
     return calls
 
 
@@ -402,19 +438,23 @@ def derivable_cases(draw):
     return core, freq, events, limit, start
 
 
-def boundary_core(**kw):
+def boundary_core(write_ns=STT_10US.write_latency_ns, **kw):
     """A 2-way core whose blocks live exactly 2,000 ns; at 1 GHz that is
-    2,000 cycles and every time is an integer."""
+    2,000 cycles and every time is an integer. A read takes 1 cycle, a write
+    `write_ns` rounded up (1 by default) and a miss 50 more."""
     return replace(default_system().core("core1"), core_id="edge",
                    geometry=CacheGeometry(64 * 2 * 4, 64, 2),
-                   data_tech=replace(STT_10US, retention_time=4e-6),
+                   data_tech=replace(STT_10US, retention_time=4e-6,
+                                     write_latency_ns=write_ns),
                    counter_states_k=2, **kw)
 
 
 class TestDerivedRuns:
     """A run that no expiry can touch, whole or a window that ends before
     the shadow's first eviction, is derived from the shadow pass instead of
-    replayed, with bit-identical results."""
+    replayed, with bit-identical results. The cases named for a replay sit
+    at that certificate's boundary; where every access of such a run
+    misses, the second certificate derives it instead (`TestAllMissRuns`)."""
 
     def test_derived_runs_equal_replays_and_the_reference(self, replays):
         derived_windows = []
@@ -439,28 +479,41 @@ class TestDerivedRuns:
         # Some windows that end before the trace does are derived.
         assert derived_windows
 
-    def test_only_runs_that_can_expire_replay(self, system, power, replays):
+    def test_only_runs_that_can_expire_replay(self, system, power, routes):
         hot = gen_synthetic(archetype_params("A", 4301, False), name="hot")
         run = simulate_run(hot, system.core("core3"), 2.0, power)
-        assert replays == [] and run.stats.hits > 0.9 * run.mem_accesses
+        assert routes == ["derive"] and run.stats.hits > 0.9 * run.mem_accesses
         assert repr(run) == repr(forced_replay(hot, system.core("core3"), 2.0,
                                                power))
-        replays.clear()
+        routes.clear()
+        # On the 10 us core at 0.8 GHz every reuse of `cold` expires, so
+        # the run is derived as one in which every access misses.
         cold = gen_synthetic(archetype_params("C", 4302, False), name="cold")
         run = simulate_run(cold, system.core("core1"), 0.8, power)
-        assert len(replays) == 1 and run.stats.expiration_misses > 0
+        assert routes == ["misses"] and run.stats.expiration_misses > 0
+        assert run.stats.hits == 0
+        assert repr(run) == repr(forced_replay(cold, system.core("core1"), 0.8,
+                                               power))
+        routes.clear()
+        # On the 26.5 us core at 1 GHz some reuses expire and most hit:
+        # neither certificate holds, and the run replays.
+        run = simulate_run(cold, system.core("core2"), 1.0, power)
+        assert routes == ["replay"]
+        assert run.stats.hits > 0 and run.stats.expiration_misses > 0
 
     @pytest.mark.parametrize("gap, early", [(1898, 1), (1897, 0)])
-    def test_a_span_of_the_lifetime_replays(self, power, replays, gap, early):
+    def test_a_span_of_the_lifetime_replays(self, power, routes, gap, early):
         # A write fills 0x40 at 0 ns (1 + 50 cycles) and a read of 0x80
         # (1 + 50 cycles) ends the run, so 0x40's restore span is the whole
         # run: 2,000 cycles with the longer gap, 1,999 with the shorter.
+        # The first certificate refuses the longer one; as both accesses
+        # miss, the second derives it.
         core = boundary_core()
         events = [(0, True, 0x40), (gap, False, 0x80)]
         run = simulate_run(events_trace(events), core, 1.0, power)
         assert run.cycles == 2000 - (1 - early)
         assert run.stats.early_writebacks == early
-        assert len(replays) == early
+        assert routes == ["misses" if early else "derive"]
         assert repr(run) == repr(forced_replay(events_trace(events), core,
                                                1.0, power))
         assert counters(run) == reference_for(core, 1.0, events)
@@ -486,19 +539,20 @@ class TestDerivedRuns:
 
     @pytest.mark.parametrize("limit, early", [(1950, 1), (1949, 0)])
     def test_a_window_span_of_the_lifetime_through_its_tail_replays(
-            self, power, replays, limit, early):
+            self, power, routes, limit, early):
         # A write fills 0x40 at 0 ns (1 + 50 cycles) and the window ends
         # `limit - 1` instructions later, long before the read of 0x80. The
         # whole run's span of 0x40 outlasts the lifetime, so only the window
         # bounds it: 2,000 cycles through the longer tail, 1,999 through the
-        # shorter.
+        # shorter. The first certificate refuses the longer tail; the second
+        # derives it, its one access a miss.
         core = boundary_core()
         events = [(0, True, 0x40), (5000, False, 0x80)]
         run = simulate_run(events_trace(events), core, 1.0, power,
                            limit=limit)
         assert run.mem_accesses == 1 and run.cycles == 2000 - (1 - early)
         assert run.stats.early_writebacks == early
-        assert len(replays) == early
+        assert routes == ["misses" if early else "derive"]
         assert repr(run) == repr(forced_replay(events_trace(events), core,
                                                1.0, power, limit=limit))
         assert counters(run) == reference_for(core, 1.0, events, limit)
@@ -517,19 +571,21 @@ class TestDerivedRuns:
         assert counters(run) == reference_for(core, 1.0, events, 3000)
 
     @pytest.mark.parametrize("limit, accesses", [(8, 2), (11, 2), (12, 3)])
-    def test_a_window_that_evicts_replays(self, power, replays, limit,
+    def test_a_window_that_evicts_replays(self, power, routes, limit,
                                           accesses):
         # 0x0, 0x100 and 0x200 share a set of two ways, so the shadow's first
         # eviction is the third access, of dirty 0x0. A window of the first
-        # two accesses, with or without a tail, is derived; one of three
-        # evicts and replays.
+        # two accesses, with or without a tail, is derived; the first
+        # certificate refuses one of three, which evicts, and as its three
+        # accesses miss, the second derives it.
         core = boundary_core()
         events = [(3, True, 0x0), (3, False, 0x100), (3, False, 0x200),
                   (3, False, 0x0)]
         run = simulate_run(events_trace(events), core, 1.0, power,
                            limit=limit)
         evicted = int(accesses > 2)
-        assert run.mem_accesses == accesses and len(replays) == evicted
+        assert run.mem_accesses == accesses
+        assert routes == ["misses" if evicted else "derive"]
         assert run.stats.evictions == run.stats.writebacks == evicted
         assert repr(run) == repr(forced_replay(events_trace(events), core,
                                                1.0, power, limit=limit))
@@ -549,6 +605,127 @@ class TestDerivedRuns:
         assert len(replays) == 1
         assert run.stats.hits == 2 and run.stats.shadow_misses == 4
         assert counters(run) == reference_for(core, 1.0, events)
+
+
+@st.composite
+def all_miss_cases(draw):
+    """A random toy core, grid frequency, trace, limit and start in which
+    many runs miss at every access: a short retention, writes that may stall
+    longer than reads, and bursts of short gaps between gaps that can
+    outlast a lifetime, over more blocks than a set holds."""
+    core = toy_cores(draw, [1.0, 2.0, 1.5], sets=(1, 2), techs=(STT_10US,),
+                     longest_s=3e-6)
+    core = replace(core, data_tech=replace(
+        core.data_tech, write_latency_ns=draw(st.sampled_from([0.601, 3.2]))))
+    freq = draw(st.sampled_from(core.dvfs.grid()))
+    line = core.geometry.line_bytes
+    gaps = st.integers(0, 30) | st.integers(2_000, 40_000)
+    events = draw(st.lists(
+        st.tuples(gaps, st.booleans(), st.integers(0, 12 * line - 1)),
+        min_size=1, max_size=40))
+    total = sum(gap + 1 for gap, _, _ in events)
+    limit = draw(st.none() | st.integers(1, total + 5))
+    start = draw(st.just(0) | st.integers(0, total + 5))
+    return core, freq, events, limit, start
+
+
+class TestAllMissRuns:
+    """A run in which every access misses is derived from the trace's
+    `miss_facts` instead of replayed, with bit-identical results."""
+
+    def test_derived_runs_equal_replays_and_the_reference(self, routes):
+        derived = set()
+
+        @settings(deadline=None, max_examples=400)
+        @given(all_miss_cases())
+        def check(case):
+            core, freq, events, limit, start = case
+            routes.clear()
+            run = simulate_run(events_trace(events), core, freq, PowerModel(),
+                               limit=limit, start=start)
+            if routes == ["misses"]:
+                derived.add((run.stats.evictions > 0,
+                             limit is not None or start > 0))
+            replayed = forced_replay(events_trace(events), core, freq,
+                                     PowerModel(), limit=limit, start=start)
+            assert repr(run) == repr(replayed)
+            assert counters(run) == reference_for(core, freq, events, limit,
+                                                  start)
+
+        check()
+        # Derived runs with and without evictions, whole runs and windows.
+        assert {evicts for evicts, _ in derived} == {False, True}
+        assert {window for _, window in derived} == {False, True}
+
+    @pytest.mark.parametrize("gap, hit", [(1949, 0), (1948, 1)])
+    def test_a_reuse_of_the_lifetime_replays(self, power, routes, gap, hit):
+        # A write fills 0x40 at 0 ns (1 + 50 cycles) and the read of 0x40
+        # comes at 2,000 ns with the longer gap, exactly when the block
+        # expires, and misses; at 1,999 ns with the shorter, and hits. No
+        # margin separates either from the lifetime, so both replay.
+        core = boundary_core()
+        events = [(0, True, 0x40), (gap, False, 0x40)]
+        run = simulate_run(events_trace(events), core, 1.0, power)
+        assert routes == ["replay"]
+        assert run.stats.hits == hit and run.stats.expiration_misses == 1 - hit
+        assert run.stats.early_writebacks == 1
+        assert repr(run) == repr(forced_replay(events_trace(events), core,
+                                               1.0, power))
+        assert counters(run) == reference_for(core, 1.0, events)
+
+    @pytest.mark.parametrize("write_ns, gap, evicts", [
+        (0.601, 1895, 0), (0.601, 1894, 1), (3.2, 1892, 0), (3.2, 1891, 1)])
+    def test_a_set_interval_of_the_lifetime(self, power, routes, write_ns,
+                                            gap, evicts):
+        # 0x0 (dirty), 0x100 and 0x200 share a set of two ways; the write
+        # stalls 51 cycles, or 54 with a 3.2 ns write. The third access
+        # comes at 2,000 ns with the longer gap, when 0x0 has just expired,
+        # and evicts nothing; at 1,999 ns with the shorter, and evicts 0x0.
+        # Both are derived, the second by counting evictions.
+        core = boundary_core(write_ns)
+        events = [(0, True, 0x0), (3, False, 0x100), (gap, False, 0x200)]
+        run = simulate_run(events_trace(events), core, 1.0, power)
+        assert routes == ["misses"]
+        assert run.stats.evictions == run.stats.writebacks == evicts
+        assert run.stats.early_writebacks == 1 - evicts
+        assert repr(run) == repr(forced_replay(events_trace(events), core,
+                                               1.0, power))
+        assert counters(run) == reference_for(core, 1.0, events)
+
+    @pytest.mark.parametrize("gap, early", [(1895, 1), (1894, 0)])
+    def test_a_fill_that_expires_as_the_run_ends(self, power, routes, gap,
+                                                 early):
+        # A 3.2 ns write fills 0x40 at 0 ns (4 + 50 cycles) and a read of
+        # 0x80 (1 + 50 cycles) ends the run at 2,000 ns with the longer gap,
+        # when 0x40 expires and is written back, or at 1,999 ns.
+        core = boundary_core(3.2)
+        events = [(0, True, 0x40), (gap, False, 0x80)]
+        run = simulate_run(events_trace(events), core, 1.0, power)
+        assert run.cycles == 2000 - (1 - early)
+        assert run.stats.early_writebacks == early
+        assert routes == ["misses" if early else "derive"]
+        assert repr(run) == repr(forced_replay(events_trace(events), core,
+                                               1.0, power))
+        assert counters(run) == reference_for(core, 1.0, events)
+
+    @pytest.mark.parametrize("window", [{}, {"start": 1000},
+                                        {"limit": 6000},
+                                        {"start": 1000, "limit": 6000}])
+    @pytest.mark.parametrize("cpi", [1.0, 1.5])
+    def test_windows_and_fractional_cpi(self, power, routes, window, cpi):
+        # Bursts of 0x0, 0x100 and 0x200 in a two-way set, 2,500
+        # instructions apart: every reuse expires and every third access
+        # evicts the first of its burst. `start` cuts into the first gap and
+        # `limit` ends in a gap, leaving a tail. A fractional CPI replays.
+        core = boundary_core(base_cpi=cpi)
+        events = [(10 if i % 3 else 2500, i % 2 == 0, 0x100 * (i % 3))
+                  for i in range(12)]
+        run = simulate_run(events_trace(events), core, 1.0, power, **window)
+        assert routes == ["replay" if cpi % 1 else "misses"]
+        assert run.stats.hits == 0 and run.stats.evictions > 0
+        assert repr(run) == repr(forced_replay(events_trace(events), core,
+                                               1.0, power, **window))
+        assert counters(run) == reference_for(core, 1.0, events, **window)
 
 
 def sweep_on(cpus, *args, **kwargs):

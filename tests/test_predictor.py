@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sttsim import (Constraint, CorePredictor, FeatureVector, TrainingSet,
                     dump_tree, features_from_run, gini, label_oracle,
-                    load_tree, select_features, simulate_run, train_tree)
+                    load_tree, simulate_run, train_tree)
 from sttsim.constraints import FEATURE_SETS, KINDS
 
 
@@ -122,15 +122,6 @@ class TestPredict:
         model = fit([[0.0], [100.0]], ["cold", "hot"],
                     feature_names=("l1d_total_misses",))
         assert model.predict_one(fv(l1d_total_misses=90.0)) == "hot"
-
-    def test_sklearn_param_protocol(self):
-        model = CorePredictor(max_depth=3)
-        params = model.get_params()
-        assert params["max_depth"] == 3
-        model.set_params(max_depth=7)
-        assert model.max_depth == 7
-        with pytest.raises(ValueError):
-            model.set_params(bogus=1)
 
 
 class TestRanking:
@@ -252,46 +243,6 @@ class TestSerialization:
         before = dump_tree(model, Constraint("none"))
         self._model().fit([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], ["core1", "core3"])
         assert dump_tree(model, Constraint("none")) == before
-
-
-class TestFeatureSelection:
-    def _set(self, X, y, names):
-        rows = tuple((fv(**dict(zip(names, row))), lab) for row, lab in zip(X, y))
-        return TrainingSet(rows=rows, constraint=Constraint("none"),
-                           label_order=("a", "b"))
-
-    def test_perfect_feature_ranks_first(self):
-        rng = random.Random(7)
-        names = ("l1d_hits", "l1d_read_misses", "mem_read_hits")
-        X, y = [], []
-        for _ in range(40):
-            lab = rng.choice(["a", "b"])
-            X.append([rng.random(), 1.0 if lab == "a" else 2.0, rng.random()])
-            y.append(lab)
-        chosen = select_features(self._set(X, y, names), 1, candidate_names=names)
-        assert chosen == ("l1d_read_misses",)
-
-    def test_k_equal_to_all_is_identity_set(self):
-        names = ("l1d_hits", "l1d_read_misses")
-        X = [[0.0, 0.0], [1.0, 1.0]]
-        chosen = select_features(self._set(X, ["a", "b"], names), 2,
-                                 candidate_names=names)
-        assert set(chosen) == set(names)
-
-    def test_constant_feature_has_zero_importance(self):
-        names = ("l1d_hits", "l1d_read_misses")
-        X = [[5.0, 0.0], [5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]
-        y = ["a", "a", "b", "b"]
-        chosen = select_features(self._set(X, y, names), 1, candidate_names=names)
-        assert chosen == ("l1d_read_misses",)
-
-    def test_oversized_k_clamps_with_warning(self):
-        names = ("l1d_hits", "l1d_read_misses")
-        X = [[0.0, 0.0], [1.0, 1.0]]
-        with pytest.warns(UserWarning):
-            chosen = select_features(self._set(X, ["a", "b"], names), 9,
-                                     candidate_names=names)
-        assert len(chosen) == 2
 
 
 class TestFeatures:

@@ -11,7 +11,7 @@ from sttsim import (BimodalGaps, Constraint, CorePredictor, Scheduler,
                     SynthParams, Trace, TraceEvent, TraceParseError,
                     UniformGaps, default_system, exhaustive_sweep,
                     gen_synthetic, load_trace, parse_trace, serialize_trace,
-                    simulate_run, sram_system, trace_stats, write_trace)
+                    simulate_run, sram_system, write_trace)
 from sttsim import trace as trace_module
 from sttsim.constraints import KINDS
 from sttsim.trace import READ, WRITE, concat_traces
@@ -215,23 +215,6 @@ class TestGenerator:
 
 
 class TestStats:
-    def test_write_fraction(self):
-        tr = Trace((TraceEvent(0, READ, 0), TraceEvent(0, READ, 64),
-                    TraceEvent(0, READ, 128), TraceEvent(0, WRITE, 192)))
-        st = trace_stats(tr)
-        assert st.write_fraction == 0.25
-        assert st.reads == 3 and st.writes == 1
-
-    def test_unique_blocks_are_line_aligned(self):
-        tr = Trace((TraceEvent(0, READ, 0), TraceEvent(0, READ, 63),
-                    TraceEvent(0, READ, 64)))
-        assert trace_stats(tr, line_bytes=64).unique_blocks == 2
-
-    def test_histogram_sums_to_events(self):
-        tr = random_trace(4, events=250)
-        st = trace_stats(tr)
-        assert sum(st.gap_histogram.values()) == st.events == 250
-
     def test_concat(self):
         a, b = random_trace(1, events=10), random_trace(2, events=5)
         joined = concat_traces(a, b, name="joined")
