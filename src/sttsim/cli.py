@@ -77,10 +77,12 @@ def _open_csv(path: Path, columns, no_timestamp: bool, append: bool = False):
     return fh, writer
 
 
-def _read_csv(path: Path) -> list[dict]:
+def _read_csv(path: Path) -> list[tuple[int, dict]]:
+    """Data rows with their line numbers in the file; `#` lines are skipped."""
     with open(path, newline="") as fh:
-        rows = [ln for ln in fh if not ln.startswith("#")]
-    return list(csv.DictReader(rows))
+        lines = [(n, ln) for n, ln in enumerate(fh, 1) if not ln.startswith("#")]
+    reader = csv.DictReader(ln for _, ln in lines)
+    return [(lines[reader.line_num - 1][0], row) for row in reader]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -118,6 +120,19 @@ def _scheduler(cfg: ExperimentConfig, models) -> Scheduler:
                      migration_time_s=cfg.migration_time_s)
 
 
+def _check_flags(*checks) -> None:
+    """Reject the first (flag, value, ok, want) whose `ok` is false, before
+    any work starts."""
+    for flag, value, ok, want in checks:
+        if not ok:
+            raise ConfigError(None, f"{flag} must be {want}, got {value}")
+
+
+def _check_deadline(args) -> None:
+    _check_flags(("--deadline", args.deadline,
+                  args.deadline is None or args.deadline > 0, "> 0"))
+
+
 def _parse_gaps(spec: str):
     kind, _, rest = spec.partition(":")
     fields = rest.split(":") if rest else []
@@ -138,14 +153,12 @@ def _parse_gaps(spec: str):
 def cmd_gen_trace(args) -> int:
     if args.seed is None:
         raise ConfigError(None, "synthetic generation requires an explicit --seed")
-    for flag, value, ok, want in (
-            ("--mem-fraction", args.mem_fraction, 0 < args.mem_fraction <= 1,
-             "in (0, 1]"),
-            ("--write-fraction", args.write_fraction,
-             0 <= args.write_fraction <= 1, "in [0, 1]"),
-            ("--total", args.total, args.total >= 1, "at least 1")):
-        if not ok:
-            raise ConfigError(None, f"{flag} must be {want}, got {value}")
+    _check_flags(
+        ("--mem-fraction", args.mem_fraction, 0 < args.mem_fraction <= 1,
+         "in (0, 1]"),
+        ("--write-fraction", args.write_fraction, 0 <= args.write_fraction <= 1,
+         "in [0, 1]"),
+        ("--total", args.total, args.total >= 1, "at least 1"))
     params = SynthParams.for_rate(
         reuse_gaps=_parse_gaps(args.gaps),
         memory_op_fraction=args.mem_fraction,
@@ -169,9 +182,12 @@ def cmd_gen_trace(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    trace = load_trace(args.trace)
     core = _core(cfg.system, args.core)
     freq = args.freq if args.freq is not None else core.operating_freq_ghz
+    _check_flags(("--freq", freq, core.dvfs.on_grid(freq),
+                  f"on {core.core_id}'s DVFS grid ({core.dvfs.min_freq_ghz}-"
+                  f"{core.freq_cap_ghz} GHz, step {core.dvfs.step_ghz})"))
+    trace = load_trace(args.trace)
     run = simulate_run(trace, core, freq, cfg.power)
     args.out.mkdir(parents=True, exist_ok=True)
     fh, writer = _open_csv(args.out / "simulate.csv", RUN_COLUMNS,
@@ -185,6 +201,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_deadline(args)
     cfg = _load_cfg(args)
     trace = load_trace(args.trace)
     sweep = exhaustive_sweep(trace, cfg.system, cfg.power,
@@ -205,6 +222,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_flags(("--max-depth", args.max_depth, args.max_depth >= 1, "at least 1"),
+                 ("--min-samples-leaf", args.min_samples_leaf,
+                  args.min_samples_leaf >= 1, "at least 1"))
     cfg = _load_cfg(args)
     traces = [load_trace(p) for p in args.traces]
     if not traces:
@@ -280,6 +300,7 @@ def _load_models(model_dir: Path, system: System):
 
 
 def cmd_schedule(args) -> int:
+    _check_deadline(args)
     cfg = _load_cfg(args)
     models = _load_models(args.models, cfg.system)
     sched = _scheduler(cfg, models)
@@ -335,7 +356,17 @@ def _baseline_system(name: str) -> System:
 
 def cmd_report(args) -> int:
     cfg = _load_cfg(args)
-    rows = _read_csv(args.runs)
+    rows = []
+    for line, row in _read_csv(args.runs):
+        try:
+            rows.append((row["trace"], row.get("core", ""),
+                         float(row.get("total_energy_j") or row["energy_j"]),
+                         float(row["wall_time_s"])))
+        except KeyError as exc:
+            raise ConfigError(None, f"{args.runs}: no {exc} column") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(line, f"energy and wall time must be numbers: {exc}",
+                              args.runs) from None
     if not rows:
         raise ConfigError(None, f"{args.runs} has no data rows")
     args.out.mkdir(parents=True, exist_ok=True)
@@ -343,15 +374,8 @@ def cmd_report(args) -> int:
                "wall_time_s", "baseline_wall_time_s", "latency_ratio",
                "exceeds_baseline"]
     fh, writer = _open_csv(args.out / "report.csv", columns, args.no_timestamp)
-    flagged = False
     baseline_cache: dict[str, tuple[float, float]] = {}
-    for row in rows:
-        try:
-            energy = float(row.get("total_energy_j") or row["energy_j"])
-            wall = float(row["wall_time_s"])
-            trace_path = row["trace"]
-        except KeyError as exc:
-            raise ConfigError(None, f"{args.runs}: no {exc} column") from None
+    for trace_path, core_label, energy, wall in rows:
         if args.baseline == "self":
             base_e, base_t = energy, wall
         else:
@@ -365,12 +389,10 @@ def cmd_report(args) -> int:
                                               base.wall_time_s)
             base_e, base_t = baseline_cache[trace_path]
         ratio = energy / base_e if base_e else math.inf
-        exceeds = ratio > 1.0
-        flagged = flagged or exceeds
-        writer.writerow([trace_path, row.get("core", ""), repr(energy),
+        writer.writerow([trace_path, core_label, repr(energy),
                          repr(base_e), repr(ratio), repr(wall), repr(base_t),
                          repr(wall / base_t if base_t else math.inf),
-                         int(exceeds)])
+                         int(ratio > 1.0)])
     fh.close()
     print(f"wrote {args.out / 'report.csv'} ({len(rows)} rows, "
           f"baseline={args.baseline})")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .config import System
-from .constraints import Constraint
 from .engine import PowerModel, RunResult, simulate_run
 from .trace import Trace
 
@@ -42,14 +41,6 @@ class FeatureVector:
     @staticmethod
     def names() -> tuple[str, ...]:
         return tuple(f.name for f in fields(FeatureVector))
-
-    def validate_for(self, constraint: Constraint) -> None:
-        for name in constraint.feature_names:
-            self.get(name)
-        for name in ("mem_bus_util_read", "mem_bus_util_write"):
-            v = self.get(name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be a ratio in [0, 1], got {v}")
 
 
 def features_from_run(run: RunResult) -> FeatureVector:

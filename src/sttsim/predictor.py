@@ -241,9 +241,8 @@ class TrainingSet:
         if bad:
             raise ValueError(f"labels {sorted(bad)} not in label_order")
 
-    def matrix(self, feature_names=None):
-        names = feature_names or self.constraint.feature_names
-        X = [fv.row(names) for fv, _ in self.rows]
+    def matrix(self):
+        X = [fv.row(self.constraint.feature_names) for fv, _ in self.rows]
         y = [lab for _, lab in self.rows]
         return X, y
 

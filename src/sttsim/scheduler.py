@@ -6,7 +6,9 @@ predicts a core, and the choice is verified: deadline violations escalate to
 faster cores, and a prediction that would cost more than the base-core path
 falls back to it, so a committed decision never spends more than that
 fallback. Decisions land in a bounded LRU history table; a repeat encounter
-skips profiling and prediction entirely.
+skips profiling and prediction entirely. Multiprogrammed dispatch commits
+each app's highest-ranked free core by the same per-core rule as a fresh
+decision: the verified point, else the core's cap.
 
 Every simulation goes through one memo per scheduler, keyed by the trace
 object and the run's (core, frequency, limit, start), so a decision's
@@ -195,31 +197,24 @@ class Scheduler:
 
     # -- deadlines -----------------------------------------------------------
 
-    def deadline_for(self, trace: Trace, constraint: Constraint,
-                     best_latency_s: float | None = None) -> float:
-        """Deadline = best achievable latency relaxed by the slack.
-
-        The best latency is taken from the caller or measured on the
-        fastest core at its cap.
-        """
+    def deadline_for(self, trace: Trace, constraint: Constraint) -> float:
+        """Deadline = best achievable latency, the fastest core at its cap,
+        relaxed by the slack."""
         if not constraint.bounded:
             return math.inf
-        if best_latency_s is None:
-            fastest = self.system.core(self.system.speed_order()[0])
-            best_latency_s = self._simulate(trace, fastest,
-                                            fastest.freq_cap_ghz).wall_time_s
-        return constraint.deadline(best_latency_s)
+        fastest = self.system.core(self.system.speed_order()[0])
+        return constraint.deadline(
+            self._simulate(trace, fastest, fastest.freq_cap_ghz).wall_time_s)
 
     # -- candidate evaluation ------------------------------------------------
 
-    def _estimate_freq(self, trace: Trace, core, deadline_s: float,
-                       interval: int) -> float | None:
+    def _estimate_freq(self, trace: Trace, core, deadline_s: float) -> float | None:
         """Energy-best grid frequency by profiled-window estimates, honoring
         the deadline when one applies. None when no frequency looks feasible."""
         total = trace.instructions
         best = None
         for freq in core.dvfs.grid():
-            est = self._simulate(trace, core, freq, limit=interval)
+            est = self._simulate(trace, core, freq, limit=self.profiling_interval)
             if est.instructions == 0:
                 continue
             scale = total / est.instructions
@@ -264,106 +259,106 @@ class Scheduler:
                     + self.prediction_time_s + migr_t)
         return _PathCost(core_label, freq_ghz, full, energy, time, migrations)
 
+    def _at_cap(self, trace: Trace, core_label: str,
+                prof_run: RunResult | None) -> _PathCost:
+        return self._path_cost(trace, core_label,
+                               self.system.core(core_label).freq_cap_ghz, prof_run)
+
     def _evaluate(self, trace: Trace, core_label: str, deadline_s: float,
-                  prof_run: RunResult | None, interval: int) -> _PathCost | None:
+                  prof_run: RunResult | None) -> _PathCost | None:
         """Pick a frequency for the core and verify the deadline on the full
         run. Window estimates choose the frequency, but a core is only
         declared infeasible once its cap misses the deadline on a verified
-        full run."""
+        full run.
+
+        A core is committed as `_evaluate(...) or _at_cap(...)`: the verified
+        point, else the core's cap, which then misses the deadline."""
         core = self.system.core(core_label)
-        freq = self._estimate_freq(trace, core, deadline_s, interval)
+        freq = self._estimate_freq(trace, core, deadline_s)
         if freq is not None:
             cost = self._path_cost(trace, core_label, freq, prof_run)
             if cost.full_run.wall_time_s <= deadline_s:
                 return cost
         if freq != core.freq_cap_ghz:
-            cost = self._path_cost(trace, core_label, core.freq_cap_ghz, prof_run)
+            cost = self._at_cap(trace, core_label, prof_run)
             if cost.full_run.wall_time_s <= deadline_s:
                 return cost
         return None
 
     # -- the main loop -------------------------------------------------------
 
-    def run_application(self, trace: Trace, constraint: Constraint,
-                        deadline_s: float | None = None) -> ScheduleDecision:
-        """Decide where `trace` runs; see the module docstring for the flow."""
+    def _rank(self, trace: Trace, constraint: Constraint
+              ) -> tuple[RunResult, tuple[str, ...]]:
+        """The front end of a fresh decision: the profiling window and the
+        constraint's model's ranking of the cores, predicted core first."""
         model = self.models.get(constraint.kind)
         if model is None:
             raise ValueError(f"no trained model for constraint {constraint.kind!r}")
-        app = trace.name
+        feats, prof_run = self._profile(trace)
+        return prof_run, tuple(model.rank_labels(feats))
 
+    def run_application(self, trace: Trace, constraint: Constraint,
+                        deadline_s: float | None = None) -> ScheduleDecision:
+        """Decide where `trace` runs; see the module docstring for the flow."""
         if deadline_s is None:
             deadline_s = self.deadline_for(trace, constraint)
 
-        entry = self.history.lookup(app, constraint.kind)
+        entry = self.history.lookup(trace.name, constraint.kind)
         if entry is not None:
             cost = self._path_cost(trace, entry.core, entry.freq_ghz, None)
-            return self._decision(
-                app, constraint, cost, path=((entry.core, "history"),),
-                ranking=(), from_history=True, prof_run=None,
-                base_energy=math.inf, deadline_s=deadline_s,
-                violation=cost.full_run.wall_time_s > deadline_s)
+            return self._decision(trace, constraint, cost, ((entry.core, "history"),),
+                                  ranking=(), prof_run=None, deadline_s=deadline_s)
 
-        interval = self.profiling_interval
-        feats, prof_run = self._profile(trace)
-        predicted = model.predict_one(feats)
-        ranking = tuple(model.rank_labels(feats))
+        prof_run, ranking = self._rank(trace, constraint)
+        predicted = ranking[0]
         path = [(self.system.profiling_core, "profile"), (predicted, "predicted")]
 
         order = self.system.speed_order()
-        current = predicted
-        cost = self._evaluate(trace, current, deadline_s, prof_run, interval)
-        violation = False
-        while cost is None:
-            pos = order.index(current)
-            if pos == 0:
-                # Nothing meets the deadline: take the fastest cap point.
-                violation = True
-                fastest = self.system.core(order[0])
-                cost = self._path_cost(trace, order[0], fastest.freq_cap_ghz,
-                                       prof_run)
-                if order[0] != current:
-                    path.append((order[0], "escalated-deadline"))
+        for label in order[order.index(predicted)::-1]:
+            if label != predicted:
+                path.append((label, "escalated-deadline"))
+            cost = self._evaluate(trace, label, deadline_s, prof_run)
+            if cost is not None:
                 break
-            current = order[pos - 1]
-            path.append((current, "escalated-deadline"))
-            cost = self._evaluate(trace, current, deadline_s, prof_run, interval)
+        else:
+            # Nothing meets the deadline: take the fastest cap point.
+            cost = self._at_cap(trace, order[0], prof_run)
 
         base_label = self.system.base_core
         base_energy = math.inf
         if cost.core != base_label:
-            base_cost = self._evaluate(trace, base_label, deadline_s, prof_run,
-                                       interval)
+            base_cost = self._evaluate(trace, base_label, deadline_s, prof_run)
             if base_cost is not None:
                 base_energy = base_cost.energy_j
                 if cost.energy_j >= base_cost.energy_j:
                     cost = base_cost
                     path.append((base_label, "rejected-energy"))
-        if cost.core == base_label and not math.isfinite(base_energy):
-            base_energy = cost.energy_j
 
-        self.history.record(app, cost.core, cost.freq_ghz, constraint.kind)
-        return self._decision(app, constraint, cost, tuple(path), ranking,
-                              from_history=False, prof_run=prof_run,
-                              base_energy=base_energy, deadline_s=deadline_s,
-                              violation=violation)
+        self.history.record(trace.name, cost.core, cost.freq_ghz, constraint.kind)
+        return self._decision(trace, constraint, cost, path, ranking, prof_run,
+                              deadline_s, base_energy)
 
-    def _decision(self, app, constraint, cost: _PathCost, path, ranking,
-                  from_history, prof_run, base_energy, deadline_s,
-                  violation) -> ScheduleDecision:
+    def _decision(self, trace: Trace, constraint: Constraint, cost: _PathCost,
+                  path, ranking, prof_run: RunResult | None, deadline_s: float,
+                  base_energy: float = math.inf) -> ScheduleDecision:
+        """The one constructor of decisions. `prof_run` is None for a history
+        hit; an infinite `base_energy` (no feasible base-core path was
+        priced) reads as the committed energy."""
+        from_history = prof_run is None
         pred_t = 0.0 if from_history else self.prediction_time_s
         migr_t = cost.migrations * self.migration_time_s
+        met = cost.full_run.wall_time_s <= deadline_s
         return ScheduleDecision(
-            app=app,
+            app=trace.name,
             constraint_kind=constraint.kind,
             core=cost.core,
             freq_ghz=cost.freq_ghz,
             path=tuple(path),
             ranking=tuple(ranking),
             from_history=from_history,
-            profiling_instructions=0 if prof_run is None else prof_run.instructions,
-            profiling_time_s=0.0 if prof_run is None else prof_run.wall_time_s,
-            profiling_energy_j=0.0 if prof_run is None else prof_run.total_energy_j,
+            profiling_instructions=0 if from_history else prof_run.instructions,
+            profiling_time_s=0.0 if from_history else prof_run.wall_time_s,
+            profiling_energy_j=0.0 if from_history else prof_run.total_energy_j,
             prediction_time_s=pred_t,
             prediction_energy_j=pred_t * self._overhead_power_w,
             migrations=cost.migrations,
@@ -374,8 +369,8 @@ class Scheduler:
             run_wall_time_s=cost.full_run.wall_time_s,
             base_energy_j=base_energy if math.isfinite(base_energy) else cost.energy_j,
             deadline_s=deadline_s,
-            deadline_met=cost.full_run.wall_time_s <= deadline_s,
-            violation=violation,
+            deadline_met=met,
+            violation=not met,
         )
 
     # -- multiprogrammed dispatch ---------------------------------------------
@@ -387,11 +382,9 @@ class Scheduler:
         One app per core, no preemption, no queueing: more apps than cores is
         rejected. Profiling is a staging phase and does not occupy a core.
         Each app's deadline is `deadline_s` or, when that is None, its
-        `deadline_for` the constraint, as in `run_application`.
+        `deadline_for` the constraint, as in `run_application`. Dispatch
+        never escalates to another core.
         """
-        model = self.models.get(constraint.kind)
-        if model is None:
-            raise ValueError(f"no trained model for constraint {constraint.kind!r}")
         slots = len(self.system.cores) * self.system.cluster_count
         if len(traces) > slots:
             raise ValueError(f"{len(traces)} apps exceed {slots} cores; "
@@ -399,38 +392,27 @@ class Scheduler:
 
         taken: set[tuple[int, str]] = set()
         placements = []
-        any_violation = False
-        interval = self.profiling_interval
         for trace in traces:
-            feats, prof_run = self._profile(trace)
-            ranking = tuple(model.rank_labels(feats))
+            prof_run, ranking = self._rank(trace, constraint)
             cluster, chosen = next(
                 (cl, lab) for lab in ranking
                 for cl in range(self.system.cluster_count)
                 if (cl, lab) not in taken)
             taken.add((cluster, chosen))
-
-            core = self.system.core(chosen)
             bound = (deadline_s if deadline_s is not None
                      else self.deadline_for(trace, constraint))
-            freq = self._estimate_freq(trace, core, bound, interval)
-            if freq is None:
-                freq = core.freq_cap_ghz
-            cost = self._path_cost(trace, chosen, freq, prof_run)
-            met = cost.full_run.wall_time_s <= bound
-            any_violation = any_violation or not met
+            cost = (self._evaluate(trace, chosen, bound, prof_run)
+                    or self._at_cap(trace, chosen, prof_run))
             decision = self._decision(
-                app=trace.name, constraint=constraint, cost=cost,
-                path=((self.system.profiling_core, "profile"),
-                      (chosen, "predicted")),
-                ranking=ranking, from_history=False, prof_run=prof_run,
-                base_energy=math.inf, deadline_s=bound, violation=not met)
+                trace, constraint, cost,
+                ((self.system.profiling_core, "profile"), (chosen, "predicted")),
+                ranking, prof_run, bound)
             placements.append(AppPlacement(
-                app=trace.name, cluster=cluster, core=chosen, freq_ghz=freq,
-                start_s=0.0, completion_s=cost.time_s, energy_j=cost.energy_j,
-                ranking=ranking, decision=decision))
+                app=trace.name, cluster=cluster, core=chosen,
+                freq_ghz=cost.freq_ghz, start_s=0.0, completion_s=cost.time_s,
+                energy_j=cost.energy_j, ranking=ranking, decision=decision))
         return WorkloadAssignment(
             placements=tuple(placements),
             total_energy_j=sum(p.energy_j for p in placements),
-            any_violation=any_violation,
+            any_violation=any(p.decision.violation for p in placements),
         )

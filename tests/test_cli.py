@@ -74,6 +74,34 @@ class TestGenTrace:
         assert "--seed" in capsys.readouterr().err
 
 
+class TestBadArguments:
+    """Flag errors exit 1, name the flag and stop before any work: the trace,
+    model and output paths below do not exist and are never reached."""
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--core", "core1", "--freq", "1.1"),
+        ("simulate", "--core", "core1", "--freq", "2.0"),  # above the cap
+        ("train", "--max-depth", "0"),
+        ("train", "--min-samples-leaf", "0"),
+        ("sweep", "--deadline", "nan"),
+        ("sweep", "--deadline", "0"),
+        ("schedule", "--deadline", "nan"),
+        ("schedule", "--deadline", "-0.001"),
+    ])
+    def test_bad_argument_is_config_error(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing"
+        inputs = {"simulate": ("--trace", missing),
+                  "sweep": ("--trace", missing),
+                  "train": ("--traces", missing),
+                  "schedule": ("--traces", missing, "--models", missing)}
+        out = tmp_path / "out"
+        assert run_cli(*argv, *inputs[argv[0]], "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {argv[-2]} must be ")
+        assert argv[-1] in err
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_expiration_miss_reported(self, tmp_path, fig_trace, capsys):
         # Fill, hit, then a reference after the monitor lifetime elapses.
@@ -84,12 +112,6 @@ class TestSimulate:
         rows = read_rows(tmp_path / "simulate.csv")
         assert rows[0]["expiration_misses"] == "1"
         assert rows[0]["core"] == "core1"
-
-    def test_frequency_above_cap_is_runtime_error(self, tmp_path, fig_trace, capsys):
-        code = run_cli("simulate", "--trace", fig_trace, "--core", "core1",
-                       "--freq", "2.0", "--out", tmp_path)
-        assert code == 2
-        assert "error" in capsys.readouterr().err
 
     def test_missing_trace_is_config_error(self, tmp_path):
         assert run_cli("simulate", "--trace", tmp_path / "nope.trace",
@@ -330,6 +352,19 @@ class TestTrainPredictSchedule:
         runs.write_text("trace,core,total_energy_j\nx.trace,core1,1.0\n")
         assert run_cli("report", "--runs", runs, "--out", tmp_path) == 1
         assert f"{runs}: no 'wall_time_s' column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["abc", ""])
+    def test_report_non_numeric_cell_names_file_and_line(self, tmp_path,
+                                                         capsys, cell):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("# generated\ntrace,core,total_energy_j,wall_time_s\n"
+                        f"x.trace,core1,1.0,2.0\nx.trace,core1,1.0,{cell}\n")
+        out = tmp_path / "out"
+        assert run_cli("report", "--runs", runs, "--baseline", "self",
+                       "--out", out) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {runs}: line 4: energy and wall time must be numbers")
+        assert not out.exists()
 
     def test_report_self_baseline_is_unity(self, trained_models, tmp_path):
         models, traces, cfg = trained_models

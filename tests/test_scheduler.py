@@ -1,11 +1,15 @@
+import hashlib
 import math
 
 import pytest
 
-from sttsim import (Constraint, CorePredictor, HistoryTable, Scheduler,
-                    SynthParams, System, Trace, UniformGaps, default_system,
-                    exhaustive_sweep, gen_synthetic, scheduler, simulate_run)
+from sttsim import (Constraint, CorePredictor, FeatureVector, HistoryTable,
+                    Scheduler, SynthParams, System, Trace, UniformGaps,
+                    default_system, exhaustive_sweep, gen_synthetic,
+                    profile_application, scheduler, simulate_run)
 from sttsim.constraints import KINDS
+
+from workloads import ARCHETYPES, PROFILING_INTERVAL, archetype_params
 
 INTERVAL = 10_000
 
@@ -65,13 +69,10 @@ class TestHistoryTable:
 
 class TestDeadlines:
     def test_slack_rules(self, system, power):
+        assert Constraint("slack10").deadline(10e-3) == pytest.approx(11e-3)
+        assert Constraint("best-perf").deadline(10e-3) == pytest.approx(10e-3)
         sched = Scheduler(system, power, {})
-        trace = hot_trace()
-        assert sched.deadline_for(trace, Constraint("slack10"),
-                                  best_latency_s=10e-3) == pytest.approx(11e-3)
-        assert sched.deadline_for(trace, Constraint("best-perf"),
-                                  best_latency_s=10e-3) == pytest.approx(10e-3)
-        assert sched.deadline_for(trace, Constraint("none")) == math.inf
+        assert sched.deadline_for(hot_trace(), Constraint("none")) == math.inf
 
     def test_measured_on_fastest_core(self, system, power):
         sched = Scheduler(system, power, {})
@@ -195,6 +196,58 @@ def sim_calls(monkeypatch):
     return calls
 
 
+class TestPinnedDecisions:
+    """Decisions on the A-D archetypes, pinned by the SHA-256 of their
+    `repr`, so a refactor of the decision path cannot move one bit."""
+
+    DIGEST = ("431ad3519f955b7cc38fd762f41ed06e"
+              "a2cf954359a6eedf7a25aa869348e0a4")
+
+    def test_fresh_decisions_and_history_hits(self, system, power):
+        traces = [gen_synthetic(archetype_params(arch, 4000 + i, i % 2 == 1),
+                                name=f"pin-{arch}")
+                  for i, arch in enumerate(ARCHETYPES)]
+        feats = [profile_application(t, system, power, PROFILING_INTERVAL)[0]
+                 for t in traces]
+        labels = system.labels()
+
+        def models(shift):
+            # Under each constraint every archetype is predicted onto a
+            # different core, so the decisions escalate, fall back and stay.
+            out = {}
+            for k, kind in enumerate(KINDS):
+                model = CorePredictor(feature_names=FeatureVector.names(),
+                                      label_order=tuple(labels))
+                out[kind] = model.fit(
+                    [f.row(FeatureVector.names()) for f in feats],
+                    [labels[(i + k + shift) % len(labels)]
+                     for i in range(len(traces))])
+            return out
+
+        decisions = []
+        sched = Scheduler(system, power, models(0),
+                          profiling_interval=PROFILING_INTERVAL)
+        for kind in KINDS:
+            for _ in range(2):  # fresh decisions, then history hits
+                decisions += [sched.run_application(t, Constraint(kind))
+                              for t in traces]
+            # History hits held to a deadline no core meets.
+            decisions += [sched.run_application(t, Constraint(kind),
+                                                deadline_s=d.run_wall_time_s / 2)
+                          for t, d in zip(traces, decisions[-len(traces):])]
+        # Fresh decisions that no core can save escalate to the fastest cap.
+        tight = Scheduler(system, power, models(1),
+                          profiling_interval=PROFILING_INTERVAL)
+        decisions += [tight.run_application(t, Constraint("best-perf"),
+                                            deadline_s=1e-9) for t in traces]
+        assert any(d.violation and not d.from_history for d in decisions)
+        assert any(d.violation and d.from_history for d in decisions)
+        for reason in ("escalated-deadline", "rejected-energy"):
+            assert any(r == reason for d in decisions for _, r in d.path)
+        text = "\n".join(repr(d) for d in decisions)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
 class TestRunMemo:
     def test_history_hit_runs_nothing(self, system, power, sim_calls):
         sched = Scheduler(system, power, stub_models(system, "core2"),
@@ -316,6 +369,24 @@ class TestDispatch:
             assert d.run_wall_time_s == rerun.wall_time_s
             assert d.deadline_met == (rerun.wall_time_s <= d.deadline_s)
             assert d.violation == (not d.deadline_met)
+
+    def test_a_missed_estimate_commits_the_cap(self, system, power):
+        # Archetype B seed 4 on core3 under slack10: the window estimate picks
+        # 1.2 GHz, whose full run misses the deadline; the cap meets it. The
+        # slot is committed as a fresh decision commits a core.
+        trace = gen_synthetic(archetype_params("B", 4, False), name="B4")
+        sched = Scheduler(system, power, stub_models(system, "core3"),
+                          profiling_interval=INTERVAL)
+        deadline = sched.deadline_for(trace, Constraint("slack10"))
+        core = system.core("core3")
+        estimate = sched._estimate_freq(trace, core, deadline)
+        missed = simulate_run(trace, core, estimate, power)
+        assert estimate != core.freq_cap_ghz and missed.wall_time_s > deadline
+        p = sched.dispatch_workload([trace], Constraint("slack10")).placements[0]
+        assert (p.core, p.freq_ghz) == ("core3", core.freq_cap_ghz)
+        assert p.decision.deadline_met and not p.decision.violation
+        cap = simulate_run(trace, core, core.freq_cap_ghz, power)
+        assert p.decision.run_wall_time_s == cap.wall_time_s <= deadline
 
     def test_rejects_more_apps_than_cores(self, system, power):
         sched = Scheduler(system, power, stub_models(system, "core3"))
