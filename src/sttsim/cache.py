@@ -444,7 +444,7 @@ class CacheState:
         return float(cycles)
 
     def derive_misses(self, facts, shadow: bytearray, gaps, writes: bytes,
-                      addrs, tail: int, nonmem: int, cpi: float,
+                      tail: int, nonmem: int, cpi: float,
                       ns_per_cycle: float) -> float | None:
         """The cycles of a run from a cold cache, with its counters added to
         `stats` and the cache's contents left as they were; None, counting

@@ -85,17 +85,23 @@ def _read_csv(path: Path) -> list[tuple[int, dict]]:
     return [(lines[reader.line_num - 1][0], row) for row in reader]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="experiment config file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (required for synthetic generation)")
-    parser.add_argument("--out", type=Path, default=Path("out"),
-                        help="output directory")
-    parser.add_argument("--constraint", choices=KINDS, default=NO_CONSTRAINT)
-    parser.add_argument("--baseline", choices=("sram", "homog-400us", "self"),
-                        default="homog-400us")
-    parser.add_argument("--no-timestamp", action="store_true",
-                        help="omit timestamp comments so reruns are byte-identical")
+# The flags that more than one subcommand reads; each subcommand names its own.
+_SHARED = {
+    "--config": dict(type=Path, help="experiment config file"),
+    "--out": dict(type=Path, default=Path("out"), help="output directory"),
+    "--constraint": dict(choices=KINDS, default=NO_CONSTRAINT),
+    "--no-timestamp": dict(action="store_true",
+                           help="omit timestamp comments so reruns are "
+                                "byte-identical"),
+}
+
+
+def _add_command(sub, name: str, func, help: str, *shared: str):
+    parser = sub.add_parser(name, help=help)
+    for flag in shared:
+        parser.add_argument(flag, **_SHARED[flag])
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -260,9 +266,8 @@ def cmd_predict(args) -> int:
     trace = load_trace(args.trace)
     feats, _ = profile_application(trace, cfg.system, cfg.power,
                                    cfg.profiling_interval)
-    label = model.predict_one(feats)
     ranking = model.rank_labels(feats)
-    print(f"constraint={constraint.kind} predicted={label} "
+    print(f"constraint={constraint.kind} predicted={ranking[0]} "
           f"ranking={' '.join(ranking)}")
     return EXIT_OK
 
@@ -272,6 +277,8 @@ def _load_model(path: Path, system: System) -> tuple[CorePredictor, Constraint]:
     of `system` from known features."""
     try:
         model, constraint = load_model(path)
+    except FileNotFoundError:
+        raise ConfigError(None, f"{path}: no such model file") from None
     except ValueError as exc:
         raise ConfigError(None, f"{path}: {exc}") from exc
     alien = sorted(set(model.classes_) - set(system.labels()))
@@ -284,27 +291,14 @@ def _load_model(path: Path, system: System) -> tuple[CorePredictor, Constraint]:
     return model, constraint
 
 
-def _load_models(model_dir: Path, system: System):
-    models = {}
-    for kind in KINDS:
-        path = model_dir / f"model-{kind}.txt"
-        if path.exists():
-            model, constraint = _load_model(path, system)
-            if constraint.kind != kind:
-                raise ConfigError(None, f"{path}: holds a {constraint.kind!r} "
-                                        "model")
-            models[kind] = model
-    if not models:
-        raise ConfigError(None, f"no model files under {model_dir}")
-    return models
-
-
 def cmd_schedule(args) -> int:
     _check_deadline(args)
     cfg = _load_cfg(args)
-    models = _load_models(args.models, cfg.system)
-    sched = _scheduler(cfg, models)
-    constraint = Constraint(args.constraint)
+    path = args.models / f"model-{args.constraint}.txt"
+    model, constraint = _load_model(path, cfg.system)
+    if constraint.kind != args.constraint:
+        raise ConfigError(None, f"{path}: holds a {constraint.kind!r} model")
+    sched = _scheduler(cfg, {constraint.kind: model})
     traces = [load_trace(p) for p in args.traces]
     args.out.mkdir(parents=True, exist_ok=True)
     fh, writer = _open_csv(args.out / "decisions.csv", DECISION_COLUMNS,
@@ -406,8 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "and core scheduler")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-trace", help="generate a synthetic trace")
-    _add_common(p)
+    p = _add_command(sub, "gen-trace", cmd_gen_trace,
+                     "generate a synthetic trace", "--out", "--no-timestamp")
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed (required for synthetic generation)")
     p.add_argument("--gaps", default="uniform:2000:6000",
                    help="reuse-gap distribution: uniform:LO:HI or "
                         "bimodal:SL:SH:LL:LH:W (instructions)")
@@ -415,56 +411,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write-fraction", type=float, default=0.3)
     p.add_argument("--total", type=int, default=1_000_000)
     p.add_argument("--name", default=None)
-    p.set_defaults(func=cmd_gen_trace)
 
-    p = sub.add_parser("simulate", help="one trace x one core x one frequency")
-    _add_common(p)
+    p = _add_command(sub, "simulate", cmd_simulate,
+                     "one trace x one core x one frequency",
+                     "--config", "--out", "--no-timestamp")
     p.add_argument("--trace", type=Path, required=True)
     p.add_argument("--core", required=True)
     p.add_argument("--freq", type=float, default=None)
     p.add_argument("--append", action="store_true",
                    help="append to an existing simulate.csv")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="exhaustive (core, frequency) table")
-    _add_common(p)
+    runs = ("--config", "--out", "--constraint", "--no-timestamp")
+    p = _add_command(sub, "sweep", cmd_sweep,
+                     "exhaustive (core, frequency) table", *runs)
     p.add_argument("--trace", type=Path, required=True)
     p.add_argument("--deadline", type=float, default=None,
                    help="explicit deadline in seconds")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("train", help="label traces via the oracle and train "
-                                     "per-constraint models")
-    _add_common(p)
+    p = _add_command(sub, "train", cmd_train, "label traces via the oracle "
+                     "and train per-constraint models", *runs)
     p.add_argument("--traces", type=Path, nargs="+", required=True)
     p.add_argument("--all-constraints", dest="constraint", action="store_const",
                    const="all", help="train every constraint's model")
     p.add_argument("--max-depth", type=int, default=5)
     p.add_argument("--min-samples-leaf", type=int, default=1)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="profile a trace and predict its core")
-    _add_common(p)
+    p = _add_command(sub, "predict", cmd_predict,
+                     "profile a trace and predict its core", "--config")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--trace", type=Path, required=True)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("schedule", help="run the feedback loop or a "
-                                        "multiprogrammed dispatch")
-    _add_common(p)
+    p = _add_command(sub, "schedule", cmd_schedule, "run the feedback loop "
+                     "or a multiprogrammed dispatch", *runs)
     p.add_argument("--models", type=Path, required=True,
                    help="directory holding model-<constraint>.txt files")
     p.add_argument("--traces", type=Path, nargs="+", required=True)
     p.add_argument("--deadline", type=float, default=None)
     p.add_argument("--dispatch", action="store_true",
                    help="place all traces together, one per core")
-    p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("report", help="normalize run CSVs against a baseline")
-    _add_common(p)
+    p = _add_command(sub, "report", cmd_report,
+                     "normalize run CSVs against a baseline",
+                     "--config", "--out", "--no-timestamp")
     p.add_argument("--runs", type=Path, required=True,
                    help="CSV produced by simulate/sweep/schedule")
-    p.set_defaults(func=cmd_report)
+    p.add_argument("--baseline", choices=("sram", "homog-400us", "self"),
+                   default="homog-400us")
 
     return parser
 

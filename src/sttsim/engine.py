@@ -234,18 +234,20 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
             cycles = cache.derive(totals, span, nonmem, cpi, ns_per_cycle)
     if cycles is None:
         gaps, writes, addrs = trace.gaps, trace.writes, trace.addrs
-        if count < len(gaps) or cut:
+        end = first + count
+        part = count < len(gaps) or cut
+        if part:
             # The first access keeps only the part of its gap after `start`.
-            end = first + count
-            gaps, writes, addrs = (gaps[first:end], writes[first:end],
-                                   addrs[first:end])
+            gaps, writes = gaps[first:end], writes[first:end]
             if count:
                 gaps[0] -= cut
         if bits is not None and float(cpi).is_integer():  # else it refuses
             cycles = cache.derive_misses(
                 _misses(trace, core.geometry, first), bits, gaps, writes,
-                addrs, tail, nonmem, cpi, ns_per_cycle)
+                tail, nonmem, cpi, ns_per_cycle)
     if cycles is None:
+        if part:
+            addrs = addrs[first:end]
         cycles = cache.replay(gaps, writes, addrs, bits, 0.0, cpi,
                               ns_per_cycle) + tail * cpi
         cache.advance_retention(cycles * ns_per_cycle)

@@ -403,10 +403,12 @@ class Scheduler:
                      else self.deadline_for(trace, constraint))
             cost = (self._evaluate(trace, chosen, bound, prof_run)
                     or self._at_cap(trace, chosen, prof_run))
-            decision = self._decision(
-                trace, constraint, cost,
-                ((self.system.profiling_core, "profile"), (chosen, "predicted")),
-                ranking, prof_run, bound)
+            path = [(self.system.profiling_core, "profile"),
+                    (ranking[0], "predicted")]
+            if chosen != ranking[0]:
+                path.append((chosen, "contended"))
+            decision = self._decision(trace, constraint, cost, path, ranking,
+                                      prof_run, bound)
             placements.append(AppPlacement(
                 app=trace.name, cluster=cluster, core=chosen,
                 freq_ghz=cost.freq_ghz, start_s=0.0, completion_s=cost.time_s,

@@ -1,14 +1,17 @@
+import argparse
 import csv
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from sttsim import (Constraint, TrainingSet, cli, dump_tree, engine, features,
                     label_oracle, load_config, load_trace, profile_application,
                     scheduler, train_tree)
-from sttsim.cli import main
+from sttsim.cli import build_parser, main
 from sttsim.constraints import KINDS
 
 FIG_TRACE = "0 R 0xa00\n5000 R 0xa00\n7000 R 0xa00\n"
@@ -100,6 +103,61 @@ class TestBadArguments:
         assert err.startswith(f"config error: {argv[-2]} must be ")
         assert argv[-1] in err
         assert not out.exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# The flags each subcommand no longer takes because its result does not
+# depend on them, with the arguments it requires.
+REMOVED = {
+    "gen-trace": (("--config", "--constraint", "--baseline"), ("--seed", "1")),
+    "simulate": (("--seed", "--constraint", "--baseline"),
+                 ("--trace", "t", "--core", "core1")),
+    "predict": (("--seed", "--out", "--constraint", "--baseline",
+                 "--no-timestamp"), ("--model", "m", "--trace", "t")),
+    "sweep": (("--seed", "--baseline"), ("--trace", "t")),
+    "train": (("--seed", "--baseline"), ("--traces", "t")),
+    "schedule": (("--seed", "--baseline"), ("--models", "m", "--traces", "t")),
+    "report": (("--seed", "--constraint"), ("--runs", "r")),
+}
+VALUES = {"--config": "x", "--seed": "1", "--out": "x",
+          "--constraint": "slack10", "--baseline": "sram",
+          "--no-timestamp": None}
+
+
+class TestFlags:
+    def test_readme_lists_exactly_the_parsed_flags(self):
+        """Each row of the README's flag table names the option strings its
+        subcommand accepts: the backticked flags of its second column."""
+        documented = {}
+        for row in README.read_text().splitlines():
+            cells = row.split("|")
+            if len(cells) == 4 and re.fullmatch(r"`[\w-]+`", cells[1].strip()):
+                documented[cells[1].strip(" `")] = set(
+                    re.findall(r"`(--[\w-]+)", cells[2]))
+        parsed = {name: {s for a in p._actions for s in a.option_strings}
+                  - {"-h", "--help"} for name, p in _subparsers().items()}
+        assert documented == parsed
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (flags, _) in REMOVED.items()
+        for flag in flags])
+    def test_flag_the_command_does_not_read_is_usage_error(
+            self, tmp_path, monkeypatch, capsys, command, flag):
+        monkeypatch.chdir(tmp_path)  # holds the default `out` directory
+        value = () if VALUES[flag] is None else (VALUES[flag],)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *REMOVED[command][1], flag, *value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestSimulate:
@@ -297,6 +355,35 @@ class TestTrainPredictSchedule:
         assert run_cli("predict", "--model", bad, "--trace", traces[0],
                        "--config", cfg) == 1
         assert str(bad) in capsys.readouterr().err
+
+    def test_schedule_without_the_constraints_model_is_config_error(
+            self, trained_models, tmp_path, capsys):
+        models, _, cfg = trained_models
+        only_none = tmp_path / "models"
+        only_none.mkdir()
+        (only_none / "model-none.txt").write_text(
+            (models / "model-none.txt").read_text())
+        out = tmp_path / "out"
+        # The trace paths do not exist: the model is checked before any trace.
+        assert run_cli("schedule", "--models", only_none, "--traces",
+                       tmp_path / "missing.trace", "--constraint", "slack10",
+                       "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {only_none / 'model-slack10.txt'}" in err
+        assert not out.exists()
+
+    def test_schedule_reads_only_the_constraints_model(self, trained_models,
+                                                       tmp_path):
+        models, traces, cfg = trained_models
+        mixed = tmp_path / "models"
+        mixed.mkdir()
+        (mixed / "model-none.txt").write_text(
+            (models / "model-none.txt").read_text())
+        (mixed / "model-slack10.txt").write_text("not a model\n")
+        assert run_cli("schedule", "--models", mixed, "--traces", traces[0],
+                       "--constraint", "none", "--config", cfg,
+                       "--out", tmp_path / "out", "--no-timestamp") == 0
+        assert len(read_rows(tmp_path / "out" / "decisions.csv")) == 1
 
     def test_deep_model_file_is_config_error(self, trained_models, tmp_path,
                                              capsys):

@@ -347,6 +347,11 @@ class TestDispatch:
         assert placed[0].core == rank[0] == "core3"
         assert placed[1].core == placed[1].ranking[1]
         assert placed[0].core != placed[1].core
+        # The path names the core the model predicted, then the one taken.
+        profile = (system.profiling_core, "profile")
+        assert placed[0].decision.path == (profile, ("core3", "predicted"))
+        assert placed[1].decision.path == (profile, ("core3", "predicted"),
+                                           (placed[1].core, "contended"))
 
     def test_no_double_booking(self, system, power):
         sched = Scheduler(system, power, stub_models(system, "core3"),
