@@ -27,8 +27,11 @@ interval between two accesses of a block that the set could still hold, the
 shortest between an access and the `ways`-th earlier access of its set, and
 the index of that earlier access. Where the first interval lasts a lifetime
 at a point, every access misses and `CacheState.derive_misses` counts the
-run; where the second does too nothing is evicted, and otherwise one pass
-over the run's times finds each eviction and its victim.
+run; where the second does too nothing is evicted. Otherwise the evictions
+are counted in word-parallel integer lanes (SWAR arithmetic on Python
+ints): `MissFacts` packs every such interval's counts, one 32-bit lane per
+access, and at a point one multiply-add gives all their lengths in cycles
+and one add and mask against the lifetime marks those that evict.
 
 Each set is a dict from tag to (expiry_ns, dirty), least recently used
 first, plus a lower bound on the expiry times it holds. A block expires at
@@ -40,12 +43,13 @@ bound, so the common access neither scans the ways nor tests an expiry.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, itemgetter, lt, mul
+from operator import add, itemgetter, mul, sub
 
 from .config import CoreSpec, access_cycles
 
@@ -193,9 +197,15 @@ class LruShadow:
             for i, (widest, total) in enumerate(zip(self._widest, self.totals)))
 
 
-def miss_facts(geometry, gaps, writes, addrs):
+_LANE = 32  # bits per access in a packed interval count
+_TOP = _LANE - 1  # each lane's top bit, clear in every stored count
+_CAP = 1 << 21  # the largest count a lane stores: longer intervals saturate
+_ONE = (1).to_bytes(_LANE // 8, "little")
+
+
+class MissFacts:
     """What no frequency changes about a stream of accesses to a cache of
-    `geometry`, read by `CacheState.derive_misses`: (back, reuse, fifo).
+    `geometry`, read by `CacheState.derive_misses`; made by `miss_facts`.
 
     `back[i]` is the index of the `ways`-th earlier access to access i's set,
     or -1 if there is none. `reuse` and `fifo` record, as (i, gaps, reads,
@@ -205,6 +215,70 @@ def miss_facts(geometry, gaps, writes, addrs):
     lie between (a); `fifo` over those from `back[i]` to i (b). An interval
     from j to i covers the gaps after j and the reads and writes before i.
     """
+
+    def __init__(self, back, reuse, fifo, gaps, writes):
+        self.back, self.reuse, self.fifo = back, reuse, fifo
+        self._stream = gaps, writes
+        self._lanes = None
+
+    def evictions(self, accesses: int, cpi: int, stall, lo: int, hi: int):
+        """(evicting, dirty, unsure) over the intervals (b) that end at the
+        first `accesses` accesses, each cpi·DG + stall[0]·DR + stall[1]·DW
+        cycles long for DG gaps, DR reads and DW writes: `evicting` counts
+        those shorter than `lo` cycles, `dirty` those of them whose earlier
+        access is a write, and `unsure` lists, uncounted, the accesses whose
+        interval lasts from `lo` to `hi` cycles. No lane may reach its top
+        bit, and one that saturates must last more than `hi` cycles.
+
+        The counts of the intervals are made on the first call, one
+        `_LANE`-bit lane per access in each of three ints, at most `_CAP`
+        (all three `_CAP` where there is no `back`), with one byte per
+        access that is 1 where `back[i]` is a write.
+        """
+        if self._lanes is None:
+            gaps, writes = self._stream
+            self._lanes = (
+                _lanes(gaps, self.back),
+                _lanes(chain((0,), map((1).__xor__, writes)), self.back),
+                _lanes(chain((0,), writes), self.back),
+                bytes(map(writes.__getitem__, self.back)))
+        dg, dr, dw, written = self._lanes
+        if accesses < len(self.back):
+            keep = (1 << _LANE * accesses) - 1
+            dg, dr, dw = dg & keep, dr & keep, dw & keep
+        size = _LANE // 8
+        ones = int.from_bytes(_ONE * accesses, "little")
+        tops = ones << _TOP
+        length = cpi * dg + stall[0] * dr + stall[1] * dw
+        # Lane i's top bit is set where its length reaches lo, or hi + 1.
+        past_lo = (length + ((1 << _TOP) - lo) * ones) & tops
+        past_hi = (length + ((1 << _TOP) - hi - 1) * ones) & tops
+        evicting = tops ^ past_lo
+        flags = bytearray(size * accesses)
+        flags[size - 1::size] = written[:accesses]  # bit _TOP - 7 of lane i
+        dirty = evicting & int.from_bytes(flags, "little") << 7
+        unsure = past_lo ^ past_hi  # rarely any
+        if unsure:
+            unsure = list(compress(count(), unsure.to_bytes(
+                size * accesses, "little")[size - 1::size]))
+        return evicting.bit_count(), dirty.bit_count(), unsure or []
+
+
+def _lanes(counts, back) -> int:
+    """Lane i holds t[i] - t[back[i]], at most `_CAP`, with t the running
+    totals of `counts`; `_CAP` where back[i] is -1."""
+    totals = array("q", accumulate(counts))
+    totals[len(back):] = array("q", (-_CAP,))  # at index -1
+    lanes = array("I", map(min, map(sub, totals, map(totals.__getitem__, back)),
+                           repeat(_CAP)))
+    if sys.byteorder != "little":
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
+def miss_facts(geometry, gaps, writes, addrs) -> MissFacts:
+    """The `MissFacts` of a stream of accesses to a cache of `geometry`, in
+    one pass; its lanes read `gaps` and `writes` again when first asked."""
     ways = geometry.ways
     shift, mask = geometry.line_bytes.bit_length() - 1, geometry.sets - 1
     recent = [deque(maxlen=ways) for _ in range(geometry.sets)]
@@ -242,7 +316,7 @@ def miss_facts(geometry, gaps, writes, addrs):
         seen.append(mark)
         if not write:
             r += 1
-    return back, reuse, fifo
+    return MissFacts(back, reuse, fifo, gaps, writes)
 
 
 class CacheState:
@@ -443,16 +517,16 @@ class CacheState:
                     0, misses)
         return float(cycles)
 
-    def derive_misses(self, facts, shadow: bytearray, gaps, writes: bytes,
-                      tail: int, nonmem: int, cpi: float,
+    def derive_misses(self, facts: MissFacts, shadow: bytearray, gaps,
+                      writes: bytes, tail: int, nonmem: int, cpi: float,
                       ns_per_cycle: float) -> float | None:
         """The cycles of a run from a cold cache, with its counters added to
         `stats` and the cache's contents left as they were; None, counting
         nothing, unless `facts` show that every access of the run misses.
         The run is `replay`'s accesses followed by `tail` non-memory
-        instructions, `nonmem` in all; `facts` are the `miss_facts` of a
-        stream that begins with the run's accesses, and `shadow` its
-        infinite-retention hit bits.
+        instructions, `nonmem` in all; `facts` are those of a stream that
+        begins with the run's accesses, and `shadow` its infinite-retention
+        hit bits.
 
         If every access misses, each set is a queue of fills, and access i
         fills at cpi·G + (rc+pen)·R + (wc+pen)·W cycles, with G the gaps up
@@ -463,13 +537,24 @@ class CacheState:
         before, and the victim is k's fill. If the shortest interval (a) of
         `facts`, taken at this point, reaches the lifetime by more than the
         rounding of the run's times, every access misses; if the shortest
-        (b) does too, none evicts, and otherwise one pass over the run's
-        times counts the evictions. Early
-        write-backs are the dirty fills that expire by the end of the run
-        and were not evicted. With an integer `cpi` every time is the exact
-        float a replay adds up.
+        (b) does too, none evicts.
+
+        Otherwise `facts.evictions` takes every interval (b) of the run in
+        integer cycles at once, cpi·DG + (rc+pen)·DR + (wc+pen)·DW, one
+        `_LANE`-bit lane per access, and one add and mask against the
+        lifetime in cycles marks the lanes that evict; `int.bit_count`
+        counts them and their dirty victims. A lane within the rounding of
+        the run's times of the lifetime is settled from the exact float
+        times, as a replay adds them up. A count that does not fit a lane
+        saturates at `_CAP`, so the lifetime must be shorter than `_CAP`
+        times the smallest of cpi, rc+pen and wc+pen, and `_CAP` times
+        their sum must stay below a lane's top bit; a run that breaks
+        either is replayed instead. Early write-backs are the dirty fills
+        that expire by the end of the run and were not evicted; the fills
+        that outlive it start within a lifetime of its end, and a bisection
+        over its last accesses finds the first. With an integer `cpi` every
+        time is the exact float a replay adds up.
         """
-        back, reuse, fifo = facts
         accesses = len(gaps)
         stall = (self.read_cycles + self.penalty_cycles,
                  self.write_cycles + self.penalty_cycles)
@@ -478,6 +563,7 @@ class CacheState:
                   + stall[1] * dirty)
         if not float(cpi).is_integer() or cycles >= 2 ** 53:
             return None
+        cpi = int(cpi)
         lifetime = self.lifetime_ns
         sure_ns = lifetime + 1e-12 * (cycles * ns_per_cycle + lifetime)
 
@@ -491,31 +577,56 @@ class CacheState:
             shortest = cpi * g + stall[0] * r + stall[1] * w
             return shortest * ns_per_cycle >= sure_ns
 
-        if not clears(reuse):
+        if not clears(facts.reuse):
             return None
-        victims = []
-        if not clears(fifo):
-            steps = map(add, map(mul, gaps, repeat(cpi)),
-                        chain((0,), map(stall.__getitem__, writes)))
-            times = list(map(mul, accumulate(steps), repeat(ns_per_cycle)))
-            times.append(-math.inf)  # the time of no access: evicts nothing
-            back = memoryview(back)[:accesses]
-            expiries = map(add, map(times.__getitem__, back), repeat(lifetime))
-            victims = list(compress(back, map(lt, times, expiries)))
-        writebacks = sum(map(writes.__getitem__, victims))
-        # Walk back over the fills that outlive the end of the run.
+        # An interval of fewer cycles than `lo` surely evicts, one of more
+        # than `hi` surely does not.
+        lifetime_cycles = lifetime / ns_per_cycle
+        margin_cycles = (sure_ns - lifetime) / ns_per_cycle
+        lo = max(0, math.ceil(lifetime_cycles - margin_cycles))
+        hi = math.floor(lifetime_cycles + margin_cycles)
+        back = facts.back
+        evictions = writebacks = 0
+        if not clears(facts.fifo):
+            if ((cpi + sum(stall)) * _CAP >= 1 << _TOP
+                    or hi >= min(cpi, *stall) * _CAP):
+                return None
+            evictions, writebacks, unsure = facts.evictions(
+                accesses, cpi, stall, lo, hi)
+            if unsure:
+                steps = map(add, map(mul, gaps, repeat(cpi)),
+                            chain((0,), map(stall.__getitem__, writes)))
+                at = list(accumulate(steps))  # the cycles at each access
+                for i in unsure:
+                    k = back[i]
+                    if at[i] * ns_per_cycle < at[k] * ns_per_cycle + lifetime:
+                        evictions += 1
+                        writebacks += writes[k]
+        # The fills that outlive the run start less than a lifetime before
+        # its end, each followed by a stall: they are among the last
+        # hi / (rc+pen) accesses, and `live` is the first of them.
         end_ns = cycles * ns_per_cycle
-        at, live = cycles - tail * cpi, accesses
-        while live:
-            at -= stall[writes[live - 1]]
-            if at * ns_per_cycle + lifetime <= end_ns:
-                break
-            live -= 1
-            at -= gaps[live] * cpi
-        early = (writes.count(1, 0, live) - writebacks
-                 + sum(map(writes.__getitem__, filter(live.__le__, victims))))
+        last = int(cycles) - tail * cpi  # the cycles after the last access
+        base = accesses - min(accesses, hi // min(stall))
+        gaps_to = list(accumulate(chain((0,), gaps[base + 1:accesses])))
+
+        def outlives(j) -> bool:
+            """Whether access j's fill expires after the end of the run."""
+            since = (stall[0] * (accesses - j)
+                     + (stall[1] - stall[0]) * writes.count(1, j, accesses)
+                     + cpi * (gaps_to[-1] - gaps_to[j - base]))
+            return (last - since) * ns_per_cycle + lifetime > end_ns
+
+        live = base + bisect_left(range(base, accesses), True, key=outlives)
+        # The dirty fills before `live` are written back early unless
+        # evicted. A fill from `live` on is evicted by the `ways`-th later
+        # access of its set, if the run has one, as it outlives the run.
+        early = writes.count(1, 0, live) - writebacks
+        if evictions:
+            early += sum(map(writes.__getitem__,
+                             filter(live.__le__, back[live:accesses])))
         hits = shadow.count(1, 0, accesses)
-        self._count(0, 0, accesses - dirty, dirty, hits, len(victims),
+        self._count(0, 0, accesses - dirty, dirty, hits, evictions,
                     writebacks, early, accesses - hits)
         return float(cycles)
 

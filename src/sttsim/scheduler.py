@@ -274,15 +274,11 @@ class Scheduler:
         A core is committed as `_evaluate(...) or _at_cap(...)`: the verified
         point, else the core's cap, which then misses the deadline."""
         core = self.system.core(core_label)
-        freq = self._estimate_freq(trace, core, deadline_s)
-        if freq is not None:
-            cost = self._path_cost(trace, core_label, freq, prof_run)
-            if cost.full_run.wall_time_s <= deadline_s:
-                return cost
-        if freq != core.freq_cap_ghz:
-            cost = self._at_cap(trace, core_label, prof_run)
-            if cost.full_run.wall_time_s <= deadline_s:
-                return cost
+        for freq in (self._estimate_freq(trace, core, deadline_s),
+                     core.freq_cap_ghz):
+            if (freq is not None
+                    and self._simulate(trace, core, freq).wall_time_s <= deadline_s):
+                return self._path_cost(trace, core_label, freq, prof_run)
         return None
 
     # -- the main loop -------------------------------------------------------

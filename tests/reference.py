@@ -162,6 +162,43 @@ def reference_run(events, sets, ways, line_bytes, retention_s, k, cpi,
     return counts
 
 
+def reference_all_miss_writebacks(events, sets, ways, line_bytes, lifetime_ns,
+                                  cpi, freq_ghz, read_cycles, write_cycles,
+                                  penalty_cycles, tail=0):
+    """(evictions, write-backs, early write-backs) of an in-order run over
+    `(gap, write, addr)` events, followed by `tail` non-memory instructions,
+    in which every access misses, by one pass over the run's access times.
+
+    Every access stalls for its latency plus the miss penalty, so access i
+    fills at a time that no cache state changes. Each set is a queue of
+    fills: access i evicts the fill of the `ways`-th earlier access k of its
+    set exactly when k's fill has not expired by i's time, and a dirty fill
+    that expires by the end of the run and is not evicted is written back
+    early. Times are `cycles * (1 / freq_ghz)` nanoseconds, as in
+    `reference_run`.
+    """
+    ns_per_cycle = 1.0 / freq_ghz
+    times, queues, victims = [], {}, []
+    cycles = 0.0
+    for gap, write, addr in events:
+        cycles += gap * cpi
+        times.append(cycles * ns_per_cycle)
+        cycles += (write_cycles if write else read_cycles) + penalty_cycles
+        queue = queues.setdefault(addr // line_bytes % sets, [])
+        if len(queue) >= ways:
+            k = queue[-ways]
+            if times[-1] < times[k] + lifetime_ns:
+                victims.append(k)
+        queue.append(len(times) - 1)
+    end_ns = (cycles + tail * cpi) * ns_per_cycle
+    writes = [write for _, write, _ in events]
+    evicted = set(victims)
+    early = sum(1 for k, write in enumerate(writes)
+                if write and k not in evicted
+                and end_ns >= times[k] + lifetime_ns)
+    return len(victims), sum(writes[k] for k in victims), early
+
+
 def reference_sample(reuse_gaps, rng: random.Random) -> int:
     """One reuse gap: a bimodal mixture first picks its mode with
     `rng.random()`, then the gap is `rng.randint` over the mode."""

@@ -15,7 +15,7 @@ from sttsim import (CacheGeometry, CacheState, CacheStats, Constraint,
                     pareto_flags, processor_energy, simulate_run, sram_system)
 from sttsim.trace import READ, WRITE
 
-from reference import reference_run
+from reference import reference_all_miss_writebacks, reference_run
 from workloads import ARCHETYPES, PROFILING_INTERVAL, archetype_params
 
 
@@ -726,6 +726,159 @@ class TestAllMissRuns:
         assert repr(run) == repr(forced_replay(events_trace(events), core,
                                                1.0, power, **window))
         assert counters(run) == reference_for(core, 1.0, events, **window)
+
+
+def lane_oracle(trace, core, freq, limit=None, start=0):
+    """`reference_all_miss_writebacks` over the window `simulate_run` takes
+    of `trace`, the first gap cut at `start`."""
+    first, cut, count, tail, _ = engine._window(trace, start, limit)
+    events = [[gap, write, addr] for gap, write, addr in zip(
+        trace.gaps[first:first + count], trace.writes[first:first + count],
+        trace.addrs[first:first + count])]
+    if events:
+        events[0][0] -= cut
+    geo, cache = core.geometry, CacheState(core, freq)
+    return reference_all_miss_writebacks(
+        events, geo.sets, geo.ways, geo.line_bytes, cache.lifetime_ns,
+        core.base_cpi, freq, cache.read_cycles, cache.write_cycles,
+        cache.penalty_cycles, tail)
+
+
+def writebacks(run):
+    return (run.stats.evictions, run.stats.writebacks,
+            run.stats.early_writebacks)
+
+
+@st.composite
+def lane_cases(draw):
+    """Cores, grid frequencies and traces like those of `all_miss_cases`,
+    with an integer CPI and more blocks, so that fewer reuses hit, as a
+    whole run, a window of at least half of it, or a suffix from a `start`
+    in its first third."""
+    core = toy_cores(draw, [1.0, 2.0], sets=(1, 2), techs=(STT_10US,),
+                     longest_s=3e-6)
+    core = replace(core, data_tech=replace(
+        core.data_tech, write_latency_ns=draw(st.sampled_from([0.601, 3.2]))))
+    freq = draw(st.sampled_from(core.dvfs.grid()))
+    line = core.geometry.line_bytes
+    gaps = st.integers(0, 30) | st.integers(2_000, 40_000)
+    events = draw(st.lists(
+        st.tuples(gaps, st.booleans(), st.integers(0, 60 * line - 1)),
+        min_size=1, max_size=60))
+    total = sum(gap + 1 for gap, _, _ in events)
+    kind = draw(st.sampled_from(["whole", "window", "suffix"]))
+    limit = (draw(st.integers(max(1, total // 2), total))
+             if kind == "window" else None)
+    start = draw(st.integers(1, max(1, total // 3))) if kind == "suffix" else 0
+    return core, freq, events, limit, start
+
+
+class TestEvictionLanes:
+    """An all-miss run that evicts counts its evictions over word-parallel
+    integer lanes, with the counts of a pass over its access times."""
+
+    def test_lane_counts_equal_the_per_access_pass(self, routes):
+        derived = set()
+
+        @settings(deadline=None, max_examples=400)
+        @given(lane_cases())
+        def check(case):
+            core, freq, events, limit, start = case
+            trace = events_trace(events)
+            routes.clear()
+            run = simulate_run(trace, core, freq, PowerModel(), limit=limit,
+                               start=start)
+            if routes != ["misses"]:
+                return
+            assert writebacks(run) == lane_oracle(trace, core, freq, limit,
+                                                  start)
+            if run.stats.evictions:
+                cut = engine._window(trace, start, limit)[1]
+                derived.add("cut" if cut else "suffix" if start
+                            else "window" if limit is not None else "whole")
+
+        check()
+        # Runs that evict: whole runs, `limit` windows and suffixes from a
+        # `start` inside a gap.
+        assert {"whole", "window", "cut"} <= derived
+
+    @pytest.mark.parametrize("freq, first_gap, gap, evicts", [
+        (1.6, 0, 11_835, 0), (1.6, 0, 11_834, 1),
+        (1.8, 10_249, 13_313, 1), (1.8, 0, 13_313, 0)])
+    def test_an_interval_of_the_lifetime_in_cycles(self, power, routes, freq,
+                                                   first_gap, gap, evicts):
+        # Writes of 0x0 and 0x100 and a read of 0x200 share a set of two
+        # ways; blocks live 7,500 ns. At 1.6 GHz that is exactly 12,000
+        # cycles, and the read comes 12,000 cycles after the first write
+        # with the longer gap, or 11,999. At 1.8 GHz 13,500 cycles last
+        # 7,500 ns but for one rounding of 1 / 1.8, and the float times
+        # decide: starting 10,249 cycles in, the read still evicts 0x0; from
+        # 0 it does not.
+        core = replace(default_system().core("core3"), data_tech=STT_10US,
+                       geometry=CacheGeometry(64 * 2 * 4, 64, 2))
+        events = [(first_gap, True, 0x0), (3, True, 0x100),
+                  (gap, False, 0x200)]
+        run = simulate_run(events_trace(events), core, freq, power)
+        assert routes == ["misses"]
+        assert run.stats.evictions == run.stats.writebacks == evicts
+        assert repr(run) == repr(forced_replay(events_trace(events), core,
+                                               freq, power))
+        assert counters(run) == reference_for(core, freq, events)
+
+    def test_a_set_that_fills_before_the_start(self, power, routes):
+        # 0x0, 0x100, 0x200 and 0x300 share a set of two ways. The run starts
+        # inside 0x200's gap, so 0x200 and 0x300 have no second earlier
+        # access of their set in it, though the whole trace has; only the
+        # read of 0x0 evicts, taking 0x200. A read of 0x40 ends the run after
+        # the blocks have expired.
+        core = boundary_core()
+        events = [(0, True, 0x0), (3, True, 0x100), (3, False, 0x200),
+                  (3, False, 0x300), (3, False, 0x0), (2500, False, 0x40)]
+        run = simulate_run(events_trace(events), core, 1.0, power, start=6)
+        assert routes == ["misses"] and run.mem_accesses == 4
+        assert writebacks(run) == (1, 0, 0)
+        assert repr(run) == repr(forced_replay(events_trace(events), core, 1.0,
+                                               power, start=6))
+        assert counters(run) == reference_for(core, 1.0, events, start=6)
+
+    @pytest.mark.parametrize("gap, early", [(7, 0), (8, 1)])
+    def test_fills_that_outlive_the_run(self, power, routes, gap, early):
+        # A read of 0x80 expires 2,001 cycles before a 54-cycle write of
+        # 0x40, the only other access of its set. `gap` instructions and 38
+        # reads of 51 cycles follow, each read evicting the fill before last
+        # of its set, and the run ends 1,999 cycles after the write with the
+        # shorter gap, when 0x40 and the 38 reads' fills outlive it. With
+        # the longer gap 0x40 expires as the run ends and is written back.
+        core = boundary_core(3.2)
+        events = ([(0, False, 0x80), (2000, True, 0x40), (gap, False, 0x100)]
+                  + [(0, False, 0x100 * j) for j in range(2, 39)])
+        run = simulate_run(events_trace(events), core, 1.0, power)
+        assert routes == ["misses"] and run.cycles == 2051 + 1992 + gap
+        assert writebacks(run) == (36, 0, early)
+        assert repr(run) == repr(forced_replay(events_trace(events), core, 1.0,
+                                               power))
+        assert counters(run) == reference_for(core, 1.0, events)
+
+    @pytest.mark.parametrize("gap, retention_s, route", [
+        (5_000_000_000, 4e-6, "misses"), (3_000_000, 5e-3, "replay")])
+    def test_an_interval_longer_than_a_lane(self, power, routes, gap,
+                                            retention_s, route):
+        # 0x0, 0x100, 0x200 and 0x300 share a set of two ways; one gap of
+        # `gap` instructions comes before 0x200. The two intervals that span
+        # it outgrow a lane and saturate: past a 2,000-cycle lifetime they
+        # surely do not evict, and the reads after them evict 0x200 and the
+        # dirty 0x300. A lifetime of 2.5 M cycles outlasts a saturated lane,
+        # so that run is replayed, with the same evictions.
+        core = replace(boundary_core(), data_tech=replace(
+            STT_10US, retention_time=retention_s))
+        events = [(0, True, 0x0), (3, False, 0x100), (gap, False, 0x200),
+                  (3, True, 0x300), (3, False, 0x0), (3, False, 0x100)]
+        run = simulate_run(events_trace(events), core, 1.0, power)
+        assert routes == [route] and run.cycles > gap
+        assert run.stats.evictions == 2 and run.stats.writebacks == 1
+        assert repr(run) == repr(forced_replay(events_trace(events), core, 1.0,
+                                               power))
+        assert counters(run) == reference_for(core, 1.0, events)
 
 
 def sweep_on(cpus, *args, **kwargs):
