@@ -8,17 +8,16 @@ retention time. A block keeps only that instant, its expiry time.
 A miss is an expiration miss exactly when a shadow copy with infinite
 retention still hits. That shadow is a plain LRU cache, a function of the
 access stream alone (Mattson et al., 1970), so `LruShadow` runs it in one
-pass; the engine runs it once per (trace, geometry, first simulated access)
-and every operating point reads its hit bits, instead of replaying the
-shadow at each point.
-
-The same pass bounds, in counts no frequency changes, how long a block goes
-between restores of its retention; where that bound stays below the lifetime
-no block expires, and `CacheState.derive` counts the run from the shadow
-instead of replaying it (stack simulation over frequency; Hill & Smith 1989).
-A window that ends before the pass's first eviction is an LRU run of its
-own; its spans are bounded by the componentwise minimum of the pass's widest
-span and the whole window taken as one span.
+pass per (trace, geometry, first simulated access), not at each operating
+point. It records one code per access (a read hit, a write hit, a miss, or
+a miss that evicts a clean or a dirty block); a run reads a prefix, which
+`run_totals` counts and a replay `translate`s to hit bits. The same pass
+bounds, in counts no frequency changes, how long a block goes between
+restores of its retention, in every run by one rule: the componentwise
+minimum of the pass's widest span and the run taken as one span. Where that
+stays below the lifetime no block expires, and `CacheState.derive` counts
+the run from the codes instead of replaying it (stack simulation over
+frequency; Hill & Smith 1989).
 
 The opposite case has a certificate of its own. In a run where every access
 misses, each set is a queue of fills and every access time is a fixed sum of
@@ -114,60 +113,58 @@ class AccessOutcome:
     writeback_issued: bool
 
 
+# What an `LruShadow` did at an access, one byte each, and each one's hit bit.
+_MISS, _READ_HIT, _WRITE_HIT, _EVICT_CLEAN, _EVICT_DIRTY = range(5)
+_HIT_BITS = bytes((0, 1, 1, 0, 0)).ljust(256, b"\0")
+
+
 class LruShadow:
     """An LRU cache of `geometry` with infinite retention, run in one pass
     over a stream of accesses that each `run` continues.
 
-    Besides the hit bits it keeps what no frequency changes, in `totals`:
-    gaps, reads, writes, misses, write hits, evictions and dirty evictions.
-    A block's restore span starts at its fill or write hit and ends at its
-    next write hit, its eviction or the end of the stream (a read hit does
-    not restore retention). It covers the gaps after its first access and
-    the reads, writes and misses before its last.
-
-    `cold` is the number of accesses before the first eviction (None while
-    there is none): a prefix no longer than that is an LRU run of its own
-    that evicts nothing.
+    LRU decides each access from those before it, so the first n codes of
+    `run` are those of the first n accesses run alone. A block's restore
+    span starts at its fill or write hit and ends at its next write hit, its
+    eviction or the end of the stream (a read hit does not restore
+    retention). It covers the gaps after its first access and the reads,
+    writes and misses before its last.
     """
 
     def __init__(self, geometry):
         self.geometry = geometry
         # Tag -> the totals at its restore and its dirty bit, LRU first.
         self._sets = [{} for _ in range(geometry.sets)]
-        self.totals, self._widest = (0,) * 7, (0,) * 4
-        self.cold = None
+        # Running (gaps, reads, writes, misses) and the widest span so far.
+        self._totals, self._widest = (0,) * 4, (0,) * 4
 
     def run(self, gaps, writes, addrs) -> bytearray:
-        """One byte per access: 1 where the cache hits, 0 where it misses."""
+        """The code of each access."""
         sets, ways = self._sets, self.geometry.ways
         shift, mask = self.geometry.line_bytes.bit_length() - 1, len(sets) - 1
-        g, r, w, m, write_hits, evictions, dirty = self.totals
+        g, r, w, m = self._totals
         mg, mr, mw, mm = self._widest
-        cold = self.cold
-        bits = bytearray()
-        record = bits.append
+        codes = bytearray()
+        record = codes.append
         for gap, write, addr in zip(gaps, writes, addrs):
             g += gap
             tag = addr >> shift
             blocks = sets[tag & mask]
             block = blocks.pop(tag, None)
             if block is None:
-                record(0)
                 miss = 1
                 if len(blocks) >= ways:
                     block = blocks.pop(next(iter(blocks)))
-                    evictions += 1
-                    dirty += block[4]
-                    if cold is None:
-                        cold = r + w
-            else:
-                record(1)
-                if not write:
-                    blocks[tag] = block
-                    r += 1
-                    continue
+                    record(_EVICT_CLEAN + block[4])  # _EVICT_DIRTY if dirty
+                else:
+                    record(_MISS)
+            elif write:
+                record(_WRITE_HIT)
                 miss = 0
-                write_hits += 1
+            else:
+                record(_READ_HIT)
+                blocks[tag] = block
+                r += 1
+                continue
             if block is not None:
                 # This access ends `block`'s restore span.
                 g0, r0, w0, m0, _ = block
@@ -183,10 +180,9 @@ class LruShadow:
             r += not write
             w += write
             m += miss
-        self.totals = g, r, w, m, write_hits, evictions, dirty
+        self._totals = g, r, w, m
         self._widest = mg, mr, mw, mm
-        self.cold = cold
-        return bits
+        return codes
 
     def span(self) -> tuple[int, int, int, int]:
         """The componentwise maximum of (gaps, reads, writes, misses) over
@@ -194,7 +190,19 @@ class LruShadow:
         marks = [b for blocks in self._sets for b in blocks.values()]
         return tuple(
             max(widest, total - min((b[i] for b in marks), default=total))
-            for i, (widest, total) in enumerate(zip(self._widest, self.totals)))
+            for i, (widest, total) in enumerate(zip(self._widest, self._totals)))
+
+
+def run_totals(codes, writes) -> tuple[int, int, int, int, int, int]:
+    """(reads, writes, misses, write hits, evictions, dirty evictions) of a
+    run of accesses with the write flags `writes`, from the codes of an
+    `LruShadow` that ran from its first access on."""
+    stop, stores = len(writes), writes.count(1)
+    write_hits = codes.count(_WRITE_HIT, 0, stop)
+    dirty = codes.count(_EVICT_DIRTY, 0, stop)
+    misses = stop - codes.count(_READ_HIT, 0, stop) - write_hits
+    return (stop - stores, stores, misses, write_hits,
+            codes.count(_EVICT_CLEAN, 0, stop) + dirty, dirty)
 
 
 _LANE = 32  # bits per access in a packed interval count
@@ -338,7 +346,7 @@ class CacheState:
         self._bounds = [math.inf] * geo.sets
         self.volatile = self.tech.is_volatile
         # The shadow of `access`, made on its first call; runs take their
-        # shadow bits from the engine instead.
+        # shadow codes from the engine instead.
         self._shadow = None
 
         # The monitor counter ticks every retention/k and expires the block
@@ -392,16 +400,16 @@ class CacheState:
             raise ValueError(f"op must be R or W, got {op!r}")
         self._check_time(now_ns)
         write = int(op == WRITE)
-        shadow = None
+        codes = None
         if self.volatile:
             if self._shadow is None:
                 self._shadow = LruShadow(self.geometry)
-            shadow = self._shadow.run((0,), (write,), (addr,))
+            codes = self._shadow.run((0,), (write,), (addr,))
         st = self.stats
         hits, expirations, writebacks = st.hits, st.expiration_misses, st.writebacks
         # Zero instructions before the access, one nanosecond per cycle: the
         # access happens at exactly `now_ns`.
-        self.replay((0,), (write,), (addr,), shadow, now_ns, 0.0, 1.0)
+        self.replay((0,), (write,), (addr,), codes, now_ns, 0.0, 1.0)
         stall = self.write_cycles if write else self.read_cycles
         if st.hits > hits:
             return AccessOutcome(HIT, MISS_NONE, stall, False)
@@ -410,16 +418,17 @@ class CacheState:
         return AccessOutcome(MISS, miss_class, stall + self.penalty_cycles,
                              st.writebacks > writebacks)
 
-    def replay(self, gaps, writes, addrs, shadow: bytearray | None,
+    def replay(self, gaps, writes, addrs, codes: bytearray | None,
                cycles: float, cpi: float, ns_per_cycle: float) -> float:
         """Simulate accesses in order on a blocking in-order core.
 
         Access i follows `gaps[i]` non-memory instructions of `cpi` cycles
         each and stalls for its own latency; `cycles` is the count before the
-        first, and the count after the last is returned. `shadow` holds the
-        infinite-retention hit bit of each access (None with infinite
-        retention). The counters reach `stats` once, at the end.
+        first, and the count after the last is returned. `codes` begin with
+        those of an `LruShadow` run over the same accesses (None with
+        infinite retention). The counters reach `stats` once, at the end.
         """
+        bits = None if codes is None else codes[:len(gaps)].translate(_HIT_BITS)
         sets, bounds = self._sets, self._bounds
         shift, mask, ways = self._line_shift, self._set_mask, self.geometry.ways
         lifetime = self.lifetime_ns
@@ -431,7 +440,7 @@ class CacheState:
         expirations = evictions = writebacks = early = 0
         now = self._last_now_ns
         for gap, write, addr, shadow_hit in zip(
-                gaps, writes, addrs, repeat(0) if shadow is None else shadow):
+                gaps, writes, addrs, repeat(0) if bits is None else bits):
             cycles += gap * cpi
             now = cycles * ns_per_cycle
             tag = addr >> shift
@@ -476,48 +485,51 @@ class CacheState:
             blocks[tag] = (now + lifetime, write)
         self._last_now_ns = now
         accesses = read_hits + write_hits + read_misses + write_misses
-        shadow_hits = (read_hits + write_hits if shadow is None
-                       else shadow.count(1, 0, accesses))
+        shadow_hits = (read_hits + write_hits if bits is None
+                       else bits.count(1, 0, accesses))
         self._count(read_hits, write_hits, read_misses, write_misses,
                     expirations, evictions, writebacks, early,
                     accesses - shadow_hits)
         return cycles
 
-    def derive(self, totals, span, gaps: int, cpi: float,
+    def derive(self, totals, span, gaps, nonmem: int, cpi: float,
                ns_per_cycle: float) -> float | None:
         """The cycles of a run from a cold cache, with its counters added to
         `stats` and the cache's contents left as they were; None, counting
-        nothing, unless no block can expire in it. `totals` are those of an
-        `LruShadow` that ran the run's accesses from a cold start, `span`
-        bounds each of their restore spans componentwise (for a whole run,
-        the shadow's widest; for a window the shadow evicts nothing in, the
-        smaller of that and the whole window) and `gaps` is the run's own
-        non-memory instruction count.
+        nothing, unless no block can expire in it. The run is `replay`'s
+        accesses, `nonmem` non-memory instructions in all, with its
+        `run_totals`; `span` is the widest restore span of an `LruShadow`
+        run from its first access on, through its last or further.
 
-        A restore span of g gaps, r reads, w writes and m misses lasts at
-        most cpi·g + rc·r + wc·w + pen·m cycles. If the shadow's widest span
-        stays below the lifetime by more than the rounding of the run's
-        times, no block expires and the run is the shadow's LRU run; with an
-        integer `cpi`, its cycles are an exact integer sum, as in a replay.
-        A run it refuses may still be one in which every access misses,
-        which `derive_misses` derives.
+        A restore span of the run is one of the shadow's or the start of one
+        that the run's end cuts off (a trailing part of a gap is at most the
+        next access's gap), so it is bounded componentwise by `span` and by
+        the run taken as one span. One of g gaps, r reads, w writes and m
+        misses lasts at most cpi·g + rc·r + wc·w + pen·m cycles. If the
+        bound stays below the lifetime by more than the rounding of the
+        run's times, no block expires and the run is the shadow's LRU run;
+        with an integer `cpi`, its cycles are an exact integer sum, as in a
+        replay. A run it refuses may still be one in which every access
+        misses, which `derive_misses` derives.
         """
         rc, wc, pen = self.read_cycles, self.write_cycles, self.penalty_cycles
-        _, reads, writes, misses, write_hits, evictions, dirty = totals
-        cycles = cpi * gaps + rc * reads + wc * writes + pen * misses
-        g, r, w, m = span
+        reads, stores, misses, write_hits, evictions, dirty = totals
+        cycles = cpi * nonmem + rc * reads + wc * stores + pen * misses
+        whole = (nonmem - gaps[0] if len(gaps) else nonmem, reads, stores,
+                 misses)
+        g, r, w, m = map(min, span, whole)
         widest_ns = (cpi * g + rc * r + wc * w + pen * m) * ns_per_cycle
         margin_ns = 1e-12 * (cycles * ns_per_cycle + self.lifetime_ns)
         if (not float(cpi).is_integer() or cycles >= 2 ** 53
                 or widest_ns + margin_ns >= self.lifetime_ns):
             return None
-        write_misses = writes - write_hits
+        write_misses = stores - write_hits
         self._count(reads - misses + write_misses, write_hits,
                     misses - write_misses, write_misses, 0, evictions, dirty,
                     0, misses)
         return float(cycles)
 
-    def derive_misses(self, facts: MissFacts, shadow: bytearray, gaps,
+    def derive_misses(self, facts: MissFacts, totals, gaps,
                       writes: bytes, tail: int, nonmem: int, cpi: float,
                       ns_per_cycle: float) -> float | None:
         """The cycles of a run from a cold cache, with its counters added to
@@ -525,8 +537,7 @@ class CacheState:
         nothing, unless `facts` show that every access of the run misses.
         The run is `replay`'s accesses followed by `tail` non-memory
         instructions, `nonmem` in all; `facts` are those of a stream that
-        begins with the run's accesses, and `shadow` its infinite-retention
-        hit bits.
+        begins with the run's accesses, and `totals` the run's `run_totals`.
 
         If every access misses, each set is a queue of fills, and access i
         fills at cpi·G + (rc+pen)·R + (wc+pen)·W cycles, with G the gaps up
@@ -558,7 +569,7 @@ class CacheState:
         accesses = len(gaps)
         stall = (self.read_cycles + self.penalty_cycles,
                  self.write_cycles + self.penalty_cycles)
-        dirty = writes.count(1)
+        _, dirty, shadow_misses = totals[:3]
         cycles = (cpi * nonmem + stall[0] * (accesses - dirty)
                   + stall[1] * dirty)
         if not float(cpi).is_integer() or cycles >= 2 ** 53:
@@ -625,9 +636,8 @@ class CacheState:
         if evictions:
             early += sum(map(writes.__getitem__,
                              filter(live.__le__, back[live:accesses])))
-        hits = shadow.count(1, 0, accesses)
-        self._count(0, 0, accesses - dirty, dirty, hits, evictions,
-                    writebacks, early, accesses - hits)
+        self._count(0, 0, accesses - dirty, dirty, accesses - shadow_misses,
+                    evictions, writebacks, early, shadow_misses)
         return float(cycles)
 
     def _count(self, read_hits=0, write_hits=0, read_misses=0, write_misses=0,

@@ -104,9 +104,25 @@ def _add_command(sub, name: str, func, help: str, *shared: str):
     return parser
 
 
+def _read(load, path):
+    """`load(path)`, with a directory in a file's place an input error."""
+    try:
+        return load(path)
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(None, exc.strerror, path) from None
+
+
+def _trace(path):
+    """The trace file at `path`, which must hold at least one access."""
+    trace = _read(load_trace, path)
+    if not len(trace):
+        raise ConfigError(None, "the trace holds no accesses", path)
+    return trace
+
+
 def _load_cfg(args) -> ExperimentConfig:
     if args.config:
-        return load_config(args.config)
+        return _read(load_config, args.config)
     return default_config()
 
 
@@ -193,7 +209,7 @@ def cmd_simulate(args) -> int:
     _check_flags(("--freq", freq, core.dvfs.on_grid(freq),
                   f"on {core.core_id}'s DVFS grid ({core.dvfs.min_freq_ghz}-"
                   f"{core.freq_cap_ghz} GHz, step {core.dvfs.step_ghz})"))
-    trace = load_trace(args.trace)
+    trace = _trace(args.trace)
     run = simulate_run(trace, core, freq, cfg.power)
     args.out.mkdir(parents=True, exist_ok=True)
     fh, writer = _open_csv(args.out / "simulate.csv", RUN_COLUMNS,
@@ -209,7 +225,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     _check_deadline(args)
     cfg = _load_cfg(args)
-    trace = load_trace(args.trace)
+    trace = _trace(args.trace)
     sweep = exhaustive_sweep(trace, cfg.system, cfg.power,
                              Constraint(args.constraint),
                              deadline_s=args.deadline)
@@ -232,7 +248,7 @@ def cmd_train(args) -> int:
                  ("--min-samples-leaf", args.min_samples_leaf,
                   args.min_samples_leaf >= 1, "at least 1"))
     cfg = _load_cfg(args)
-    traces = [load_trace(p) for p in args.traces]
+    traces = [_trace(p) for p in args.traces]
     if not traces:
         raise ConfigError(None, "train needs at least one trace")
     kinds = KINDS if args.constraint == "all" else (args.constraint,)
@@ -263,7 +279,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_cfg(args)
     model, constraint = _load_model(args.model, cfg.system)
-    trace = load_trace(args.trace)
+    trace = _trace(args.trace)
     feats, _ = profile_application(trace, cfg.system, cfg.power,
                                    cfg.profiling_interval)
     ranking = model.rank_labels(feats)
@@ -276,7 +292,7 @@ def _load_model(path: Path, system: System) -> tuple[CorePredictor, Constraint]:
     """Load a model file and check, before any work, that it predicts cores
     of `system` from known features."""
     try:
-        model, constraint = load_model(path)
+        model, constraint = _read(load_model, path)
     except FileNotFoundError:
         raise ConfigError(None, f"{path}: no such model file") from None
     except ValueError as exc:
@@ -299,7 +315,7 @@ def cmd_schedule(args) -> int:
     if constraint.kind != args.constraint:
         raise ConfigError(None, f"{path}: holds a {constraint.kind!r} model")
     sched = _scheduler(cfg, {constraint.kind: model})
-    traces = [load_trace(p) for p in args.traces]
+    traces = [_trace(p) for p in args.traces]
     args.out.mkdir(parents=True, exist_ok=True)
     fh, writer = _open_csv(args.out / "decisions.csv", DECISION_COLUMNS,
                            args.no_timestamp, append=True)
@@ -351,7 +367,7 @@ def _baseline_system(name: str) -> System:
 def cmd_report(args) -> int:
     cfg = _load_cfg(args)
     rows = []
-    for line, row in _read_csv(args.runs):
+    for line, row in _read(_read_csv, args.runs):
         try:
             rows.append((row["trace"], row.get("core", ""),
                          float(row.get("total_energy_j") or row["energy_j"]),
@@ -363,25 +379,22 @@ def cmd_report(args) -> int:
                               args.runs) from None
     if not rows:
         raise ConfigError(None, f"{args.runs} has no data rows")
+    baseline = {}  # trace path -> (energy, wall time) on the baseline core
+    if args.baseline != "self":
+        # Every trace is read and checked before any run or output.
+        traces = {path: _trace(path) for path, *_ in rows}
+        core = _baseline_system(args.baseline).cores[0]
+        for path, trace in traces.items():
+            base = simulate_run(trace, core, core.operating_freq_ghz,
+                                cfg.power)
+            baseline[path] = base.total_energy_j, base.wall_time_s
     args.out.mkdir(parents=True, exist_ok=True)
     columns = ["trace", "core", "energy_j", "baseline_energy_j", "energy_ratio",
                "wall_time_s", "baseline_wall_time_s", "latency_ratio",
                "exceeds_baseline"]
     fh, writer = _open_csv(args.out / "report.csv", columns, args.no_timestamp)
-    baseline_cache: dict[str, tuple[float, float]] = {}
     for trace_path, core_label, energy, wall in rows:
-        if args.baseline == "self":
-            base_e, base_t = energy, wall
-        else:
-            if trace_path not in baseline_cache:
-                system = _baseline_system(args.baseline)
-                core = system.cores[0]
-                trace = load_trace(trace_path)
-                base = simulate_run(trace, core, core.operating_freq_ghz,
-                                    cfg.power)
-                baseline_cache[trace_path] = (base.total_energy_j,
-                                              base.wall_time_s)
-            base_e, base_t = baseline_cache[trace_path]
+        base_e, base_t = baseline.get(trace_path, (energy, wall))
         ratio = energy / base_e if base_e else math.inf
         writer.writerow([trace_path, core_label, repr(energy),
                          repr(base_e), repr(ratio), repr(wall), repr(base_t),

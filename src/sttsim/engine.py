@@ -13,8 +13,9 @@ import marshal
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
-from .cache import CacheState, CacheStats, LruShadow, miss_facts
+from .cache import CacheState, CacheStats, LruShadow, miss_facts, run_totals
 from .config import CoreSpec, MemTechnology, System, voltage_for_frequency
 from .constraints import Constraint
 from .trace import Trace
@@ -140,55 +141,31 @@ def _window(trace: Trace, start: int, limit: int | None):
     return window
 
 
-def _shadow(trace: Trace, geometry, first: int):
-    """The infinite-retention hit bits of the trace's accesses from `first`
-    on, with the shadow's totals, widest restore span and accesses before
-    its first eviction, computed once per trace: a window reads a prefix."""
-    key = (geometry, first)
-    if key not in trace._shadow_bits:
+class _Pass:
+    """The `LruShadow` pass over a trace's accesses from `first` on, for a
+    cache of `geometry`: its codes, its widest restore span, the `run_totals`
+    of each run length and the `miss_facts`, each made when first asked."""
+
+    def __init__(self, trace: Trace, geometry, first: int):
+        self._stream = geometry, *(memoryview(column)[first:] for column in
+                                   (trace.gaps, trace.writes, trace.addrs))
         shadow = LruShadow(geometry)
-        bits = shadow.run(*(memoryview(column)[first:] for column in
-                            (trace.gaps, trace.writes, trace.addrs)))
-        cold = len(bits) if shadow.cold is None else shadow.cold
-        trace._shadow_bits[key] = bits, shadow.totals, shadow.span(), cold
-    return trace._shadow_bits[key]
+        self.codes = shadow.run(*self._stream[1:])
+        self.span = shadow.span()
+        self.totals = {}  # accesses -> `run_totals`
+
+    @cached_property
+    def facts(self):
+        return miss_facts(*self._stream)
 
 
-def _misses(trace: Trace, geometry, first: int):
-    """`miss_facts` of the trace's accesses from `first` on, computed once
-    per trace when a run first asks: a window reads a prefix."""
+def _pass(trace: Trace, geometry, first: int) -> _Pass:
+    """The trace's `_Pass` from access `first` on, made once per trace:
+    every run that starts at that access reads a prefix of it."""
     key = (geometry, first)
-    facts = trace._miss_facts.get(key)
-    if facts is None:
-        facts = trace._miss_facts[key] = miss_facts(
-            geometry, *(memoryview(column)[first:] for column in
-                        (trace.gaps, trace.writes, trace.addrs)))
-    return facts
-
-
-def _prefix(trace: Trace, window, bits, span, cold):
-    """The shadow's totals over a window's accesses and a bound on each of
-    their restore spans, or (None, None) when the shadow evicts before the
-    window ends. Without an eviction the window is an LRU run of its own: a
-    span the window's end cuts off is at most the whole-run span it belongs
-    to (`tail` is at most the next gap) and at most the whole window, so the
-    bound is the componentwise minimum of the shadow's widest span and the
-    window taken as one span (the gaps after its first access plus `tail`,
-    with all its reads, writes and misses)."""
-    first, cut, count, tail, nonmem = window
-    if count > cold:
-        return None, None
-    end = first + count
-    writes = trace.writes.count(1, first, end)
-    misses = count - bits.count(1, 0, count)
-    write_hits = (int.from_bytes(memoryview(bits)[:count], "little")
-                  & int.from_bytes(memoryview(trace.writes)[first:end],
-                                   "little")
-                  ).bit_count()
-    reads = count - writes
-    after_first = nonmem - (trace.gaps[first] - cut if count else 0)
-    bound = tuple(map(min, span, (after_first, reads, writes, misses)))
-    return (nonmem - tail, reads, writes, misses, write_hits, 0, 0), bound
+    if key not in trace._passes:
+        trace._passes[key] = _Pass(trace, geometry, first)
+    return trace._passes[key]
 
 
 def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
@@ -199,14 +176,14 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
     `limit` caps the simulated instruction count (profiling windows);
     `start` skips that many leading instructions and begins with cold
     caches, which is how a migrated application resumes on a new core.
-    A run that no expiry can touch, whole or a window that ends before the
-    shadow's first eviction, is derived from the trace's shadow pass
-    instead of replayed; a window's restore spans are bounded by the
-    componentwise minimum of the pass's widest span and the whole window
-    taken as one span. A run, whole or a window, in which every access
-    misses is derived from the trace's `miss_facts`, made once when a run
-    first needs them. Deterministic: identical inputs give bit-identical
-    results, derived or replayed.
+    On a volatile core every run, whole or a window, reads the shadow pass
+    from its first access (`_pass`) by one rule: its totals are counts over
+    its prefix of the codes, and its restore spans are bounded by the
+    componentwise minimum of the pass's widest span and the run taken as
+    one span. A run that no expiry can touch is derived from these instead
+    of replayed, and one in which every access misses from the pass's
+    `miss_facts`, made when a run first needs them. Deterministic:
+    identical inputs give bit-identical results, derived or replayed.
     """
     if not len(trace):
         raise ValueError("trace is empty")
@@ -221,35 +198,34 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
         if limit <= 0:
             raise ValueError("limit must be positive")
 
-    first, cut, count, tail, nonmem = window = _window(trace, start, limit)
+    first, cut, count, tail, nonmem = _window(trace, start, limit)
     cache = CacheState(core, freq_ghz)
     cpi = core.base_cpi
     ns_per_cycle = 1.0 / freq_ghz
-    bits = cycles = None
+    gaps, writes, addrs = trace.gaps, trace.writes, trace.addrs
+    end = first + count
+    part = count < len(gaps) or cut
+    if part:
+        # The first access keeps only the part of its gap after `start`.
+        gaps, writes = gaps[first:end], writes[first:end]
+        if count:
+            gaps[0] -= cut
+    shadow = cycles = None
     if cache.volatile:
-        bits, totals, span, cold = _shadow(trace, core.geometry, first)
-        if count < len(bits):
-            totals, span = _prefix(trace, window, bits, span, cold)
-        if totals is not None:
-            cycles = cache.derive(totals, span, nonmem, cpi, ns_per_cycle)
-    if cycles is None:
-        gaps, writes, addrs = trace.gaps, trace.writes, trace.addrs
-        end = first + count
-        part = count < len(gaps) or cut
-        if part:
-            # The first access keeps only the part of its gap after `start`.
-            gaps, writes = gaps[first:end], writes[first:end]
-            if count:
-                gaps[0] -= cut
-        if bits is not None and float(cpi).is_integer():  # else it refuses
-            cycles = cache.derive_misses(
-                _misses(trace, core.geometry, first), bits, gaps, writes,
-                tail, nonmem, cpi, ns_per_cycle)
+        shadow = _pass(trace, core.geometry, first)
+        if count not in shadow.totals:
+            shadow.totals[count] = run_totals(shadow.codes, writes)
+        totals = shadow.totals[count]
+        cycles = cache.derive(totals, shadow.span, gaps, nonmem, cpi,
+                              ns_per_cycle)
+        if cycles is None and float(cpi).is_integer():  # else it refuses
+            cycles = cache.derive_misses(shadow.facts, totals, gaps, writes,
+                                         tail, nonmem, cpi, ns_per_cycle)
     if cycles is None:
         if part:
             addrs = addrs[first:end]
-        cycles = cache.replay(gaps, writes, addrs, bits, 0.0, cpi,
-                              ns_per_cycle) + tail * cpi
+        cycles = cache.replay(gaps, writes, addrs, shadow and shadow.codes,
+                              0.0, cpi, ns_per_cycle) + tail * cpi
         cache.advance_retention(cycles * ns_per_cycle)
     stats = cache.stats
     penalty_stalls = stats.misses * cache.penalty_cycles
@@ -334,9 +310,10 @@ def _run_points(trace: Trace, points, power: PowerModel,
     """`simulate_run` at each (core, freq) point, in point order. Worker w of
     n = min(os.cpu_count(), points) runs points[w::n]: worker 0 is this
     process, the others are forked children that inherit the trace and its
-    shadow bits and send their rows back as `marshal`led field dicts. All
-    children are reaped; a child that fails has its share rerun here, so its
-    error is raised as in a one-process sweep."""
+    shadow pass, made here first (not its `miss_facts`), and send their rows
+    back as `marshal`led field dicts. All children are reaped; a child that
+    fails has its share rerun here, so its error is raised as in a
+    one-process sweep."""
     def share(w, n):
         return [simulate_run(trace, core, freq, power, limit=limit)
                 for core, freq in points[w::n]]
@@ -346,7 +323,7 @@ def _run_points(trace: Trace, points, power: PowerModel,
         return share(0, 1)
     for core, _ in points:
         if core.data_tech.is_volatile:
-            _shadow(trace, core.geometry, 0)
+            _pass(trace, core.geometry, 0)
     rows, children, sent = [None] * len(points), [], {}
     try:
         for w in range(1, n):

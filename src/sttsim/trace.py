@@ -66,16 +66,15 @@ class Trace:
     plus its preceding gap, is counted once at construction. Readers share
     the columns and must not mutate them.
 
-    `_shadow_bits` is where the engine keeps the trace's shadow pass (hit
-    bits, totals, widest restore span, accesses before the first eviction)
-    and `_miss_facts` the facts of an all-miss run, each once per geometry
-    and first access, and `_windows` where it keeps each run's bounds (first
-    access, cut, count, tail, non-memory instructions), once per start and
-    limit. All die with the trace and take no part in equality.
+    `_passes` is where the engine keeps the trace's shadow pass (a code per
+    access, the widest restore span and, once a run asks, all-miss facts)
+    once per geometry and first access, and `_windows` each run's bounds
+    (first access, cut, count, tail, non-memory instructions) once per
+    start and limit. Both die with the trace and take no part in equality.
     """
 
     __slots__ = ("name", "gaps", "writes", "addrs", "instructions",
-                 "_shadow_bits", "_miss_facts", "_windows")
+                 "_passes", "_windows")
 
     def __init__(self, events: Iterable[TraceEvent], name: str = "trace"):
         gaps, writes, addrs = array("q"), bytearray(), array("Q")
@@ -112,8 +111,7 @@ class Trace:
         self.writes = writes
         self.addrs = addrs
         self.instructions = sum(gaps) + len(gaps)
-        self._shadow_bits = {}
-        self._miss_facts = {}
+        self._passes = {}
         self._windows = {}
 
     @property

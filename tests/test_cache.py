@@ -5,7 +5,7 @@ import pytest
 
 from sttsim import (CacheGeometry, CacheState, HIT, MISS, MISS_EXPIRATION,
                     MISS_NONE, MISS_OTHER, STT_10US, SRAM, default_system)
-from sttsim.cache import LruShadow
+from sttsim.cache import LruShadow, run_totals
 from reference import ReferenceLru
 
 US = 1000.0  # ns per microsecond
@@ -268,43 +268,60 @@ class TestClassificationSoundness:
         assert c.stats.shadow_misses == ref.misses == 4
 
 
-def first_eviction(geometry, addrs):
-    """The number of accesses before the first that misses in a full set of
-    `ReferenceLru`, or None when none does."""
-    ref = ReferenceLru(geometry.sets, geometry.ways, geometry.line_bytes)
-    for i, addr in enumerate(addrs):
+def lru_prefix_totals(geometry, writes, addrs):
+    """(reads, writes, misses, write hits, evictions, dirty evictions) after
+    each prefix of the stream, empty first, in a plain LRU cache with dirty
+    bits."""
+    sets = [[] for _ in range(geometry.sets)]  # [line, dirty], LRU first
+    reads = stores = misses = write_hits = evictions = dirty = 0
+    prefixes = [(0, 0, 0, 0, 0, 0)]
+    for write, addr in zip(writes, addrs):
         line = addr // geometry.line_bytes
-        blocks = ref.content[line % geometry.sets]
-        if line not in blocks and len(blocks) == geometry.ways:
-            return i
-        ref.access(addr)
-    return None
+        lru = sets[line % geometry.sets]
+        block = next((b for b in lru if b[0] == line), None)
+        if block is not None:
+            lru.remove(block)
+            write_hits += write
+        else:
+            misses += 1
+            block = [line, 0]
+            if len(lru) == geometry.ways:
+                evictions += 1
+                dirty += lru.pop(0)[1]
+        block[1] |= write
+        lru.append(block)
+        reads += not write
+        stores += write
+        prefixes.append((reads, stores, misses, write_hits, evictions, dirty))
+    return prefixes
 
 
 class TestLruShadow:
     @pytest.mark.parametrize("ways, sets, lines_per_way", [
         (1, 1, 3), (2, 4, 2), (4, 2, 4), (2, 4, 1)])
-    def test_cold_counts_the_accesses_before_the_first_eviction(
-            self, ways, sets, lines_per_way):
+    def test_codes_count_every_prefix(self, ways, sets, lines_per_way):
         # With one line per way no set ever overflows, so nothing is evicted.
         rng = random.Random(100 * ways + 10 * sets + lines_per_way)
         geometry = toy_core(ways, sets).geometry
         addrs = [64 * rng.randrange(lines_per_way * ways * sets)
                  for _ in range(300)]
-        writes = [int(rng.random() < 0.3) for _ in addrs]
+        writes = bytes(int(rng.random() < 0.3) for _ in addrs)
         gaps = [rng.randrange(50) for _ in addrs]
-        expected = first_eviction(geometry, addrs)
-        assert (expected is None) == (lines_per_way == 1)
+        expected = lru_prefix_totals(geometry, writes, addrs)
+        assert (expected[-1][4] == 0) == (lines_per_way == 1)
+        assert lines_per_way == 1 or expected[-1][5] > 0
 
-        whole = LruShadow(geometry)
-        whole.run(gaps, writes, addrs)
-        assert whole.cold == expected
+        def prefixes(codes, stop):
+            return [run_totals(codes, writes[:n]) for n in range(stop + 1)]
 
-        # The same stream over several continuations: after each, `cold`
-        # is that of the prefix run so far.
-        split = LruShadow(geometry)
+        whole = LruShadow(geometry).run(gaps, writes, addrs)
+        assert prefixes(whole, len(addrs)) == expected
+
+        # The same stream over several continuations: after each, every
+        # prefix so far reads as it does in the independent LRU.
+        split, codes = LruShadow(geometry), bytearray()
         cuts = [0, *sorted(rng.sample(range(1, len(addrs)), 6)), len(addrs)]
         for a, b in zip(cuts, cuts[1:]):
-            split.run(gaps[a:b], writes[a:b], addrs[a:b])
-            assert split.cold == first_eviction(geometry, addrs[:b])
-        assert split.cold == expected
+            codes += split.run(gaps[a:b], writes[a:b], addrs[a:b])
+            assert prefixes(codes, b) == expected[:b + 1]
+        assert codes == whole

@@ -488,3 +488,65 @@ class TestEntryPoint:
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "gen-trace" in proc.stdout
+
+
+def _command(name, given):
+    """`name`'s arguments over the inputs in `given`."""
+    args = {
+        "simulate": ("--trace", given["trace"], "--core", "core1"),
+        "sweep": ("--trace", given["trace"]),
+        "train": ("--traces", given["trace"]),
+        "predict": ("--model", given["model"], "--trace", given["trace"]),
+        "schedule": ("--models", given["models"], "--traces", given["trace"]),
+        "report": ("--runs", given["runs"], "--baseline", given["baseline"]),
+    }[name]
+    out = () if name == "predict" else ("--out", given["out"])
+    return (name, *args, "--config", given["config"], *out)
+
+
+class TestInputFiles:
+    """A trace file without accesses, and an input path that is a directory
+    (or that passes through a file), exit 1 naming the path, before any
+    work or output."""
+
+    @pytest.fixture
+    def given(self, trained_models, tmp_path):
+        models, traces, cfg = trained_models
+        empty = tmp_path / "empty.trace"
+        empty.write_text("# a header and no accesses\n\n")
+        return dict(trace=traces[0], config=cfg, models=models,
+                    model=models / "model-none.txt", baseline="sram",
+                    out=tmp_path / "out", empty=empty, dir=tmp_path)
+
+    def _fails(self, name, given, bad, capsys):
+        if "runs" not in given:
+            given["runs"] = given["dir"] / "runs.csv"
+            given["runs"].write_text("trace,core,total_energy_j,wall_time_s\n"
+                                     f"{given['trace']},core1,1.0,2.0\n")
+        assert run_cli(*_command(name, given)) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {bad}: ")
+        assert not given["out"].exists()
+
+    @pytest.mark.parametrize("name, baseline", [
+        ("simulate", "sram"), ("sweep", "sram"), ("train", "sram"),
+        ("predict", "sram"), ("schedule", "sram"), ("report", "sram"),
+        ("report", "homog-400us")])  # only report reads the baseline
+    def test_a_trace_without_accesses(self, given, capsys, name, baseline):
+        given.update(trace=given["empty"], baseline=baseline)
+        self._fails(name, given, given["empty"], capsys)
+
+    @pytest.mark.parametrize("name, flag", [
+        ("simulate", "trace"), ("simulate", "config"),
+        ("sweep", "trace"), ("sweep", "config"),
+        ("train", "trace"), ("train", "config"),
+        ("predict", "trace"), ("predict", "config"), ("predict", "model"),
+        ("schedule", "trace"), ("schedule", "config"),
+        ("report", "runs"), ("report", "config"), ("report", "trace")])
+    def test_a_directory(self, given, capsys, name, flag):
+        given[flag] = given["dir"]
+        self._fails(name, given, given["dir"], capsys)
+
+    def test_a_models_path_that_is_a_file(self, given, capsys):
+        given["models"] = given["empty"]
+        self._fails("schedule", given, given["empty"] / "model-none.txt",
+                    capsys)

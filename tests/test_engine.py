@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import os
@@ -15,7 +16,8 @@ from sttsim import (CacheGeometry, CacheState, CacheStats, Constraint,
                     pareto_flags, processor_energy, simulate_run, sram_system)
 from sttsim.trace import READ, WRITE
 
-from reference import reference_all_miss_writebacks, reference_run
+from reference import (ReferenceLru, reference_all_miss_writebacks,
+                       reference_run)
 from workloads import ARCHETYPES, PROFILING_INTERVAL, archetype_params
 
 
@@ -274,11 +276,11 @@ def toy_cores(draw, cpis, sets=(1, 2, 4, 8), techs=(SRAM, STT_10US),
                    base_cpi=draw(st.sampled_from(cpis)))
 
 
-def toy_events(draw, line, max_gap):
+def toy_events(draw, line, max_gap, min_size=1):
     return draw(st.lists(
         st.tuples(st.integers(0, max_gap), st.booleans(),
                   st.integers(0, 40 * line - 1)),
-        min_size=1, max_size=60))
+        min_size=min_size, max_size=60))
 
 
 @st.composite
@@ -431,11 +433,35 @@ def derivable_cases(draw):
     core = toy_cores(draw, [1.0, 1.5])
     freq = draw(st.sampled_from(core.dvfs.grid()))
     max_gap = draw(st.sampled_from([20, 300, 4000]))
-    events = toy_events(draw, core.geometry.line_bytes, max_gap)
+    # Drawn lists and integers tend to be short, and so would the windows
+    # that evict: some cases take at least 20 accesses, and some windows
+    # end at or after the first access that evicts in the run's LRU cache.
+    events = toy_events(draw, core.geometry.line_bytes, max_gap,
+                        draw(st.sampled_from([1, 20])))
     total = sum(gap + 1 for gap, _, _ in events)
-    limit = draw(st.none() | st.integers(1, total + 5))
     start = draw(st.just(0) | st.integers(0, total + 5))
-    return core, freq, events, limit, start
+    limits = st.none() | st.integers(1, total + 5)
+    evicted = first_eviction_end(core.geometry, events, start)
+    if evicted is not None:
+        limits |= st.integers(evicted, total - start)
+    return core, freq, events, draw(limits), start
+
+
+def first_eviction_end(geometry, events, start):
+    """The instructions from `start` through the first access of a run from
+    `start` that misses in a full set of `ReferenceLru`, or None."""
+    ref = ReferenceLru(geometry.sets, geometry.ways, geometry.line_bytes)
+    pos = 0
+    for gap, _, addr in events:
+        pos += gap + 1
+        if pos <= start:
+            continue
+        line = addr // geometry.line_bytes
+        blocks = ref.content[line % geometry.sets]
+        if line not in blocks and len(blocks) == geometry.ways:
+            return pos - start
+        ref.access(addr)
+    return None
 
 
 def boundary_core(write_ns=STT_10US.write_latency_ns, **kw):
@@ -450,25 +476,31 @@ def boundary_core(write_ns=STT_10US.write_latency_ns, **kw):
 
 
 class TestDerivedRuns:
-    """A run that no expiry can touch, whole or a window that ends before
-    the shadow's first eviction, is derived from the shadow pass instead of
-    replayed, with bit-identical results. The cases named for a replay sit
-    at that certificate's boundary; where every access of such a run
-    misses, the second certificate derives it instead (`TestAllMissRuns`)."""
+    """A run that no expiry can touch, whole or a window, is derived from
+    the shadow pass instead of replayed, with bit-identical results. The
+    cases named for a replay sit at that certificate's boundary; where
+    every access of such a run misses, the second certificate derives it
+    instead (`TestAllMissRuns`)."""
 
-    def test_derived_runs_equal_replays_and_the_reference(self, replays):
-        derived_windows = []
+    def test_derived_runs_equal_replays_and_the_reference(self, routes):
+        derived_windows = collections.Counter()
 
-        @settings(deadline=None, max_examples=300)
+        # A run draws some 40 distinct cores, and the windows past the first
+        # eviction come from the few volatile ones with an integer CPI whose
+        # geometry evicts, so a random seed misses them in about one run in
+        # thirty: the seed is fixed.
+        @settings(deadline=None, max_examples=300, derandomize=True)
         @given(derivable_cases())
         def check(case):
             core, freq, events, limit, start = case
-            replays.clear()
+            routes.clear()
             run = simulate_run(events_trace(events), core, freq, PowerModel(),
                                limit=limit, start=start)
             total = sum(gap + 1 for gap, _, _ in events)
-            if not replays and run.instructions < total - start:
-                derived_windows.append(case)
+            if routes == ["derive"] and run.instructions < total - start:
+                # No block expired, so the run evicted where the shadow did:
+                # a window with evictions ends after the shadow's first.
+                derived_windows[run.stats.evictions > 0] += 1
             replayed = forced_replay(events_trace(events), core, freq,
                                      PowerModel(), limit=limit, start=start)
             assert repr(run) == repr(replayed)
@@ -476,8 +508,9 @@ class TestDerivedRuns:
                                                   start)
 
         check()
-        # Some windows that end before the trace does are derived.
-        assert derived_windows
+        # Windows that end before the trace does are derived, both before
+        # the shadow's first eviction and after it.
+        assert derived_windows.keys() == {False, True}, derived_windows
 
     def test_only_runs_that_can_expire_replay(self, system, power, routes):
         hot = gen_synthetic(archetype_params("A", 4301, False), name="hot")
@@ -575,9 +608,9 @@ class TestDerivedRuns:
                                           accesses):
         # 0x0, 0x100 and 0x200 share a set of two ways, so the shadow's first
         # eviction is the third access, of dirty 0x0. A window of the first
-        # two accesses, with or without a tail, is derived; the first
-        # certificate refuses one of three, which evicts, and as its three
-        # accesses miss, the second derives it.
+        # two accesses, with or without a tail, is derived, and so is one of
+        # three, which evicts: its codes count the dirty eviction, and its
+        # spans are bounded as any run's are.
         core = boundary_core()
         events = [(3, True, 0x0), (3, False, 0x100), (3, False, 0x200),
                   (3, False, 0x0)]
@@ -585,7 +618,7 @@ class TestDerivedRuns:
                            limit=limit)
         evicted = int(accesses > 2)
         assert run.mem_accesses == accesses
-        assert routes == ["misses" if evicted else "derive"]
+        assert routes == ["derive"]
         assert run.stats.evictions == run.stats.writebacks == evicted
         assert repr(run) == repr(forced_replay(events_trace(events), core,
                                                1.0, power, limit=limit))
