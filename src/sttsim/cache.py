@@ -51,15 +51,13 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import add, itemgetter, mul, sub
 
 from .config import CoreSpec, access_cycles
+from .trace import READ, WRITE
 
 HIT = "hit"
 MISS = "miss"
 MISS_NONE = "none"
 MISS_EXPIRATION = "expiration"
 MISS_OTHER = "other"
-
-READ = "R"
-WRITE = "W"
 
 
 @dataclass
@@ -355,8 +353,8 @@ class CacheState:
         self.lifetime_ns = (self.tech.retention_time * 1e9 / k * (k - 1)
                             if self.volatile else math.inf)
 
-        self.read_cycles = access_cycles(freq_ghz, self.tech.hit_latency_ns)
-        self.write_cycles = access_cycles(freq_ghz, self.tech.write_latency_ns)
+        self.read_cycles = core.read_cycles(freq_ghz)
+        self.write_cycles = core.write_cycles(freq_ghz)
         self.penalty_cycles = access_cycles(freq_ghz, core.miss_penalty_ns)
 
         self.stats = CacheStats()

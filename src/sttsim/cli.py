@@ -189,7 +189,7 @@ def cmd_gen_trace(args) -> int:
         seed=args.seed,
     )
     try:
-        trace = gen_synthetic(params, name=args.name or f"synth-{args.seed}")
+        trace = gen_synthetic(params, name=args.name)
     except ValueError as exc:  # an empty trace
         raise ConfigError(None, f"--total {args.total}: {exc}") from None
     args.out.mkdir(parents=True, exist_ok=True)
@@ -314,6 +314,10 @@ def cmd_schedule(args) -> int:
     model, constraint = _load_model(path, cfg.system)
     if constraint.kind != args.constraint:
         raise ConfigError(None, f"{path}: holds a {constraint.kind!r} model")
+    if args.dispatch and len(args.traces) > cfg.system.slots:
+        raise ConfigError(None, f"--dispatch places one app per core: "
+                                f"{len(args.traces)} traces exceed the "
+                                f"{cfg.system.slots} cores")
     sched = _scheduler(cfg, {constraint.kind: model})
     traces = [_trace(p) for p in args.traces]
     args.out.mkdir(parents=True, exist_ok=True)

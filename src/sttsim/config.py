@@ -27,7 +27,6 @@ class MemTechnology:
     """
 
     name: str
-    kind: str  # "sram" | "sttram"
     retention_time: float
     hit_latency_ns: float
     write_latency_ns: float
@@ -36,8 +35,6 @@ class MemTechnology:
     leakage_w: float
 
     def __post_init__(self):
-        if self.kind not in ("sram", "sttram"):
-            raise ValueError(f"unknown memory kind {self.kind!r}")
         if not (0 < self.hit_latency_ns < INFINITE
                 and 0 < self.write_latency_ns < INFINITE):
             raise ValueError(f"{self.name}: latencies must be finite and > 0")
@@ -46,8 +43,6 @@ class MemTechnology:
             raise ValueError(f"{self.name}: energies must be finite and >= 0")
         if not 0 <= self.leakage_w < INFINITE:
             raise ValueError(f"{self.name}: leakage must be finite and >= 0")
-        if self.kind == "sram" and not math.isinf(self.retention_time):
-            raise ValueError(f"{self.name}: SRAM retention must be infinite")
         if not 0 < self.retention_time <= INFINITE:
             raise ValueError(f"{self.name}: retention must be > 0 or infinite")
 
@@ -222,11 +217,11 @@ class System:
         if self.cluster_count < 1:
             raise ValueError("cluster_count must be >= 1")
         # Default the profiling core to the shortest-retention core and the
-        # base core to the core with the fewest write cycles at the top cap.
+        # base core to the fastest.
         if not self.profiling_core:
             object.__setattr__(self, "profiling_core", self._default_profiling())
         if not self.base_core:
-            object.__setattr__(self, "base_core", self._default_base())
+            object.__setattr__(self, "base_core", self.speed_order()[0])
         for role, label in (("profiling", self.profiling_core), ("base", self.base_core)):
             if label not in labels:
                 raise ValueError(f"{role} core {label!r} is not in the system")
@@ -235,13 +230,6 @@ class System:
         volatile = [c for c in self.cores if c.data_tech.is_volatile]
         pool = volatile or list(self.cores)
         return min(pool, key=lambda c: c.data_tech.retention_time).core_id
-
-    def _default_base(self) -> str:
-        return min(
-            self.cores,
-            key=lambda c: (-c.freq_cap_ghz, c.write_cycles(c.freq_cap_ghz),
-                           self.cores.index(c)),
-        ).core_id
 
     def core(self, label: str) -> CoreSpec:
         for c in self.cores:
@@ -258,6 +246,11 @@ class System:
     def labels(self) -> list[str]:
         return [c.core_id for c in self.cores]
 
+    @property
+    def slots(self) -> int:
+        """The (cluster, core) slots: how many apps one dispatch can place."""
+        return len(self.cores) * self.cluster_count
+
     def speed_order(self) -> list[str]:
         """Core labels fastest-first: by cap, then write cycles, then index."""
         ranked = sorted(
@@ -271,16 +264,16 @@ class System:
 
 # Published device rows: hit/write latency (ns), read/write energy (J/access),
 # leakage (W). STT-RAM rows share one leakage figure.
-SRAM = MemTechnology("sram", "sram", INFINITE, 0.453, 0.312,
-                     0.007e-9, 0.006e-9, 50.328e-3)
-STT_10US = MemTechnology("stt_10us", "sttram", 10e-6, 0.464, 0.601,
-                         0.003e-9, 0.026e-9, 13.1448e-3)
-STT_26_5US = MemTechnology("stt_26_5us", "sttram", 26.5e-6, 0.454, 0.769,
-                           0.003e-9, 0.030e-9, 13.1448e-3)
-STT_75US = MemTechnology("stt_75us", "sttram", 75e-6, 0.445, 0.981,
-                         0.003e-9, 0.035e-9, 13.1448e-3)
-STT_400US = MemTechnology("stt_400us", "sttram", 400e-6, 0.443, 1.389,
-                          0.003e-9, 0.045e-9, 13.1448e-3)
+SRAM = MemTechnology("sram", INFINITE, 0.453, 0.312, 0.007e-9, 0.006e-9,
+                     50.328e-3)
+STT_10US = MemTechnology("stt_10us", 10e-6, 0.464, 0.601, 0.003e-9, 0.026e-9,
+                         13.1448e-3)
+STT_26_5US = MemTechnology("stt_26_5us", 26.5e-6, 0.454, 0.769, 0.003e-9,
+                           0.030e-9, 13.1448e-3)
+STT_75US = MemTechnology("stt_75us", 75e-6, 0.445, 0.981, 0.003e-9, 0.035e-9,
+                         13.1448e-3)
+STT_400US = MemTechnology("stt_400us", 400e-6, 0.443, 1.389, 0.003e-9,
+                          0.045e-9, 13.1448e-3)
 
 TECHNOLOGIES = {t.name: t for t in (SRAM, STT_10US, STT_26_5US, STT_75US, STT_400US)}
 
@@ -297,12 +290,11 @@ def default_system(cluster_count: int = 1) -> System:
         for cid, tech, cap in DEFAULT_CORES), cluster_count=cluster_count)
 
 
-def homogeneous_system(tech: MemTechnology, count: int = 4,
-                       cap_ghz: float = 2.0) -> System:
-    """A system whose cores all share one data technology (baseline builds)."""
-    return System(cores=tuple(make_core(f"core{i + 1}", tech, max_freq_ghz=cap_ghz)
-                              for i in range(count)))
+def homogeneous_system(tech: MemTechnology) -> System:
+    """Four cores over the whole default DVFS line that share one data
+    technology (baseline builds)."""
+    return System(cores=tuple(make_core(f"core{i + 1}", tech) for i in range(4)))
 
 
-def sram_system(count: int = 4) -> System:
-    return homogeneous_system(SRAM, count)
+def sram_system() -> System:
+    return homogeneous_system(SRAM)

@@ -113,8 +113,7 @@ _KEYS = {
                **_same(_count, "history_capacity", "profiling_interval"),
                "prediction_time_us": ("prediction_time_s", _micros),
                "migration_time_us": ("migration_time_s", _micros)},
-    "tech": {"kind": ("kind", str),
-             "retention_s": ("retention_time", _retention),
+    "tech": {"retention_s": ("retention_time", _retention),
              **_same(_number, "hit_latency_ns", "write_latency_ns"),
              "read_energy_nj": ("read_energy_j", lambda text: _number(text) * 1e-9),
              "write_energy_nj": ("write_energy_j", lambda text: _number(text) * 1e-9),
@@ -245,11 +244,9 @@ def _named(headers, family):
 
 def _parse_tech(name, fields, at) -> MemTechnology:
     """A built-in row with the given fields overridden, or a new row that
-    sets every key (`retention_s` defaults to infinite for SRAM)."""
+    sets every key."""
     if name in TECHNOLOGIES:
         return _build(at, f"[tech.{name}]", replace, TECHNOLOGIES[name], **fields)
-    if fields.get("kind") == "sram":
-        fields.setdefault("retention_time", math.inf)
     for key, (field, _) in _KEYS["tech"].items():
         if field not in fields:
             raise ConfigError(at, f"[tech.{name}] is missing {key!r}")

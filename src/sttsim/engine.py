@@ -295,18 +295,17 @@ def select_best(rows, system: System, constraint: Constraint,
 
 
 def exhaustive_sweep(trace: Trace, system: System, power: PowerModel,
-                     constraint: Constraint, deadline_s: float | None = None,
-                     limit: int | None = None) -> SweepResult:
+                     constraint: Constraint,
+                     deadline_s: float | None = None) -> SweepResult:
     """Simulate every core at every admissible grid frequency and pick the
     constraint-feasible energy minimum."""
     points = [(core, freq) for core in system.cores for freq in core.dvfs.grid()]
-    rows = _run_points(trace, points, power, limit)
+    rows = _run_points(trace, points, power)
     best, deadline_s, violation = select_best(rows, system, constraint, deadline_s)
     return SweepResult(tuple(rows), best, deadline_s, violation)
 
 
-def _run_points(trace: Trace, points, power: PowerModel,
-                limit: int | None) -> list[RunResult]:
+def _run_points(trace: Trace, points, power: PowerModel) -> list[RunResult]:
     """`simulate_run` at each (core, freq) point, in point order. Worker w of
     n = min(os.cpu_count(), points) runs points[w::n]: worker 0 is this
     process, the others are forked children that inherit the trace and its
@@ -315,7 +314,7 @@ def _run_points(trace: Trace, points, power: PowerModel,
     fails has its share rerun here, so its error is raised as in a
     one-process sweep."""
     def share(w, n):
-        return [simulate_run(trace, core, freq, power, limit=limit)
+        return [simulate_run(trace, core, freq, power)
                 for core, freq in points[w::n]]
 
     n = min(os.cpu_count() or 1, len(points))

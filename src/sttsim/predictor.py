@@ -260,9 +260,9 @@ def train_tree(data: TrainingSet, max_depth: int = 5,
 
 
 def label_oracle(trace: Trace, system: System, power: PowerModel,
-                 constraint: Constraint, limit: int | None = None) -> str:
+                 constraint: Constraint) -> str:
     """Ground-truth best core: the exhaustive sweep's pick."""
-    return exhaustive_sweep(trace, system, power, constraint, limit=limit).best_core
+    return exhaustive_sweep(trace, system, power, constraint).best_core
 
 
 # -- model files -------------------------------------------------------------

@@ -11,7 +11,7 @@ each app's highest-ranked free core by the same per-core rule as a fresh
 decision: the verified point, else the core's cap.
 
 Every simulation goes through one memo per scheduler, keyed by the trace
-object and the run's (core, frequency, limit, start), so a decision's
+and the run's (core, frequency, limit, start), so a decision's
 window estimates, verification runs, deadline base and later history hits
 each simulate a given point once.
 """
@@ -158,28 +158,25 @@ class Scheduler:
         prof_core = system.core(system.profiling_core)
         self._overhead_power_w = power.static_power_w(
             voltage_for_frequency(prof_core.dvfs, prof_core.operating_freq_ghz))
-        # id(trace) -> (trace, {(core_id, freq, limit, start): run}), least
-        # recently used first; holds at most history.capacity traces.
-        self._runs: OrderedDict[int, tuple[Trace, dict]] = OrderedDict()
+        # trace -> {(core_id, freq, limit, start): run}, least recently used
+        # first; holds at most history.capacity traces.
+        self._runs: OrderedDict[Trace, dict] = OrderedDict()
 
     # -- simulation ------------------------------------------------------------
 
     def _simulate(self, trace: Trace, core: CoreSpec, freq_ghz: float,
                   limit: int | None = None, start: int = 0) -> RunResult:
-        """`simulate_run` on this scheduler's power model, memoised.
-
-        Traces are matched by identity, never by name (two traces may share
-        one) or by hash (hashing walks every event). Callers share the
-        returned result and must not mutate it.
+        """`simulate_run` on this scheduler's power model, memoised per
+        trace. Traces are matched by equality, so two that share a name but
+        not their accesses keep separate runs. Callers share the returned
+        result and must not mutate it.
         """
-        key = id(trace)
-        entry = self._runs.get(key)
-        if entry is None or entry[0] is not trace:
-            entry = self._runs[key] = (trace, {})
+        runs = self._runs.get(trace)
+        if runs is None:
+            runs = self._runs[trace] = {}
             while len(self._runs) > self.history.capacity:
                 self._runs.popitem(last=False)
-        self._runs.move_to_end(key)
-        runs = entry[1]
+        self._runs.move_to_end(trace)
         point = (core.core_id, freq_ghz, limit, start)
         run = runs.get(point)
         if run is None:
@@ -381,10 +378,9 @@ class Scheduler:
         `deadline_for` the constraint, as in `run_application`. Dispatch
         never escalates to another core.
         """
-        slots = len(self.system.cores) * self.system.cluster_count
-        if len(traces) > slots:
-            raise ValueError(f"{len(traces)} apps exceed {slots} cores; "
-                             "queueing is not modeled")
+        if len(traces) > self.system.slots:
+            raise ValueError(f"{len(traces)} apps exceed {self.system.slots} "
+                             "cores; queueing is not modeled")
 
         taken: set[tuple[int, str]] = set()
         placements = []

@@ -397,18 +397,17 @@ class BimodalGaps:
 
 @dataclass(frozen=True)
 class SynthParams:
-    """Knobs for the synthetic workload generator.
+    """Knobs for the synthetic workload generator, each one it reads.
 
     Reuse gaps are measured in instructions, so the same trace exercises
     different expiry behavior at different clock frequencies. The realized
     memory-op fraction follows working_set_blocks / mean reuse gap; use
-    `for_rate` to derive a consistent working-set size from a target rate.
+    `for_rate` to size the working set from a target fraction.
     """
 
     working_set_blocks: int
     reuse_gaps: UniformGaps | BimodalGaps
     write_fraction: float
-    memory_op_fraction: float
     total_instructions: int
     seed: int
     line_bytes: int = 64
@@ -419,8 +418,6 @@ class SynthParams:
             raise ValueError("working set needs at least one block")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError("write_fraction must be in [0, 1]")
-        if not 0.0 < self.memory_op_fraction <= 1.0:
-            raise ValueError("memory_op_fraction must be in (0, 1]")
         if self.total_instructions < 1:
             raise ValueError("total_instructions must be >= 1")
         if self.line_bytes < 1:
@@ -434,11 +431,14 @@ class SynthParams:
     @classmethod
     def for_rate(cls, reuse_gaps, memory_op_fraction, write_fraction,
                  total_instructions, seed, **kw) -> "SynthParams":
-        """Size the working set so the access rate matches the reuse gaps."""
+        """Size the working set so that `memory_op_fraction`, in (0, 1], of
+        the instructions access memory at the reuse gaps' mean. The fraction
+        only sizes the working set; the parameters do not keep it."""
+        if not 0.0 < memory_op_fraction <= 1.0:
+            raise ValueError("memory_op_fraction must be in (0, 1]")
         blocks = max(1, round(memory_op_fraction * reuse_gaps.mean))
         return cls(working_set_blocks=blocks, reuse_gaps=reuse_gaps,
                    write_fraction=write_fraction,
-                   memory_op_fraction=memory_op_fraction,
                    total_instructions=total_instructions, seed=seed, **kw)
 
     def describe(self) -> list[str]:
@@ -446,8 +446,7 @@ class SynthParams:
             f"synth seed={self.seed} blocks={self.working_set_blocks} "
             f"total={self.total_instructions}",
             f"synth gaps: {self.reuse_gaps.describe()}",
-            f"synth write_fraction={self.write_fraction} "
-            f"memory_op_fraction={self.memory_op_fraction}",
+            f"synth write_fraction={self.write_fraction}",
         ]
 
 

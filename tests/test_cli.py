@@ -434,6 +434,22 @@ class TestTrainPredictSchedule:
         assert len(rows) == 4
         assert "dispatched 4 apps" in capsys.readouterr().out
 
+    def test_dispatch_over_capacity_is_config_error(self, trained_models,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        # Five traces for the four cores: an input error naming both counts,
+        # before any trace is read or decisions.csv opened.
+        models, traces, cfg = trained_models
+        read = []
+        monkeypatch.setattr(cli, "load_trace", read.append)
+        code = run_cli("schedule", "--models", models, "--traces", *traces,
+                       traces[0], "--config", cfg, "--out", tmp_path / "out",
+                       "--no-timestamp", "--dispatch")
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("config error: ")
+        assert "5 traces" in err and "4 cores" in err
+        assert read == [] and not (tmp_path / "out").exists()
+
     def test_report_missing_column_is_config_error(self, tmp_path, capsys):
         runs = tmp_path / "runs.csv"
         runs.write_text("trace,core,total_energy_j\nx.trace,core1,1.0\n")

@@ -80,13 +80,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             CacheGeometry(ways=3)
 
-    def test_sram_must_be_non_volatile(self):
-        with pytest.raises(ValueError):
-            MemTechnology("bad", "sram", 1e-3, 0.4, 0.3, 1e-12, 1e-12, 0.05)
+    def test_volatility_follows_retention(self):
+        assert [t.is_volatile for t in [SRAM] + STT_TECHS] == [False] + [True] * 4
+        assert not replace(STT_10US, retention_time=math.inf).is_volatile
+        assert replace(SRAM, retention_time=1e-3).is_volatile
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
-            MemTechnology("bad", "sttram", 1e-5, 0.4, 0.6, -1e-12, 1e-12, 0.01)
+            MemTechnology("bad", 1e-5, 0.4, 0.6, -1e-12, 1e-12, 0.01)
 
     def test_dvfs_span_must_be_step_multiple(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,6 @@ effective_capacitance_f = 5e-12
 static_power_points = 0.9:0.35, 1.35:0.50
 
 [tech.fast_stt]
-kind = sttram
 retention_s = 10e-6
 hit_latency_ns = 0.464
 write_latency_ns = 0.601
@@ -157,18 +156,21 @@ class TestErrors:
             parse_config("[core.1]\ndata_tech = nonexistent\n")
         assert "unknown technology" in str(err.value)
 
-    def test_sram_with_finite_retention(self):
-        text = ("[tech.s]\nkind = sram\nretention_s = 1e-3\n"
-                "hit_latency_ns = 0.45\nwrite_latency_ns = 0.3\n"
-                "read_energy_nj = 0.007\nwrite_energy_nj = 0.006\n"
-                "leakage_mw = 50.0\n")
-        with pytest.raises(ConfigError):
-            parse_config(text)
-
     def test_tech_missing_field(self):
         with pytest.raises(ConfigError) as err:
-            parse_config("[tech.t]\nkind = sttram\nretention_s = 1e-5\n")
+            parse_config("[tech.t]\nretention_s = 1e-5\n")
         assert "missing" in str(err.value)
+
+    def test_a_new_row_sets_its_retention(self):
+        # Volatility follows the retention alone: a new SRAM-like row says
+        # `retention_s = infinite`, and leaving it out is an error.
+        rest = ("hit_latency_ns = 0.45\nwrite_latency_ns = 0.3\n"
+                "read_energy_nj = 0.007\nwrite_energy_nj = 0.006\n"
+                "leakage_mw = 50.0\n[core.1]\ndata_tech = s\n")
+        cfg = parse_config("[tech.s]\nretention_s = infinite\n" + rest)
+        assert not cfg.system.core("core1").data_tech.is_volatile
+        with pytest.raises(ConfigError, match="missing 'retention_s'"):
+            parse_config("[tech.s]\n" + rest)
 
     def test_unnamed_core_section(self):
         with pytest.raises(ConfigError):

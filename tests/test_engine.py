@@ -6,7 +6,7 @@ import random
 from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sttsim import engine
 from sttsim import (CacheGeometry, CacheState, CacheStats, Constraint,
@@ -190,8 +190,7 @@ class TestSweep:
         # All cache terms equal across cores once expiry is out of reach:
         # the winner is the max-frequency, lowest-static point.
         params = SynthParams(working_set_blocks=4, reuse_gaps=UniformGaps(80, 120),
-                             write_fraction=0.0, memory_op_fraction=0.04,
-                             total_instructions=5000, seed=3)
+                             write_fraction=0.0, total_instructions=5000, seed=3)
         tr = gen_synthetic(params)
         sweep = exhaustive_sweep(tr, system, power, Constraint("none"))
         assert sweep.best.freq_ghz == 2.0
@@ -203,8 +202,8 @@ class TestSweep:
         # core, so both longer-retention cores beat it.
         params = SynthParams(working_set_blocks=400,
                              reuse_gaps=UniformGaps(35_000, 45_000),
-                             write_fraction=0.3, memory_op_fraction=0.01,
-                             total_instructions=400_000, seed=5)
+                             write_fraction=0.3, total_instructions=400_000,
+                             seed=5)
         tr = gen_synthetic(params)
         sweep = exhaustive_sweep(tr, system, power, Constraint("none"))
         best = {}
@@ -662,6 +661,15 @@ def all_miss_cases(draw):
     return core, freq, events, limit, start
 
 
+# Two-way sets of `boundary_core`, every access a miss. `SET_INTERVAL` fills
+# 0x0, 0x100 and 0x200 into one set, the third 2,000 ns after the first,
+# when 0x0 has just expired: nothing is evicted. `BURSTS` are bursts of
+# those three blocks 2,500 instructions apart, whose third accesses evict.
+SET_INTERVAL = [(0, True, 0x0), (3, False, 0x100), (1895, False, 0x200)]
+BURSTS = [(10 if i % 3 else 2500, i % 2 == 0, 0x100 * (i % 3))
+          for i in range(12)]
+
+
 class TestAllMissRuns:
     """A run in which every access misses is derived from the trace's
     `miss_facts` instead of replayed, with bit-identical results."""
@@ -671,6 +679,14 @@ class TestAllMissRuns:
 
         @settings(deadline=None, max_examples=400)
         @given(all_miss_cases())
+        # Each asserted kind of run by construction: whole runs and windows
+        # (a `limit` with a tail, a `start` inside a gap), with and without
+        # evictions.
+        @example((boundary_core(), 1.0, SET_INTERVAL, None, 0))
+        @example((boundary_core(), 1.0, BURSTS, None, 0))
+        @example((boundary_core(), 1.0, SET_INTERVAL + [(3000, False, 0x300)],
+                  1905, 0))
+        @example((boundary_core(), 1.0, BURSTS, None, 1000))
         def check(case):
             core, freq, events, limit, start = case
             routes.clear()
@@ -751,8 +767,7 @@ class TestAllMissRuns:
         # evicts the first of its burst. `start` cuts into the first gap and
         # `limit` ends in a gap, leaving a tail. A fractional CPI replays.
         core = boundary_core(base_cpi=cpi)
-        events = [(10 if i % 3 else 2500, i % 2 == 0, 0x100 * (i % 3))
-                  for i in range(12)]
+        events = BURSTS
         run = simulate_run(events_trace(events), core, 1.0, power, **window)
         assert routes == ["replay" if cpi % 1 else "misses"]
         assert run.stats.hits == 0 and run.stats.evictions > 0
@@ -815,6 +830,11 @@ class TestEvictionLanes:
 
         @settings(deadline=None, max_examples=400)
         @given(lane_cases())
+        # Each asserted kind of evicting run by construction: a whole run,
+        # a `limit` window and a suffix from a `start` inside a gap.
+        @example((boundary_core(), 1.0, BURSTS, None, 0))
+        @example((boundary_core(), 1.0, BURSTS, 6000, 0))
+        @example((boundary_core(), 1.0, BURSTS, None, 1000))
         def check(case):
             core, freq, events, limit, start = case
             trace = events_trace(events)
@@ -931,23 +951,19 @@ def no_child_left():
 class TestParallelSweep:
     """Sweeps split over forked workers give the one-worker results."""
 
-    @pytest.mark.parametrize("case", ["default", "sram", "limit", "one-access",
+    @pytest.mark.parametrize("case", ["default", "sram", "one-access",
                                       "fewer-points-than-workers"])
     def test_rows_equal_one_worker(self, case, system, power):
-        trace, limit = rand_trace(31), None
+        trace = rand_trace(31)
         if case == "sram":
             system = sram_system()
-        elif case == "limit":
-            limit = 15_000
         elif case == "one-access":
             trace = one_gap_trace(7)
         elif case == "fewer-points-than-workers":
             system = System(cores=(system.core("core1"),))
-        serial = sweep_on(1, trace, system, power, Constraint("slack10"),
-                          limit=limit)
+        serial = sweep_on(1, trace, system, power, Constraint("slack10"))
         for cpus in (None, 3, 64):
-            sweep = sweep_on(cpus, trace, system, power, Constraint("slack10"),
-                             limit=limit)
+            sweep = sweep_on(cpus, trace, system, power, Constraint("slack10"))
             assert repr(sweep) == repr(serial)
         assert no_child_left()
 

@@ -296,6 +296,30 @@ class TestRunMemo:
         rerun = simulate_run(second, system.core(d2.core), d2.freq_ghz, power)
         assert d2.run_wall_time_s == rerun.wall_time_s != d1.run_wall_time_s
 
+    def test_traces_of_one_hash_are_told_apart_by_their_accesses(
+            self, system, power, sim_calls):
+        # The memo is keyed by the trace, whose hash is its name, length and
+        # instructions: a trace that differs only in its write flags gets its
+        # own runs, and an equal copy reads the first trace's.
+        sched = Scheduler(system, power, stub_models(system, "core3"),
+                          profiling_interval=INTERVAL)
+        first = hot_trace(seed=1)
+        flipped = Trace.from_columns(first.gaps,
+                                     bytes(1 - w for w in first.writes),
+                                     first.addrs, name=first.name)
+        copy = Trace.from_columns(first.gaps, first.writes, first.addrs,
+                                  name=first.name)
+        assert hash(flipped) == hash(first) and flipped != first == copy
+        d1 = sched.run_application(first, Constraint("none"))
+        d2 = sched.run_application(flipped, Constraint("none"))
+        assert d2.from_history and (d2.core, d2.freq_ghz) == (d1.core, d1.freq_ghz)
+        rerun = simulate_run(flipped, system.core(d2.core), d2.freq_ghz, power)
+        assert d2.run_wall_time_s == rerun.wall_time_s != d1.run_wall_time_s
+        made = len(sim_calls)
+        d3 = sched.run_application(copy, Constraint("none"))
+        assert d3.from_history and d3.run_wall_time_s == d1.run_wall_time_s
+        assert len(sim_calls) == made and len(sched._runs) == 2
+
     def test_a_decision_makes_at_most_two_lru_passes(self, system, power,
                                                      lru_passes):
         # One for the runs from the first access, one for the runs that

@@ -126,8 +126,8 @@ class TestGenerator:
 
     def test_addresses_stride_by_line(self):
         p = SynthParams(working_set_blocks=10, reuse_gaps=UniformGaps(50, 80),
-                        write_fraction=0.2, memory_op_fraction=0.2,
-                        total_instructions=5_000, seed=1, line_bytes=64)
+                        write_fraction=0.2, total_instructions=5_000, seed=1,
+                        line_bytes=64)
         addrs = {e.addr for e in gen_synthetic(p).events}
         assert addrs == {0x10000 + 64 * b for b in range(10)}
 
@@ -148,11 +148,12 @@ class TestGenerator:
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            SynthParams(0, UniformGaps(10, 20), 0.5, 0.5, 100, 1)
+            SynthParams(0, UniformGaps(10, 20), 0.5, 100, 1)
         with pytest.raises(ValueError):
-            SynthParams(1, UniformGaps(10, 20), 1.5, 0.5, 100, 1)
-        with pytest.raises(ValueError):
-            SynthParams(1, UniformGaps(10, 20), 0.5, 0.0, 100, 1)
+            SynthParams(1, UniformGaps(10, 20), 1.5, 100, 1)
+        for fraction in (0.0, 1.5):
+            with pytest.raises(ValueError, match="memory_op_fraction"):
+                SynthParams.for_rate(UniformGaps(10, 20), fraction, 0.5, 100, 1)
         with pytest.raises(ValueError):
             UniformGaps(20, 10)
         with pytest.raises(ValueError):
@@ -165,8 +166,8 @@ class TestGenerator:
                           ("base_addr", {"base_addr": -64}),
                           ("base_addr", {"base_addr": 2**64 - 64})):
             with pytest.raises(ValueError, match=field):
-                SynthParams(2, UniformGaps(10, 20), 0.5, 0.5, 100, 1, **kw)
-        top = SynthParams(2, UniformGaps(10, 20), 0.5, 0.5, 100, 1,
+                SynthParams(2, UniformGaps(10, 20), 0.5, 100, 1, **kw)
+        top = SynthParams(2, UniformGaps(10, 20), 0.5, 100, 1,
                           base_addr=2**64 - 128)
         assert max(gen_synthetic(top).addrs) == 2**64 - 64
 
@@ -180,8 +181,8 @@ class TestGenerator:
         for long_lo, long_hi in ((150_000, 200_000), (500_000, 700_000)):
             gaps = BimodalGaps(20_000, 30_000, long_lo, long_hi, 0.3)
             p = SynthParams(working_set_blocks=350, reuse_gaps=gaps,
-                            write_fraction=0.2, memory_op_fraction=0.01,
-                            total_instructions=2_500_000, seed=77)
+                            write_fraction=0.2, total_instructions=2_500_000,
+                            seed=77)
             tr = gen_synthetic(p)
             run = simulate_run(tr, core4, 2.0, power)
             sram_run = simulate_run(tr, sram, 2.0, power)
@@ -443,7 +444,6 @@ SYNTH_PARAMS = st.builds(
     working_set_blocks=st.integers(1, 30),
     reuse_gaps=st.one_of(UNIFORM_GAPS, BIMODAL_GAPS),
     write_fraction=st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)),
-    memory_op_fraction=st.floats(0.001, 1),
     # Short totals often end before the first touch: an empty trace.
     total_instructions=st.one_of(st.integers(1, 50), st.integers(1, 6000)),
     seed=st.integers(0, 2**64),
@@ -458,11 +458,11 @@ def test_generator_draws_the_reference_stream():
     @given(SYNTH_PARAMS)
     # One value, a power of two and one past it, each with one mode and
     # with a mixture at weight 0 and 1.
-    @example(SynthParams(5, UniformGaps(7, 7), 0.5, 0.1, 20_000, 7))
-    @example(SynthParams(5, BimodalGaps(64, 127, 127, 383, 0.0), 0.5, 0.1,
-                         20_000, 64, line_bytes=32, base_addr=0x1234))
-    @example(SynthParams(5, BimodalGaps(65, 193, 193, 449, 1.0), 0.5, 0.1,
-                         20_000, 65, line_bytes=32, base_addr=0x1234))
+    @example(SynthParams(5, UniformGaps(7, 7), 0.5, 20_000, 7))
+    @example(SynthParams(5, BimodalGaps(64, 127, 127, 383, 0.0), 0.5, 20_000,
+                         64, line_bytes=32, base_addr=0x1234))
+    @example(SynthParams(5, BimodalGaps(65, 193, 193, 449, 1.0), 0.5, 20_000,
+                         65, line_bytes=32, base_addr=0x1234))
     def check(params):
         try:
             expected = reference_gen_synthetic(params, name="g")
