@@ -1,9 +1,11 @@
 """Set-associative L1 data cache with per-block retention expiry.
 
-Volatile blocks have a k-state monitor counter ticking at retention/k from
-their fill (or last write). When the counter reaches k-1 the block is written
+Each block has a k-state monitor counter ticking at retention/k from its
+fill (or last write). When the counter reaches k-1 the block is written
 back if dirty and invalidated, so no block's age ever reaches the full
-retention time. A block keeps only that instant, its expiry time.
+retention time. A block keeps only that instant, its expiry time. SRAM is
+the technology of infinite retention: its blocks never expire, and an SRAM
+run is the LRU shadow run below.
 
 A miss is an expiration miss exactly when a shadow copy with infinite
 retention still hits. That shadow is a plain LRU cache, a function of the
@@ -15,9 +17,9 @@ a miss that evicts a clean or a dirty block); a run reads a prefix, which
 bounds, in counts no frequency changes, how long a block goes between
 restores of its retention, in every run by one rule: the componentwise
 minimum of the pass's widest span and the run taken as one span. Where that
-stays below the lifetime no block expires, and `CacheState.derive` counts
-the run from the codes instead of replaying it (stack simulation over
-frequency; Hill & Smith 1989).
+stays below the lifetime, which an infinite one always does, no block
+expires, and `CacheState.derive` counts the run from the codes instead of
+replaying it (stack simulation over frequency; Hill & Smith 1989).
 
 The opposite case has a certificate of its own. In a run where every access
 misses, each set is a queue of fills and every access time is a fixed sum of
@@ -30,7 +32,10 @@ run; where the second does too nothing is evicted. Otherwise the evictions
 are counted in word-parallel integer lanes (SWAR arithmetic on Python
 ints): `MissFacts` packs every such interval's counts, one 32-bit lane per
 access, and at a point one multiply-add gives all their lengths in cycles
-and one add and mask against the lifetime marks those that evict.
+and one add and mask against the lifetime marks those that evict. Each
+certificate settles a run exactly or refuses it, and every run, whatever
+its technology, tries both before a replay: a run with an interval within
+the rounding of its times of the lifetime is refused and replayed.
 
 Each set is a dict from tag to (expiry_ns, dirty), least recently used
 first, plus a lower bound on the expiry times it holds. A block expires at
@@ -47,8 +52,8 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, repeat
-from operator import add, itemgetter, mul, sub
+from itertools import accumulate, chain, count, repeat
+from operator import itemgetter, sub
 
 from .config import CoreSpec, access_cycles
 from .trace import READ, WRITE
@@ -228,13 +233,13 @@ class MissFacts:
         self._lanes = None
 
     def evictions(self, accesses: int, cpi: int, stall, lo: int, hi: int):
-        """(evicting, dirty, unsure) over the intervals (b) that end at the
-        first `accesses` accesses, each cpi·DG + stall[0]·DR + stall[1]·DW
-        cycles long for DG gaps, DR reads and DW writes: `evicting` counts
-        those shorter than `lo` cycles, `dirty` those of them whose earlier
-        access is a write, and `unsure` lists, uncounted, the accesses whose
-        interval lasts from `lo` to `hi` cycles. No lane may reach its top
-        bit, and one that saturates must last more than `hi` cycles.
+        """(evicting, dirty) over the intervals (b) that end at the first
+        `accesses` accesses, each cpi·DG + stall[0]·DR + stall[1]·DW cycles
+        long for DG gaps, DR reads and DW writes: `evicting` counts those
+        shorter than `lo` cycles and `dirty` those of them whose earlier
+        access is a write; None if any interval lasts from `lo` to `hi`
+        cycles. No lane may reach its top bit, and one that saturates must
+        last more than `hi` cycles.
 
         The counts of the intervals are made on the first call, one
         `_LANE`-bit lane per access in each of three ints, at most `_CAP`
@@ -258,16 +263,13 @@ class MissFacts:
         length = cpi * dg + stall[0] * dr + stall[1] * dw
         # Lane i's top bit is set where its length reaches lo, or hi + 1.
         past_lo = (length + ((1 << _TOP) - lo) * ones) & tops
-        past_hi = (length + ((1 << _TOP) - hi - 1) * ones) & tops
+        if past_lo != (length + ((1 << _TOP) - hi - 1) * ones) & tops:
+            return None  # rarely: a lane lasts from lo to hi cycles
         evicting = tops ^ past_lo
         flags = bytearray(size * accesses)
         flags[size - 1::size] = written[:accesses]  # bit _TOP - 7 of lane i
         dirty = evicting & int.from_bytes(flags, "little") << 7
-        unsure = past_lo ^ past_hi  # rarely any
-        if unsure:
-            unsure = list(compress(count(), unsure.to_bytes(
-                size * accesses, "little")[size - 1::size]))
-        return evicting.bit_count(), dirty.bit_count(), unsure or []
+        return evicting.bit_count(), dirty.bit_count()
 
 
 def _lanes(counts, back) -> int:
@@ -342,16 +344,15 @@ class CacheState:
         self._set_mask = geo.sets - 1
         self._sets = [{} for _ in range(geo.sets)]
         self._bounds = [math.inf] * geo.sets
-        self.volatile = self.tech.is_volatile
         # The shadow of `access`, made on its first call; runs take their
         # shadow codes from the engine instead.
         self._shadow = None
 
         # The monitor counter ticks every retention/k and expires the block
-        # on reaching k-1; the float form of that instant is pinned.
+        # on reaching k-1; the float form of that instant is pinned, and an
+        # infinite retention gives an infinite lifetime.
         k = core.counter_states_k
-        self.lifetime_ns = (self.tech.retention_time * 1e9 / k * (k - 1)
-                            if self.volatile else math.inf)
+        self.lifetime_ns = self.tech.retention_time * 1e9 / k * (k - 1)
 
         self.read_cycles = core.read_cycles(freq_ghz)
         self.write_cycles = core.write_cycles(freq_ghz)
@@ -398,11 +399,9 @@ class CacheState:
             raise ValueError(f"op must be R or W, got {op!r}")
         self._check_time(now_ns)
         write = int(op == WRITE)
-        codes = None
-        if self.volatile:
-            if self._shadow is None:
-                self._shadow = LruShadow(self.geometry)
-            codes = self._shadow.run((0,), (write,), (addr,))
+        if self._shadow is None:
+            self._shadow = LruShadow(self.geometry)
+        codes = self._shadow.run((0,), (write,), (addr,))
         st = self.stats
         hits, expirations, writebacks = st.hits, st.expiration_misses, st.writebacks
         # Zero instructions before the access, one nanosecond per cycle: the
@@ -416,17 +415,17 @@ class CacheState:
         return AccessOutcome(MISS, miss_class, stall + self.penalty_cycles,
                              st.writebacks > writebacks)
 
-    def replay(self, gaps, writes, addrs, codes: bytearray | None,
-               cycles: float, cpi: float, ns_per_cycle: float) -> float:
+    def replay(self, gaps, writes, addrs, codes: bytearray, cycles: float,
+               cpi: float, ns_per_cycle: float) -> float:
         """Simulate accesses in order on a blocking in-order core.
 
         Access i follows `gaps[i]` non-memory instructions of `cpi` cycles
         each and stalls for its own latency; `cycles` is the count before the
         first, and the count after the last is returned. `codes` begin with
-        those of an `LruShadow` run over the same accesses (None with
-        infinite retention). The counters reach `stats` once, at the end.
+        those of an `LruShadow` run over the same accesses, whose misses
+        classify the replay's. The counters reach `stats` once, at the end.
         """
-        bits = None if codes is None else codes[:len(gaps)].translate(_HIT_BITS)
+        bits = codes[:len(gaps)].translate(_HIT_BITS)
         sets, bounds = self._sets, self._bounds
         shift, mask, ways = self._line_shift, self._set_mask, self.geometry.ways
         lifetime = self.lifetime_ns
@@ -437,8 +436,7 @@ class CacheState:
         read_hits = write_hits = read_misses = write_misses = 0
         expirations = evictions = writebacks = early = 0
         now = self._last_now_ns
-        for gap, write, addr, shadow_hit in zip(
-                gaps, writes, addrs, repeat(0) if bits is None else bits):
+        for gap, write, addr, shadow_hit in zip(gaps, writes, addrs, bits):
             cycles += gap * cpi
             now = cycles * ns_per_cycle
             tag = addr >> shift
@@ -483,11 +481,9 @@ class CacheState:
             blocks[tag] = (now + lifetime, write)
         self._last_now_ns = now
         accesses = read_hits + write_hits + read_misses + write_misses
-        shadow_hits = (read_hits + write_hits if bits is None
-                       else bits.count(1, 0, accesses))
         self._count(read_hits, write_hits, read_misses, write_misses,
                     expirations, evictions, writebacks, early,
-                    accesses - shadow_hits)
+                    accesses - bits.count(1))
         return cycles
 
     def derive(self, totals, span, gaps, nonmem: int, cpi: float,
@@ -507,8 +503,9 @@ class CacheState:
         bound stays below the lifetime by more than the rounding of the
         run's times, no block expires and the run is the shadow's LRU run;
         with an integer `cpi`, its cycles are an exact integer sum, as in a
-        replay. A run it refuses may still be one in which every access
-        misses, which `derive_misses` derives.
+        replay. An infinite lifetime is never reached, so every such run
+        with it is derived. A run it refuses may still be one in which every
+        access misses, which `derive_misses` derives.
         """
         rc, wc, pen = self.read_cycles, self.write_cycles, self.penalty_cycles
         reads, stores, misses, write_hits, evictions, dirty = totals
@@ -517,7 +514,11 @@ class CacheState:
                  misses)
         g, r, w, m = map(min, span, whole)
         widest_ns = (cpi * g + rc * r + wc * w + pen * m) * ns_per_cycle
-        margin_ns = 1e-12 * (cycles * ns_per_cycle + self.lifetime_ns)
+        # The rounding of the run's times and of their expiry times. A time
+        # compared lies within the run, so a lifetime of more than twice its
+        # end, an infinite one too, is never reached however it rounds.
+        end_ns = cycles * ns_per_cycle
+        margin_ns = 1e-12 * (end_ns + min(self.lifetime_ns, 2 * end_ns))
         if (not float(cpi).is_integer() or cycles >= 2 ** 53
                 or widest_ns + margin_ns >= self.lifetime_ns):
             return None
@@ -527,15 +528,17 @@ class CacheState:
                     0, misses)
         return float(cycles)
 
-    def derive_misses(self, facts: MissFacts, totals, gaps,
-                      writes: bytes, tail: int, nonmem: int, cpi: float,
+    def derive_misses(self, shadow, totals, gaps, writes: bytes, tail: int,
+                      nonmem: int, cpi: float,
                       ns_per_cycle: float) -> float | None:
         """The cycles of a run from a cold cache, with its counters added to
         `stats` and the cache's contents left as they were; None, counting
-        nothing, unless `facts` show that every access of the run misses.
-        The run is `replay`'s accesses followed by `tail` non-memory
-        instructions, `nonmem` in all; `facts` are those of a stream that
-        begins with the run's accesses, and `totals` the run's `run_totals`.
+        nothing, unless the `MissFacts` of `shadow.facts` show that every
+        access of the run misses. The run is `replay`'s accesses followed by
+        `tail` non-memory instructions, `nonmem` in all; `shadow` is the
+        pass over a stream that begins with the run's accesses, its facts
+        read only for an integer `cpi` and fewer than 2**53 cycles, and
+        `totals` are the run's `run_totals`.
 
         If every access misses, each set is a queue of fills, and access i
         fills at cpi·G + (rc+pen)·R + (wc+pen)·W cycles, with G the gaps up
@@ -552,13 +555,13 @@ class CacheState:
         integer cycles at once, cpi·DG + (rc+pen)·DR + (wc+pen)·DW, one
         `_LANE`-bit lane per access, and one add and mask against the
         lifetime in cycles marks the lanes that evict; `int.bit_count`
-        counts them and their dirty victims. A lane within the rounding of
-        the run's times of the lifetime is settled from the exact float
-        times, as a replay adds them up. A count that does not fit a lane
-        saturates at `_CAP`, so the lifetime must be shorter than `_CAP`
-        times the smallest of cpi, rc+pen and wc+pen, and `_CAP` times
-        their sum must stay below a lane's top bit; a run that breaks
-        either is replayed instead. Early write-backs are the dirty fills
+        counts them and their dirty victims. A run with a lane within the
+        rounding of its times of the lifetime is replayed instead, as only
+        a replay's float times decide that lane. A count that does not fit
+        a lane saturates at `_CAP`, so the lifetime must be shorter than
+        `_CAP` times the smallest of cpi, rc+pen and wc+pen, and `_CAP`
+        times their sum must stay below a lane's top bit; a run that breaks
+        either is replayed too. Early write-backs are the dirty fills
         that expire by the end of the run and were not evicted; the fills
         that outlive it start within a lifetime of its end, and a bisection
         over its last accesses finds the first. With an integer `cpi` every
@@ -567,14 +570,16 @@ class CacheState:
         accesses = len(gaps)
         stall = (self.read_cycles + self.penalty_cycles,
                  self.write_cycles + self.penalty_cycles)
-        _, dirty, shadow_misses = totals[:3]
-        cycles = (cpi * nonmem + stall[0] * (accesses - dirty)
-                  + stall[1] * dirty)
+        _, stores, shadow_misses = totals[:3]
+        cycles = (cpi * nonmem + stall[0] * (accesses - stores)
+                  + stall[1] * stores)
         if not float(cpi).is_integer() or cycles >= 2 ** 53:
             return None
         cpi = int(cpi)
+        facts = shadow.facts
         lifetime = self.lifetime_ns
-        sure_ns = lifetime + 1e-12 * (cycles * ns_per_cycle + lifetime)
+        end_ns = cycles * ns_per_cycle
+        sure_ns = lifetime + 1e-12 * (end_ns + lifetime)
 
         def clears(marks) -> bool:
             """Whether every interval of `marks` ending in the run lasts at
@@ -594,27 +599,18 @@ class CacheState:
         margin_cycles = (sure_ns - lifetime) / ns_per_cycle
         lo = max(0, math.ceil(lifetime_cycles - margin_cycles))
         hi = math.floor(lifetime_cycles + margin_cycles)
-        back = facts.back
         evictions = writebacks = 0
         if not clears(facts.fifo):
             if ((cpi + sum(stall)) * _CAP >= 1 << _TOP
                     or hi >= min(cpi, *stall) * _CAP):
                 return None
-            evictions, writebacks, unsure = facts.evictions(
-                accesses, cpi, stall, lo, hi)
-            if unsure:
-                steps = map(add, map(mul, gaps, repeat(cpi)),
-                            chain((0,), map(stall.__getitem__, writes)))
-                at = list(accumulate(steps))  # the cycles at each access
-                for i in unsure:
-                    k = back[i]
-                    if at[i] * ns_per_cycle < at[k] * ns_per_cycle + lifetime:
-                        evictions += 1
-                        writebacks += writes[k]
+            counted = facts.evictions(accesses, cpi, stall, lo, hi)
+            if counted is None:
+                return None
+            evictions, writebacks = counted
         # The fills that outlive the run start less than a lifetime before
         # its end, each followed by a stall: they are among the last
         # hi / (rc+pen) accesses, and `live` is the first of them.
-        end_ns = cycles * ns_per_cycle
         last = int(cycles) - tail * cpi  # the cycles after the last access
         base = accesses - min(accesses, hi // min(stall))
         gaps_to = list(accumulate(chain((0,), gaps[base + 1:accesses])))
@@ -633,8 +629,8 @@ class CacheState:
         early = writes.count(1, 0, live) - writebacks
         if evictions:
             early += sum(map(writes.__getitem__,
-                             filter(live.__le__, back[live:accesses])))
-        self._count(0, 0, accesses - dirty, dirty, accesses - shadow_misses,
+                             filter(live.__le__, facts.back[live:accesses])))
+        self._count(0, 0, accesses - stores, stores, accesses - shadow_misses,
                     evictions, writebacks, early, shadow_misses)
         return float(cycles)
 

@@ -12,10 +12,11 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import STT_400US, System, homogeneous_system, sram_system
+from .config import SRAM, STT_400US, System
 from .configfile import ConfigError, ExperimentConfig, default_config, load_config
 from .constraints import KINDS, NO_CONSTRAINT, Constraint
 from .engine import (RunResult, exhaustive_sweep, pareto_flags, select_best,
@@ -41,6 +42,8 @@ RUN_COLUMNS = [
     "mem_busy_read_cycles", "mem_busy_write_cycles", "mem_idle_cycles",
     "mem_read_hits",
 ]
+
+BASELINE_TECHS = {"sram": SRAM, "homog-400us": STT_400US}
 
 DECISION_COLUMNS = [
     "trace", "app", "constraint", "core", "freq_ghz", "path", "ranking",
@@ -360,14 +363,6 @@ def cmd_schedule(args) -> int:
     return EXIT_FLAGGED if flagged else EXIT_OK
 
 
-def _baseline_system(name: str) -> System:
-    if name == "sram":
-        return sram_system()
-    if name == "homog-400us":
-        return homogeneous_system(STT_400US)
-    raise ConfigError(None, f"unknown baseline {name!r}")
-
-
 def cmd_report(args) -> int:
     cfg = _load_cfg(args)
     rows = []
@@ -387,7 +382,10 @@ def cmd_report(args) -> int:
     if args.baseline != "self":
         # Every trace is read and checked before any run or output.
         traces = {path: _trace(path) for path, *_ in rows}
-        core = _baseline_system(args.baseline).cores[0]
+        # The configured base core, its data cache built from the baseline's
+        # technology.
+        core = replace(cfg.system.core(cfg.system.base_core),
+                       data_tech=BASELINE_TECHS[args.baseline])
         for path, trace in traces.items():
             base = simulate_run(trace, core, core.operating_freq_ghz,
                                 cfg.power)
@@ -472,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "--config", "--out", "--no-timestamp")
     p.add_argument("--runs", type=Path, required=True,
                    help="CSV produced by simulate/sweep/schedule")
-    p.add_argument("--baseline", choices=("sram", "homog-400us", "self"),
+    p.add_argument("--baseline", choices=(*BASELINE_TECHS, "self"),
                    default="homog-400us")
 
     return parser

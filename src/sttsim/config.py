@@ -46,11 +46,6 @@ class MemTechnology:
         if not 0 < self.retention_time <= INFINITE:
             raise ValueError(f"{self.name}: retention must be > 0 or infinite")
 
-    @property
-    def is_volatile(self) -> bool:
-        """True when blocks expire (finite retention)."""
-        return not math.isinf(self.retention_time)
-
 
 @dataclass(frozen=True)
 class CacheGeometry:
@@ -216,20 +211,16 @@ class System:
             raise ValueError(f"duplicate core labels: {labels}")
         if self.cluster_count < 1:
             raise ValueError("cluster_count must be >= 1")
-        # Default the profiling core to the shortest-retention core and the
-        # base core to the fastest.
+        # Default the profiling core to the shortest-retention core (the
+        # first, if all retain forever) and the base core to the fastest.
         if not self.profiling_core:
-            object.__setattr__(self, "profiling_core", self._default_profiling())
+            shortest = min(self.cores, key=lambda c: c.data_tech.retention_time)
+            object.__setattr__(self, "profiling_core", shortest.core_id)
         if not self.base_core:
             object.__setattr__(self, "base_core", self.speed_order()[0])
         for role, label in (("profiling", self.profiling_core), ("base", self.base_core)):
             if label not in labels:
                 raise ValueError(f"{role} core {label!r} is not in the system")
-
-    def _default_profiling(self) -> str:
-        volatile = [c for c in self.cores if c.data_tech.is_volatile]
-        pool = volatile or list(self.cores)
-        return min(pool, key=lambda c: c.data_tech.retention_time).core_id
 
     def core(self, label: str) -> CoreSpec:
         for c in self.cores:

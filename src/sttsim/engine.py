@@ -176,14 +176,16 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
     `limit` caps the simulated instruction count (profiling windows);
     `start` skips that many leading instructions and begins with cold
     caches, which is how a migrated application resumes on a new core.
-    On a volatile core every run, whole or a window, reads the shadow pass
-    from its first access (`_pass`) by one rule: its totals are counts over
-    its prefix of the codes, and its restore spans are bounded by the
+    Every run, on any core, whole or a window, takes one route. It reads
+    the shadow pass from its first access (`_pass`): its totals are counts
+    over its prefix of the codes, and its restore spans are bounded by the
     componentwise minimum of the pass's widest span and the run taken as
-    one span. A run that no expiry can touch is derived from these instead
-    of replayed, and one in which every access misses from the pass's
-    `miss_facts`, made when a run first needs them. Deterministic:
-    identical inputs give bit-identical results, derived or replayed.
+    one span. A run that no expiry can touch, as every SRAM run with an
+    integer `base_cpi`, is derived from these; one in which every access
+    misses is derived from the pass's `miss_facts`, made when a run first
+    needs them; a run that both certificates refuse is replayed, its
+    misses classified by the pass's codes. Deterministic: identical inputs
+    give bit-identical results, derived or replayed.
     """
     if not len(trace):
         raise ValueError("trace is empty")
@@ -210,22 +212,20 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
         gaps, writes = gaps[first:end], writes[first:end]
         if count:
             gaps[0] -= cut
-    shadow = cycles = None
-    if cache.volatile:
-        shadow = _pass(trace, core.geometry, first)
-        if count not in shadow.totals:
-            shadow.totals[count] = run_totals(shadow.codes, writes)
-        totals = shadow.totals[count]
-        cycles = cache.derive(totals, shadow.span, gaps, nonmem, cpi,
-                              ns_per_cycle)
-        if cycles is None and float(cpi).is_integer():  # else it refuses
-            cycles = cache.derive_misses(shadow.facts, totals, gaps, writes,
-                                         tail, nonmem, cpi, ns_per_cycle)
+    shadow = _pass(trace, core.geometry, first)
+    if count not in shadow.totals:
+        shadow.totals[count] = run_totals(shadow.codes, writes)
+    totals = shadow.totals[count]
+    cycles = cache.derive(totals, shadow.span, gaps, nonmem, cpi,
+                          ns_per_cycle)
+    if cycles is None:
+        cycles = cache.derive_misses(shadow, totals, gaps, writes, tail,
+                                     nonmem, cpi, ns_per_cycle)
     if cycles is None:
         if part:
             addrs = addrs[first:end]
-        cycles = cache.replay(gaps, writes, addrs, shadow and shadow.codes,
-                              0.0, cpi, ns_per_cycle) + tail * cpi
+        cycles = cache.replay(gaps, writes, addrs, shadow.codes, 0.0, cpi,
+                              ns_per_cycle) + tail * cpi
         cache.advance_retention(cycles * ns_per_cycle)
     stats = cache.stats
     penalty_stalls = stats.misses * cache.penalty_cycles
@@ -321,8 +321,7 @@ def _run_points(trace: Trace, points, power: PowerModel) -> list[RunResult]:
     if n < 2 or not hasattr(os, "fork"):
         return share(0, 1)
     for core, _ in points:
-        if core.data_tech.is_volatile:
-            _pass(trace, core.geometry, 0)
+        _pass(trace, core.geometry, 0)
     rows, children, sent = [None] * len(points), [], {}
     try:
         for w in range(1, n):

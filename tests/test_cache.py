@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -34,12 +35,15 @@ class TestRetention:
         assert c.advance_retention(7.5 * US) == 1
 
     def test_invalidated_at_exact_lifetime(self, core1):
-        c = CacheState(core1, 1.6)
-        c.access(0x40, "R", 0.0)
-        assert c.lifetime_ns == (10.0 * US / 4) * 3
-        assert c.advance_retention(c.lifetime_ns) == 1  # (k-1)/k x 10us
-        out = c.access(0x40, "R", c.lifetime_ns)
-        assert (out.kind, out.miss_class) == (MISS, MISS_EXPIRATION)
+        # Expiry follows the retention alone: an SRAM row given a finite
+        # retention expires as the STT-RAM row of that retention does.
+        for tech in (STT_10US, replace(SRAM, retention_time=10e-6)):
+            c = CacheState(replace(core1, data_tech=tech), 1.6)
+            c.access(0x40, "R", 0.0)
+            assert c.lifetime_ns == (10.0 * US / 4) * 3
+            assert c.advance_retention(c.lifetime_ns) == 1  # (k-1)/k x 10us
+            out = c.access(0x40, "R", c.lifetime_ns)
+            assert (out.kind, out.miss_class) == (MISS, MISS_EXPIRATION)
 
     def test_end_of_run_and_access_expire_at_the_same_instant(self, core1):
         # A float instant where `now - fill >= lifetime` fails while
@@ -59,11 +63,13 @@ class TestRetention:
         assert c.stats.early_writebacks == 1
 
     def test_infinite_retention_never_expires(self, system):
-        core = replace(system.core("core1"), data_tech=SRAM)
-        c = CacheState(core, 1.6)
-        c.access(0x40, "R", 0.0)
-        assert c.advance_retention(1e12) == 0
-        assert c.access(0x40, "R", 1e12).kind == HIT
+        for tech in (SRAM, replace(STT_10US, retention_time=math.inf)):
+            core = replace(system.core("core1"), data_tech=tech)
+            c = CacheState(core, 1.6)
+            c.access(0x40, "R", 0.0)
+            assert c.lifetime_ns == math.inf
+            assert c.advance_retention(1e12) == 0
+            assert c.access(0x40, "R", 1e12).kind == HIT
 
     def test_time_regression_rejected(self, core1):
         c = CacheState(core1, 1.6)

@@ -493,6 +493,25 @@ class TestTrainPredictSchedule:
         assert float(rows[0]["baseline_energy_j"]) > 0
         assert rows[0]["exceeds_baseline"] in ("0", "1")
 
+    def test_report_baseline_takes_the_configured_base_core(self, tmp_path):
+        # With a 4 KiB cache, the homog-400us baseline is the base core,
+        # core3, built from stt_400us: core4 at its 2.0 GHz cap, with the
+        # configured cache, is its own baseline.
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("[cache]\ncapacity_bytes = 4096\n")
+        assert run_cli("gen-trace", "--seed", 5, "--total", 40000,
+                       "--gaps", "uniform:1000:3000", "--mem-fraction", "0.1",
+                       "--write-fraction", "0.3", "--name", "t",
+                       "--out", tmp_path) == 0
+        assert run_cli("simulate", "--trace", tmp_path / "t.trace", "--core",
+                       "core4", "--config", cfg, "--out", tmp_path) == 0
+        assert run_cli("report", "--runs", tmp_path / "simulate.csv",
+                       "--config", cfg, "--out", tmp_path) == 0
+        [row] = read_rows(tmp_path / "report.csv")
+        assert row["baseline_energy_j"] == row["energy_j"]
+        assert float(row["energy_ratio"]) == float(row["latency_ratio"]) == 1.0
+        assert row["exceeds_baseline"] == "0"
+
 
 class TestEntryPoint:
     def test_console_script_runs(self):

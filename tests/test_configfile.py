@@ -168,7 +168,7 @@ class TestErrors:
                 "read_energy_nj = 0.007\nwrite_energy_nj = 0.006\n"
                 "leakage_mw = 50.0\n[core.1]\ndata_tech = s\n")
         cfg = parse_config("[tech.s]\nretention_s = infinite\n" + rest)
-        assert not cfg.system.core("core1").data_tech.is_volatile
+        assert math.isinf(cfg.system.core("core1").data_tech.retention_time)
         with pytest.raises(ConfigError, match="missing 'retention_s'"):
             parse_config("[tech.s]\n" + rest)
 
@@ -226,7 +226,7 @@ class TestErrors:
 
     def test_infinite_retention_stays_legal(self):
         cfg = parse_config("[tech.stt_10us]\nretention_s = inf\n")
-        assert not cfg.system.core("core1").data_tech.is_volatile
+        assert math.isinf(cfg.system.core("core1").data_tech.retention_time)
 
     @pytest.mark.parametrize("text, line_no", [
         ("[core.1]\ndata_tech = stt_10us\ninstr_tech = stt_400us\n", 3),

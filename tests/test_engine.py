@@ -3,7 +3,9 @@ import hashlib
 import math
 import os
 import random
+import re
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -266,7 +268,7 @@ def toy_cores(draw, cpis, sets=(1, 2, 4, 8), techs=(SRAM, STT_10US),
     sets = draw(st.sampled_from(sets))
     line = draw(st.sampled_from([16, 64]))
     tech = draw(st.sampled_from(techs))
-    if tech.is_volatile:
+    if math.isfinite(tech.retention_time):
         tech = replace(tech, retention_time=draw(st.floats(0.2e-6,
                                                             longest_s)))
     return replace(default_system().core("core1"), core_id="toy",
@@ -347,6 +349,20 @@ def test_results_match_the_pinned_digest(system, power):
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_surface_runs(system, capsys):
+    """README's "Library surface" snippet runs as printed: a sweep of the
+    reference system, whose best core, frequency and energy it prints."""
+    snippet = re.search(r"## Library surface\n\n```python\n(.*?)```",
+                        README.read_text(), re.S)
+    exec(compile(snippet.group(1), str(README), "exec"), {})
+    core, freq, energy = capsys.readouterr().out.split()
+    assert float(freq) in system.core(core).dvfs.grid()
+    assert float(energy) > 0
+
+
 class TestShadowSharing:
     def test_one_lru_pass_per_sweep(self, system, power, lru_passes):
         trace = rand_trace(21)
@@ -364,10 +380,31 @@ class TestShadowSharing:
         simulate_run(trace, core, 1.2, power, start=5000)
         assert len(lru_passes) == 2 and lru_passes[1][0] < len(trace)
 
-    def test_infinite_retention_needs_no_shadow(self, power, lru_passes):
-        core = sram_system().cores[0]
-        simulate_run(rand_trace(23), core, 2.0, power)
-        assert lru_passes == []
+    def test_sram_and_stt_cores_of_one_geometry_share_one_pass(
+            self, power, lru_passes, routes):
+        # SRAM is the technology of infinite retention: its runs read the
+        # same LRU pass as an STT-RAM core's of the same geometry, and as
+        # no block of theirs expires, each is derived from it.
+        geo = CacheGeometry(64 * 2 * 16, 64, 2)
+        base = default_system()
+        system = System(cores=tuple(
+            replace(base.core(label), core_id=label, geometry=geo,
+                    data_tech=tech)
+            for label, tech in (("core1", STT_10US), ("core3", SRAM))))
+        rng = random.Random(23)
+        events = [(rng.randrange(3000), rng.random() < 0.4,
+                   0x4000 + 64 * rng.randrange(64)) for _ in range(400)]
+        trace = events_trace(events)
+        sweep = sweep_on(1, trace, system, power, Constraint("none"))
+        assert lru_passes == [(len(trace), geo)]
+        assert len(routes) == len(sweep.rows)
+        for run, route in zip(sweep.rows, routes):
+            core = system.core(run.core_id)
+            if core.data_tech is SRAM:
+                assert route == "derive" and run.stats.evictions > 0
+            assert repr(run) == repr(forced_replay(trace, core, run.freq_ghz,
+                                                   power))
+            assert counters(run) == reference_for(core, run.freq_ghz, events)
 
     def test_same_name_traces_do_not_share_bits(self, system, power,
                                                 lru_passes):
@@ -485,8 +522,8 @@ class TestDerivedRuns:
         derived_windows = collections.Counter()
 
         # A run draws some 40 distinct cores, and the windows past the first
-        # eviction come from the few volatile ones with an integer CPI whose
-        # geometry evicts, so a random seed misses them in about one run in
+        # eviction come from the few with an integer CPI whose geometry
+        # evicts, so a random seed misses them in about one run in
         # thirty: the seed is fixed.
         @settings(deadline=None, max_examples=300, derandomize=True)
         @given(derivable_cases())
@@ -568,6 +605,20 @@ class TestDerivedRuns:
             assert repr(run) == repr(forced_replay(events_trace(events), core,
                                                    1.0, power, limit=limit))
         assert counters(run) == reference_for(core, 1.0, events, limit)
+
+    def test_sram_at_a_fractional_cpi_replays(self, power, routes):
+        # A fractional CPI refuses both certificates before the all-miss
+        # facts are read, so an SRAM run's infinite lifetime never reaches
+        # the lane bounds: it replays, with the results of the reference.
+        core = replace(sram_system().cores[0], base_cpi=1.5,
+                       geometry=CacheGeometry(64 * 2 * 4, 64, 2))
+        events = [(3, True, 0x0), (3, False, 0x100), (3, False, 0x200),
+                  (3000, False, 0x0)]
+        trace = events_trace(events)
+        run = simulate_run(trace, core, 2.0, power)
+        assert routes == ["replay"] and run.stats.evictions == 2
+        assert "facts" not in vars(engine._pass(trace, core.geometry, 0))
+        assert counters(run) == reference_for(core, 2.0, events)
 
     @pytest.mark.parametrize("limit, early", [(1950, 1), (1949, 0)])
     def test_a_window_span_of_the_lifetime_through_its_tail_replays(
@@ -662,10 +713,10 @@ def all_miss_cases(draw):
 
 
 # Two-way sets of `boundary_core`, every access a miss. `SET_INTERVAL` fills
-# 0x0, 0x100 and 0x200 into one set, the third 2,000 ns after the first,
-# when 0x0 has just expired: nothing is evicted. `BURSTS` are bursts of
+# 0x0, 0x100 and 0x200 into one set, the third 2,001 ns after the first,
+# a cycle after 0x0 has expired: nothing is evicted. `BURSTS` are bursts of
 # those three blocks 2,500 instructions apart, whose third accesses evict.
-SET_INTERVAL = [(0, True, 0x0), (3, False, 0x100), (1895, False, 0x200)]
+SET_INTERVAL = [(0, True, 0x0), (3, False, 0x100), (1896, False, 0x200)]
 BURSTS = [(10 if i % 3 else 2500, i % 2 == 0, 0x100 * (i % 3))
           for i in range(12)]
 
@@ -730,11 +781,13 @@ class TestAllMissRuns:
         # stalls 51 cycles, or 54 with a 3.2 ns write. The third access
         # comes at 2,000 ns with the longer gap, when 0x0 has just expired,
         # and evicts nothing; at 1,999 ns with the shorter, and evicts 0x0.
-        # Both are derived, the second by counting evictions.
+        # The first interval lies within the rounding of the run's times of
+        # the lifetime, so the run replays; the second is derived by
+        # counting evictions.
         core = boundary_core(write_ns)
         events = [(0, True, 0x0), (3, False, 0x100), (gap, False, 0x200)]
         run = simulate_run(events_trace(events), core, 1.0, power)
-        assert routes == ["misses"]
+        assert routes == ["misses" if evicts else "replay"]
         assert run.stats.evictions == run.stats.writebacks == evicts
         assert run.stats.early_writebacks == 1 - evicts
         assert repr(run) == repr(forced_replay(events_trace(events), core,
@@ -866,13 +919,15 @@ class TestEvictionLanes:
         # with the longer gap, or 11,999. At 1.8 GHz 13,500 cycles last
         # 7,500 ns but for one rounding of 1 / 1.8, and the float times
         # decide: starting 10,249 cycles in, the read still evicts 0x0; from
-        # 0 it does not.
+        # 0 it does not. Only the interval of 11,999 cycles lies further
+        # from the lifetime than the rounding of the run's times and is
+        # derived; the others replay.
         core = replace(default_system().core("core3"), data_tech=STT_10US,
                        geometry=CacheGeometry(64 * 2 * 4, 64, 2))
         events = [(first_gap, True, 0x0), (3, True, 0x100),
                   (gap, False, 0x200)]
         run = simulate_run(events_trace(events), core, freq, power)
-        assert routes == ["misses"]
+        assert routes == ["misses" if gap == 11_834 else "replay"]
         assert run.stats.evictions == run.stats.writebacks == evicts
         assert repr(run) == repr(forced_replay(events_trace(events), core,
                                                freq, power))

@@ -1,0 +1,27 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sttsim"
+
+
+def imported_names(tree):
+    """The names each import statement of `tree` binds, but for `__future__`
+    features."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name).partition(".")[0]
+                        for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+# `__init__` imports names to re-export them, not to use them.
+@pytest.mark.parametrize("path", sorted(
+    p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(set(imported_names(tree)) - used) == []
