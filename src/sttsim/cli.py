@@ -16,7 +16,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import SRAM, STT_400US, System
+from .config import System
 from .configfile import ConfigError, ExperimentConfig, default_config, load_config
 from .constraints import KINDS, NO_CONSTRAINT, Constraint
 from .engine import (RunResult, exhaustive_sweep, pareto_flags, select_best,
@@ -43,7 +43,8 @@ RUN_COLUMNS = [
     "mem_read_hits",
 ]
 
-BASELINE_TECHS = {"sram": SRAM, "homog-400us": STT_400US}
+# The configured technology row that each baseline builds its data cache from.
+BASELINE_TECHS = {"sram": "sram", "homog-400us": "stt_400us"}
 
 DECISION_COLUMNS = [
     "trace", "app", "constraint", "core", "freq_ghz", "path", "ranking",
@@ -383,9 +384,9 @@ def cmd_report(args) -> int:
         # Every trace is read and checked before any run or output.
         traces = {path: _trace(path) for path, *_ in rows}
         # The configured base core, its data cache built from the baseline's
-        # technology.
+        # technology row as the config sets it.
         core = replace(cfg.system.core(cfg.system.base_core),
-                       data_tech=BASELINE_TECHS[args.baseline])
+                       data_tech=cfg.technologies[BASELINE_TECHS[args.baseline]])
         for path, trace in traces.items():
             base = simulate_run(trace, core, core.operating_freq_ghz,
                                 cfg.power)

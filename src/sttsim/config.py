@@ -280,12 +280,3 @@ def default_system(cluster_count: int = 1) -> System:
         make_core(cid, TECHNOLOGIES[tech], max_freq_ghz=cap)
         for cid, tech, cap in DEFAULT_CORES), cluster_count=cluster_count)
 
-
-def homogeneous_system(tech: MemTechnology) -> System:
-    """Four cores over the whole default DVFS line that share one data
-    technology (baseline builds)."""
-    return System(cores=tuple(make_core(f"core{i + 1}", tech) for i in range(4)))
-
-
-def sram_system() -> System:
-    return homogeneous_system(SRAM)

@@ -16,7 +16,7 @@ key reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .config import (DEFAULT_CORES, CacheGeometry, DvfsRange, MemTechnology,
                      System, TECHNOLOGIES, default_system, make_core)
@@ -44,6 +44,9 @@ class ExperimentConfig:
     profiling_interval: int = DEFAULT_PROFILING_INTERVAL
     prediction_time_s: float = DEFAULT_PREDICTION_TIME_S
     migration_time_s: float = DEFAULT_MIGRATION_TIME_S
+    # Every technology row by name: the built-ins with the file's [tech.*].
+    technologies: dict[str, MemTechnology] = field(
+        default_factory=lambda: dict(TECHNOLOGIES))
 
 
 def default_config() -> ExperimentConfig:
@@ -223,7 +226,8 @@ def parse_config(text: str) -> ExperimentConfig:
     runtime = {f: settings.pop(f) for f in list(settings)
                if f in ExperimentConfig.__dataclass_fields__}
     system = _build(headers.get("system"), "[system]", System, cores=built, **settings)
-    return ExperimentConfig(system=system, power=power, **runtime)
+    return ExperimentConfig(system=system, power=power,
+                            technologies=technologies, **runtime)
 
 
 def _build(at, where, make, *args, **kw):

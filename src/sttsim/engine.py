@@ -9,9 +9,7 @@ and core static (voltage-dependent power over the wall time).
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -144,7 +142,8 @@ def _window(trace: Trace, start: int, limit: int | None):
 class _Pass:
     """The `LruShadow` pass over a trace's accesses from `first` on, for a
     cache of `geometry`: its codes, its widest restore span, the `run_totals`
-    of each run length and the `miss_facts`, each made when first asked."""
+    of each run length and the `miss_facts`, each made once, when first
+    asked: every point of a sweep on a core of that geometry reads them."""
 
     def __init__(self, trace: Trace, geometry, first: int):
         self._stream = geometry, *(memoryview(column)[first:] for column in
@@ -297,58 +296,14 @@ def select_best(rows, system: System, constraint: Constraint,
 def exhaustive_sweep(trace: Trace, system: System, power: PowerModel,
                      constraint: Constraint,
                      deadline_s: float | None = None) -> SweepResult:
-    """Simulate every core at every admissible grid frequency and pick the
-    constraint-feasible energy minimum."""
-    points = [(core, freq) for core in system.cores for freq in core.dvfs.grid()]
-    rows = _run_points(trace, points, power)
+    """Simulate every core at every admissible grid frequency, in point
+    order in this process, and pick the constraint-feasible energy minimum.
+    The cores of one geometry share one `_Pass`, so a sweep makes each
+    shadow pass and its `miss_facts` at most once."""
+    rows = tuple(simulate_run(trace, core, freq, power)
+                 for core in system.cores for freq in core.dvfs.grid())
     best, deadline_s, violation = select_best(rows, system, constraint, deadline_s)
-    return SweepResult(tuple(rows), best, deadline_s, violation)
-
-
-def _run_points(trace: Trace, points, power: PowerModel) -> list[RunResult]:
-    """`simulate_run` at each (core, freq) point, in point order. Worker w of
-    n = min(os.cpu_count(), points) runs points[w::n]: worker 0 is this
-    process, the others are forked children that inherit the trace and its
-    shadow pass, made here first (not its `miss_facts`), and send their rows
-    back as `marshal`led field dicts. All children are reaped; a child that
-    fails has its share rerun here, so its error is raised as in a
-    one-process sweep."""
-    def share(w, n):
-        return [simulate_run(trace, core, freq, power)
-                for core, freq in points[w::n]]
-
-    n = min(os.cpu_count() or 1, len(points))
-    if n < 2 or not hasattr(os, "fork"):
-        return share(0, 1)
-    for core, _ in points:
-        _pass(trace, core.geometry, 0)
-    rows, children, sent = [None] * len(points), [], {}
-    try:
-        for w in range(1, n):
-            fd_r, fd_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    data = marshal.dumps([{**vars(r), "stats": vars(r.stats)}
-                                          for r in share(w, n)])
-                    with os.fdopen(fd_w, "wb") as fh:
-                        fh.write(data)
-                finally:
-                    os._exit(0)
-            os.close(fd_w)
-            children.append((w, pid, fd_r))
-        rows[0::n] = share(0, n)
-    finally:
-        for w, pid, fd_r in children:
-            with os.fdopen(fd_r, "rb") as fh:
-                sent[w] = fh.read()
-            if os.waitpid(pid, 0)[1] or not sent[w]:
-                sent[w] = None
-    for w in range(1, n):
-        rows[w::n] = share(w, n) if sent[w] is None else [
-            RunResult(**{**d, "stats": CacheStats(**d["stats"])})
-            for d in marshal.loads(sent[w])]
-    return rows
+    return SweepResult(rows, best, deadline_s, violation)
 
 
 def pareto_flags(rows) -> list[bool]:

@@ -120,7 +120,8 @@ def test_c3_expiration_miss_semantics(system):
 
 def test_c4_frequency_band_monotonicity(system, power):
     started = time.monotonic()
-    from sttsim import SynthParams, UniformGaps, gen_synthetic, sram_system
+    from sttsim import SynthParams, UniformGaps, gen_synthetic
+    from sttsim.config import make_core
 
     def bands(core):
         groups = {}
@@ -129,7 +130,7 @@ def test_c4_frequency_band_monotonicity(system, power):
             groups.setdefault(wc, []).append(f)
         return groups.values()
 
-    sram_core = sram_system().cores[0]
+    sram_core = make_core("core1", SRAM)
     for seed in range(100):
         rng = random.Random(10_000 + seed)
         mean_gap = rng.choice([1500, 4000, 9000, 16000, 30000, 60000])

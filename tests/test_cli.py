@@ -302,8 +302,6 @@ class TestTrainPredictSchedule:
 
         for module in (engine, features, cli, scheduler):
             monkeypatch.setattr(module, "simulate_run", counted)
-        # One worker: runs in forked sweep workers would not be counted here.
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         out = tmp_path / "models"
         assert run_cli("train", "--traces", *traces, "--all-constraints",
                        "--config", cfg_path, "--out", out,
@@ -311,15 +309,6 @@ class TestTrainPredictSchedule:
         # One profiling window and one 22-point sweep per trace.
         assert len(calls) == 2 + 2 * 22
         monkeypatch.undo()
-
-        # Sweeps on the default number of workers write the same files.
-        parallel = tmp_path / "parallel"
-        assert run_cli("train", "--traces", *traces, "--all-constraints",
-                       "--config", cfg_path, "--out", parallel,
-                       "--no-timestamp") == 0
-        for kind in KINDS:
-            name = f"model-{kind}.txt"
-            assert (parallel / name).read_bytes() == (out / name).read_bytes()
 
         # The same models as labelling each constraint with its own sweep.
         cfg = load_config(cfg_path)
@@ -511,6 +500,22 @@ class TestTrainPredictSchedule:
         assert row["baseline_energy_j"] == row["energy_j"]
         assert float(row["energy_ratio"]) == float(row["latency_ratio"]) == 1.0
         assert row["exceeds_baseline"] == "0"
+
+    def test_report_baseline_reads_the_configured_technology(self, tmp_path):
+        # The base core is core3; the homog-400us baseline builds it from
+        # the configured stt_400us row, so it is core4 at its 2.0 GHz cap.
+        cfg = tmp_path / "tech.cfg"
+        cfg.write_text("[tech.stt_400us]\nwrite_latency_ns = 0.9\n")
+        assert run_cli("gen-trace", "--seed", 5, "--total", 40000,
+                       "--gaps", "uniform:1000:3000", "--mem-fraction", "0.1",
+                       "--write-fraction", "0.3", "--name", "t",
+                       "--out", tmp_path) == 0
+        assert run_cli("simulate", "--trace", tmp_path / "t.trace", "--core",
+                       "core4", "--config", cfg, "--out", tmp_path) == 0
+        assert run_cli("report", "--runs", tmp_path / "simulate.csv",
+                       "--config", cfg, "--out", tmp_path) == 0
+        [row] = read_rows(tmp_path / "report.csv")
+        assert float(row["energy_ratio"]) == 1.0
 
 
 class TestEntryPoint:

@@ -5,8 +5,9 @@ import pytest
 
 from sttsim import (CacheGeometry, CoreSpec, DvfsRange, MemTechnology, SRAM,
                     STT_10US, STT_26_5US, STT_75US, STT_400US, TECHNOLOGIES,
-                    System, access_cycles, default_system, sram_system,
+                    System, access_cycles, default_system,
                     voltage_for_frequency)
+from sttsim.config import make_core
 
 STT_TECHS = [STT_10US, STT_26_5US, STT_75US, STT_400US]
 
@@ -113,7 +114,7 @@ class TestValidation:
         assert spec.write_cycles(spec.freq_cap_ghz) == 2
 
     def test_sram_core_is_single_cycle_at_any_cap(self):
-        core = sram_system().cores[0]
+        core = make_core("core1", SRAM)
         cap = core.freq_cap_ghz
         assert (core.read_cycles(cap), core.write_cycles(cap)) == (1, 1)
 

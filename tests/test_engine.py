@@ -15,7 +15,8 @@ from sttsim import (CacheGeometry, CacheState, CacheStats, Constraint,
                     PowerModel, STT_10US, SRAM, SynthParams, System, Trace,
                     TraceEvent, UniformGaps, access_cycles, cache_energy,
                     default_system, edp, exhaustive_sweep, gen_synthetic,
-                    pareto_flags, processor_energy, simulate_run, sram_system)
+                    pareto_flags, processor_energy, simulate_run)
+from sttsim.config import make_core
 from sttsim.trace import READ, WRITE
 
 from reference import (ReferenceLru, reference_all_miss_writebacks,
@@ -218,7 +219,7 @@ class TestSweep:
         assert best["core1"].stats.early_writebacks > 0
 
     def test_sram_misses_are_frequency_invariant(self, power):
-        core = sram_system().cores[0]
+        core = make_core("core1", SRAM)
         tr = rand_trace(9, blocks=800)  # force real evictions
         misses = {simulate_run(tr, core, f, power).stats.misses
                   for f in core.dvfs.grid()}
@@ -395,7 +396,7 @@ class TestShadowSharing:
         events = [(rng.randrange(3000), rng.random() < 0.4,
                    0x4000 + 64 * rng.randrange(64)) for _ in range(400)]
         trace = events_trace(events)
-        sweep = sweep_on(1, trace, system, power, Constraint("none"))
+        sweep = exhaustive_sweep(trace, system, power, Constraint("none"))
         assert lru_passes == [(len(trace), geo)]
         assert len(routes) == len(sweep.rows)
         for run, route in zip(sweep.rows, routes):
@@ -610,7 +611,7 @@ class TestDerivedRuns:
         # A fractional CPI refuses both certificates before the all-miss
         # facts are read, so an SRAM run's infinite lifetime never reaches
         # the lane bounds: it replays, with the results of the reference.
-        core = replace(sram_system().cores[0], base_cpi=1.5,
+        core = replace(make_core("core1", SRAM), base_cpi=1.5,
                        geometry=CacheGeometry(64 * 2 * 4, 64, 2))
         events = [(3, True, 0x0), (3, False, 0x100), (3, False, 0x200),
                   (3000, False, 0x0)]
@@ -989,43 +990,28 @@ class TestEvictionLanes:
         assert counters(run) == reference_for(core, 1.0, events)
 
 
-def sweep_on(cpus, *args, **kwargs):
-    """`exhaustive_sweep` with `os.cpu_count()` reading `cpus` (None: as is)."""
-    with pytest.MonkeyPatch.context() as mp:
-        if cpus is not None:
-            mp.setattr(os, "cpu_count", lambda: cpus)
-        return exhaustive_sweep(*args, **kwargs)
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
-class TestParallelSweep:
-    """Sweeps split over forked workers give the one-worker results."""
+class TestOneProcessSweep:
+    """A sweep runs its points in point order in the calling process."""
 
     @pytest.mark.parametrize("case", ["default", "sram", "one-access",
-                                      "fewer-points-than-workers"])
-    def test_rows_equal_one_worker(self, case, system, power):
-        trace = rand_trace(31)
+                                      "one-core"])
+    def test_rows_equal_per_point_runs(self, case, system, power):
+        def make():
+            return one_gap_trace(7) if case == "one-access" else rand_trace(31)
         if case == "sram":
-            system = sram_system()
-        elif case == "one-access":
-            trace = one_gap_trace(7)
-        elif case == "fewer-points-than-workers":
+            system = System(cores=(make_core("core1", SRAM),
+                                   make_core("core2", SRAM)))
+        elif case == "one-core":
             system = System(cores=(system.core("core1"),))
-        serial = sweep_on(1, trace, system, power, Constraint("slack10"))
-        for cpus in (None, 3, 64):
-            sweep = sweep_on(cpus, trace, system, power, Constraint("slack10"))
-            assert repr(sweep) == repr(serial)
-        assert no_child_left()
+        # Each point from a trace of its own, so no pass is shared.
+        rows = [simulate_run(make(), core, freq, power)
+                for core in system.cores for freq in core.dvfs.grid()]
+        sweep = exhaustive_sweep(make(), system, power, Constraint("slack10"))
+        assert repr(sweep.rows) == repr(tuple(rows))
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_points_run_in_children_that_inherit_the_shadow(
+    def test_one_pass_and_one_facts_per_geometry_in_the_caller(
             self, monkeypatch, tmp_path, system, power):
-        log = tmp_path / "calls"
+        log = tmp_path / "calls"  # a file: it would see other processes too
 
         def logged(name):
             original = getattr(engine, name)
@@ -1037,49 +1023,25 @@ class TestParallelSweep:
             monkeypatch.setattr(engine, name, call)
 
         logged("LruShadow")
-        logged("simulate_run")
-        sweep_on(3, rand_trace(34), system, power, Constraint("none"))
-        calls = log.read_text().splitlines()
-        runs = [c for c in calls if c.startswith("simulate_run")]
-        points = sum(len(core.dvfs.grid()) for core in system.cores)
-        assert len(runs) == points and len(set(runs)) == 3
-        # One LRU pass, made before the fork.
-        assert calls[0] == f"LruShadow {os.getpid()}" and len(calls) == points + 1
+        logged("miss_facts")
+        # However many CPUs the host has, no point runs elsewhere.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert len({core.geometry for core in system.cores}) == 1
+        exhaustive_sweep(rand_trace(34), system, power, Constraint("none"))
+        # One pass and at most one set of facts, all made by this process.
+        pass_, facts = f"LruShadow {os.getpid()}", f"miss_facts {os.getpid()}"
+        assert sorted(log.read_text().splitlines()) in ([pass_],
+                                                        [pass_, facts])
 
-    @pytest.mark.parametrize("cpus, failing", [
-        (None, lambda i, core: core.core_id == "core2"),
-        (2, lambda i, core: i == 0),  # the caller's share
-        (2, lambda i, core: i == 1),  # the forked worker's share
-    ])
     def test_a_failing_point_reaches_the_caller(self, monkeypatch, system,
-                                                power, cpus, failing):
-        points = [core for core in system.cores for _ in core.dvfs.grid()]
+                                                power):
         original = engine.simulate_run
 
         def flaky(trace, core, freq, *args, **kwargs):
-            i = points.index(core) + core.dvfs.grid().index(freq)
-            if failing(i, core):
-                raise ValueError(f"no run at point {i}")
+            if core.core_id == "core2":
+                raise ValueError(f"no run at {core.core_id} {freq} GHz")
             return original(trace, core, freq, *args, **kwargs)
 
         monkeypatch.setattr(engine, "simulate_run", flaky)
-        with pytest.raises(ValueError, match=r"^no run at point \d+$"):
-            sweep_on(cpus, rand_trace(32), system, power, Constraint("none"))
-        assert no_child_left()
-
-    def test_a_worker_that_dies_has_its_share_rerun(self, monkeypatch, system,
-                                                    power):
-        parent = os.getpid()
-        original = engine.simulate_run
-
-        def dying(*args, **kwargs):
-            if os.getpid() != parent:
-                os._exit(0)
-            return original(*args, **kwargs)
-
-        trace = rand_trace(33)
-        serial = sweep_on(1, trace, system, power, Constraint("none"))
-        monkeypatch.setattr(engine, "simulate_run", dying)
-        sweep = sweep_on(2, trace, system, power, Constraint("none"))
-        assert repr(sweep) == repr(serial)
-        assert no_child_left()
+        with pytest.raises(ValueError, match=r"^no run at core2 "):
+            exhaustive_sweep(rand_trace(32), system, power, Constraint("none"))

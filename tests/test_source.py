@@ -25,3 +25,22 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+# Everything runs in the calling process: per-layer counts taken by wrapping
+# the package's functions in-process see every call only then.
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_starts_another_process(path):
+    tree = ast.parse(path.read_text(), str(path))
+    names = set()  # top-level modules imported, and each `module.name` used
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.partition(".")[0])
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.add(f"{node.value.id}.{node.attr}")
+    banned = {"multiprocessing", "concurrent", "subprocess", "os.fork"}
+    assert sorted(names & banned) == []

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sttsim import (BimodalGaps, Constraint, CorePredictor, Scheduler,
+from sttsim import (BimodalGaps, Constraint, CorePredictor, Scheduler, SRAM,
                     SynthParams, Trace, TraceEvent, TraceParseError,
                     UniformGaps, default_system, exhaustive_sweep,
                     gen_synthetic, load_trace, parse_trace, serialize_trace,
-                    simulate_run, sram_system, write_trace)
+                    simulate_run, write_trace)
 from sttsim import trace as trace_module
+from sttsim.config import make_core
 from sttsim.constraints import KINDS
 from sttsim.trace import READ, WRITE, concat_traces
 
@@ -176,7 +177,7 @@ class TestGenerator:
         # finite-retention core while SRAM misses stay put.
         sys_ = default_system()
         core4 = sys_.core("core4")
-        sram = sram_system().cores[0]
+        sram = make_core("core1", SRAM)
         seen = []
         for long_lo, long_hi in ((150_000, 200_000), (500_000, 700_000)):
             gaps = BimodalGaps(20_000, 30_000, long_lo, long_hi, 0.3)
