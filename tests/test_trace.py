@@ -1,6 +1,7 @@
 import hashlib
 import random
 import string
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -266,6 +267,50 @@ class TestColumns:
         with pytest.raises(ValueError):
             TraceEvent(0, READ, 2**64)
 
+    def test_from_columns_copies_its_input(self):
+        src = random_trace(8, events=10)
+        tr = Trace.from_columns(src.gaps, src.writes, src.addrs, name=src.name)
+        assert tr == src and tr.gaps is not src.gaps
+        src.gaps[0] += 1
+        src.addrs[0] += 64
+        assert (tr.gaps[0], tr.addrs[0]) == (src.gaps[0] - 1, src.addrs[0] - 64)
+
+
+# 94,577 accesses: 1.61 MB of columns, 17 bytes per access.
+BIG = SynthParams.for_rate(UniformGaps(2, 40), 0.25, 0.5, 400_000, 11)
+
+
+def column_bytes(trace):
+    return (trace.gaps.itemsize * len(trace) + len(trace.writes)
+            + trace.addrs.itemsize * len(trace))
+
+
+def traced_peak(fn, *args):
+    """`fn(*args)` and the most memory it held allocated at once."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        return fn(*args), tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Building a trace holds its columns once, plus bounded scratch."""
+
+    def test_load_holds_the_columns_and_one_block(self, tmp_path):
+        path = tmp_path / "big.trace"
+        write_trace(gen_synthetic(BIG), path)
+        tr, peak = traced_peak(load_trace, path)
+        assert len(tr) == 94_577
+        assert peak <= column_bytes(tr) + (1 << 20)
+
+    def test_generation_holds_its_columns_once(self):
+        tr, peak = traced_peak(gen_synthetic, BIG)
+        assert len(tr) == 94_577
+        assert peak <= 1.5 * column_bytes(tr)
+
 
 # -- differential tests against a plain per-line reading ----------------------
 
@@ -327,7 +372,8 @@ def trace_text(lines, crlf, final_newline):
 
 class TestDifferential:
     @settings(max_examples=300, deadline=None)
-    @given(LINES, st.booleans(), st.booleans(), st.sampled_from([1 << 20, 5]))
+    @given(LINES, st.booleans(), st.booleans(),
+           st.sampled_from([trace_module._BLOCK_CHARS, 5]))
     def test_bulk_parse_matches_per_line_reading(self, lines, crlf,
                                                  final_newline, block_chars):
         text = trace_text(lines, crlf, final_newline)
@@ -360,6 +406,16 @@ class TestDifferential:
             assert err.value.line_no == expected and err.value.path == path
         else:
             assert load_trace(path) == parse_trace(text, name=str(path))
+
+    def test_a_bad_line_past_the_third_block_names_its_line(self, tmp_path):
+        good = "12 R 0x7f00\n"  # 12 characters: blocks end inside a line
+        lines = 3 * trace_module._BLOCK_CHARS // len(good) + 100
+        path = tmp_path / "late.trace"
+        path.write_text(good * lines + "1 R 0xZZ\n" + good * 10)
+        with pytest.raises(TraceParseError) as err:
+            load_trace(path)
+        assert (err.value.line_no, err.value.path) == (lines + 1, path)
+        assert err.value.message == "bad hex address '0xZZ'"
 
 
 EVENTS = st.lists(st.builds(TraceEvent, st.integers(0, 2**63 - 1),
