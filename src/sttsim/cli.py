@@ -3,7 +3,10 @@
 Subcommands: gen-trace, simulate, sweep, train, predict, schedule, report.
 Exit codes: 0 success, 1 configuration or input-file error (a message naming
 the file and, for a parse error, the line), 2 runtime error, 3 a result
-carried a constraint-violation flag.
+carried a constraint-violation flag: a sweep in which no point meets the
+deadline, or any decision that `schedule` writes with `violation`, whether
+dispatched or not. `schedule` writes `decisions.csv` only once every decision
+has been made, so a run that fails adds nothing to it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .engine import (RunResult, exhaustive_sweep, pareto_flags, select_best,
 from .features import FeatureVector, profile_application
 from .predictor import (CorePredictor, TrainingSet, load_model, save_model,
                         train_tree)
-from .scheduler import HistoryTable, Scheduler
+from .scheduler import HistoryTable, ScheduleDecision, Scheduler
 from .trace import (BimodalGaps, SynthParams, TraceParseError, UniformGaps,
                     gen_synthetic, load_trace, write_trace)
 
@@ -56,29 +59,35 @@ DECISION_COLUMNS = [
 ]
 
 
-def _run_row(run: RunResult, trace_path: str) -> list:
-    st = run.stats
-    return [
-        trace_path, run.core_id, repr(run.freq_ghz), run.instructions,
-        repr(run.cycles), repr(run.wall_time_s), repr(run.cache_dynamic_j),
-        repr(run.cache_leakage_j), repr(run.core_dynamic_j),
-        repr(run.core_static_j), repr(run.total_energy_j), repr(run.edp_js),
-        st.read_hits, st.write_hits, st.read_misses, st.write_misses,
-        st.expiration_misses, st.early_writebacks, st.writebacks, st.evictions,
-        st.bus_read_requests, st.bus_write_requests, st.mem_busy_read_cycles,
-        st.mem_busy_write_cycles, st.mem_idle_cycles, st.mem_read_hits,
-    ]
+# A row fills each column from the field of the same name; only the columns
+# named otherwise, and the flags written as 0/1, are mapped by hand.
+def _run_row(run: RunResult, trace_path: str) -> dict:
+    return {**vars(run.stats), **vars(run), "trace": trace_path,
+            "core": run.core_id}
 
 
-def _open_csv(path: Path, columns, no_timestamp: bool, append: bool = False):
-    exists = path.exists() and append
-    fh = open(path, "a" if append else "w", newline="")
-    writer = csv.writer(fh)
-    if not exists:
-        if not no_timestamp:
-            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        writer.writerow(columns)
-    return fh, writer
+def _decision_row(d: ScheduleDecision) -> dict:
+    return {**vars(d), "trace": d.app, "constraint": d.constraint_kind,
+            "path": ">".join(f"{c}:{r}" for c, r in d.path),
+            "ranking": " ".join(d.ranking), "total_energy_j": d.energy_j,
+            "wall_time_s": d.time_s, "from_history": int(d.from_history),
+            "deadline_met": int(d.deadline_met), "violation": int(d.violation)}
+
+
+def _write_csv(path: Path, columns, rows, no_timestamp: bool,
+               append: bool = False) -> None:
+    """Write `rows`, mappings from column name to value, under a header row
+    (and a timestamp comment unless `no_timestamp`); `append` adds them to
+    an existing file, whose header stays. `csv` writes a float as its
+    `repr`, so every value round-trips."""
+    exists = append and path.exists()
+    with open(path, "a" if append else "w", newline="") as fh:
+        writer = csv.DictWriter(fh, columns, extrasaction="ignore")
+        if not exists:
+            if not no_timestamp:
+                fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+            writer.writeheader()
+        writer.writerows(rows)
 
 
 def _read_csv(path: Path) -> list[tuple[int, dict]]:
@@ -216,10 +225,8 @@ def cmd_simulate(args) -> int:
     trace = _trace(args.trace)
     run = simulate_run(trace, core, freq, cfg.power)
     args.out.mkdir(parents=True, exist_ok=True)
-    fh, writer = _open_csv(args.out / "simulate.csv", RUN_COLUMNS,
-                           args.no_timestamp, append=args.append)
-    writer.writerow(_run_row(run, str(args.trace)))
-    fh.close()
+    _write_csv(args.out / "simulate.csv", RUN_COLUMNS,
+               [_run_row(run, str(args.trace))], args.no_timestamp, args.append)
     print(f"core={run.core_id} freq_ghz={run.freq_ghz} "
           f"wall_time_s={run.wall_time_s!r} total_energy_j={run.total_energy_j!r} "
           f"expiration_misses={run.stats.expiration_misses}")
@@ -234,13 +241,11 @@ def cmd_sweep(args) -> int:
                              Constraint(args.constraint),
                              deadline_s=args.deadline)
     args.out.mkdir(parents=True, exist_ok=True)
-    columns = RUN_COLUMNS + ["pareto", "best"]
-    fh, writer = _open_csv(args.out / "sweep.csv", columns, args.no_timestamp)
-    flags = pareto_flags(sweep.rows)
-    for row, pareto in zip(sweep.rows, flags):
-        writer.writerow(_run_row(row, str(args.trace))
-                        + [int(pareto), int(row is sweep.best)])
-    fh.close()
+    _write_csv(args.out / "sweep.csv", RUN_COLUMNS + ["pareto", "best"],
+               [{**_run_row(row, str(args.trace)), "pareto": int(pareto),
+                 "best": int(row is sweep.best)}
+                for row, pareto in zip(sweep.rows, pareto_flags(sweep.rows))],
+               args.no_timestamp)
     print(f"best core={sweep.best.core_id} freq_ghz={sweep.best.freq_ghz} "
           f"energy_j={sweep.best.total_energy_j!r} "
           f"deadline_s={sweep.deadline_s!r} violation={sweep.violation}")
@@ -324,16 +329,11 @@ def cmd_schedule(args) -> int:
                                 f"{cfg.system.slots} cores")
     sched = _scheduler(cfg, {constraint.kind: model})
     traces = [_trace(p) for p in args.traces]
-    args.out.mkdir(parents=True, exist_ok=True)
-    fh, writer = _open_csv(args.out / "decisions.csv", DECISION_COLUMNS,
-                           args.no_timestamp, append=True)
-    flagged = False
     decisions = []
     if args.dispatch:
         assignment = sched.dispatch_workload(traces, constraint,
                                              deadline_s=args.deadline)
         decisions = [p.decision for p in assignment.placements]
-        flagged = assignment.any_violation and constraint.bounded
         print(f"dispatched {len(decisions)} apps "
               f"total_energy_j={assignment.total_energy_j!r}")
         for p in assignment.placements:
@@ -343,25 +343,13 @@ def cmd_schedule(args) -> int:
         for trace in traces:
             d = sched.run_application(trace, constraint, deadline_s=args.deadline)
             decisions.append(d)
-            flagged = flagged or d.violation
             print(f"{d.app}: core={d.core} freq_ghz={d.freq_ghz} "
                   f"energy_j={d.energy_j!r} deadline_met={d.deadline_met} "
                   f"path={'>'.join(f'{c}:{r}' for c, r in d.path)}")
-    by_name = {t.name: p for t, p in zip(traces, args.traces)}
-    for d in decisions:
-        writer.writerow([
-            by_name.get(d.app, ""), d.app, d.constraint_kind, d.core,
-            repr(d.freq_ghz), ">".join(f"{c}:{r}" for c, r in d.path),
-            " ".join(d.ranking), int(d.from_history), d.profiling_instructions,
-            repr(d.profiling_time_s), repr(d.profiling_energy_j),
-            repr(d.prediction_time_s), repr(d.prediction_energy_j),
-            d.migrations, repr(d.migration_time_s), repr(d.migration_energy_j),
-            repr(d.energy_j), repr(d.time_s), repr(d.run_wall_time_s),
-            repr(d.base_energy_j), repr(d.deadline_s), int(d.deadline_met),
-            int(d.violation),
-        ])
-    fh.close()
-    return EXIT_FLAGGED if flagged else EXIT_OK
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_csv(args.out / "decisions.csv", DECISION_COLUMNS,
+               map(_decision_row, decisions), args.no_timestamp, append=True)
+    return EXIT_FLAGGED if any(d.violation for d in decisions) else EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -395,15 +383,14 @@ def cmd_report(args) -> int:
     columns = ["trace", "core", "energy_j", "baseline_energy_j", "energy_ratio",
                "wall_time_s", "baseline_wall_time_s", "latency_ratio",
                "exceeds_baseline"]
-    fh, writer = _open_csv(args.out / "report.csv", columns, args.no_timestamp)
+    table = []
     for trace_path, core_label, energy, wall in rows:
         base_e, base_t = baseline.get(trace_path, (energy, wall))
         ratio = energy / base_e if base_e else math.inf
-        writer.writerow([trace_path, core_label, repr(energy),
-                         repr(base_e), repr(ratio), repr(wall), repr(base_t),
-                         repr(wall / base_t if base_t else math.inf),
-                         int(ratio > 1.0)])
-    fh.close()
+        table.append(dict(zip(columns, [
+            trace_path, core_label, energy, base_e, ratio, wall, base_t,
+            wall / base_t if base_t else math.inf, int(ratio > 1.0)])))
+    _write_csv(args.out / "report.csv", columns, table, args.no_timestamp)
     print(f"wrote {args.out / 'report.csv'} ({len(rows)} rows, "
           f"baseline={args.baseline})")
     return EXIT_OK

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .config import CoreSpec, System, voltage_for_frequency
 from .constraints import Constraint
 from .engine import PowerModel, RunResult, simulate_run
-from .features import FeatureVector, features_from_run
+from .features import features_from_run
 from .predictor import CorePredictor
 from .trace import Trace
 
@@ -75,10 +75,6 @@ class HistoryTable:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def apps(self) -> list[str]:
-        """Entries oldest-first (the first is next to be evicted)."""
-        return list(self._entries)
-
 
 @dataclass(frozen=True)
 class ScheduleDecision:
@@ -123,7 +119,6 @@ class AppPlacement:
 class WorkloadAssignment:
     placements: tuple[AppPlacement, ...]
     total_energy_j: float
-    any_violation: bool
 
 
 @dataclass
@@ -183,14 +178,6 @@ class Scheduler:
             run = runs[point] = simulate_run(trace, core, freq_ghz, self.power,
                                              limit=limit, start=start)
         return run
-
-    def _profile(self, trace: Trace) -> tuple[FeatureVector, RunResult]:
-        """The profiling window on the profiling core, as
-        `features.profile_application` runs it."""
-        core = self.system.core(self.system.profiling_core)
-        run = self._simulate(trace, core, core.operating_freq_ghz,
-                             limit=self.profiling_interval)
-        return features_from_run(run), run
 
     # -- deadlines -----------------------------------------------------------
 
@@ -280,15 +267,21 @@ class Scheduler:
 
     # -- the main loop -------------------------------------------------------
 
-    def _rank(self, trace: Trace, constraint: Constraint
-              ) -> tuple[RunResult, tuple[str, ...]]:
-        """The front end of a fresh decision: the profiling window and the
-        constraint's model's ranking of the cores, predicted core first."""
+    def _front(self, trace: Trace, constraint: Constraint
+               ) -> tuple[RunResult, tuple[str, ...], list[tuple[str, str]]]:
+        """The front end of every fresh decision, dispatched or not: the
+        profiling window on the profiling core (as
+        `features.profile_application` runs it), the constraint's model's
+        ranking of the cores, predicted core first, and the path so far."""
         model = self.models.get(constraint.kind)
         if model is None:
             raise ValueError(f"no trained model for constraint {constraint.kind!r}")
-        feats, prof_run = self._profile(trace)
-        return prof_run, tuple(model.rank_labels(feats))
+        core = self.system.core(self.system.profiling_core)
+        prof_run = self._simulate(trace, core, core.operating_freq_ghz,
+                                  limit=self.profiling_interval)
+        ranking = tuple(model.rank_labels(features_from_run(prof_run)))
+        return prof_run, ranking, [(core.core_id, "profile"),
+                                   (ranking[0], "predicted")]
 
     def run_application(self, trace: Trace, constraint: Constraint,
                         deadline_s: float | None = None) -> ScheduleDecision:
@@ -302,10 +295,8 @@ class Scheduler:
             return self._decision(trace, constraint, cost, ((entry.core, "history"),),
                                   ranking=(), prof_run=None, deadline_s=deadline_s)
 
-        prof_run, ranking = self._rank(trace, constraint)
+        prof_run, ranking, path = self._front(trace, constraint)
         predicted = ranking[0]
-        path = [(self.system.profiling_core, "profile"), (predicted, "predicted")]
-
         order = self.system.speed_order()
         for label in order[order.index(predicted)::-1]:
             if label != predicted:
@@ -385,7 +376,7 @@ class Scheduler:
         taken: set[tuple[int, str]] = set()
         placements = []
         for trace in traces:
-            prof_run, ranking = self._rank(trace, constraint)
+            prof_run, ranking, path = self._front(trace, constraint)
             cluster, chosen = next(
                 (cl, lab) for lab in ranking
                 for cl in range(self.system.cluster_count)
@@ -395,8 +386,6 @@ class Scheduler:
                      else self.deadline_for(trace, constraint))
             cost = (self._evaluate(trace, chosen, bound, prof_run)
                     or self._at_cap(trace, chosen, prof_run))
-            path = [(self.system.profiling_core, "profile"),
-                    (ranking[0], "predicted")]
             if chosen != ranking[0]:
                 path.append((chosen, "contended"))
             decision = self._decision(trace, constraint, cost, path, ranking,
@@ -407,6 +396,4 @@ class Scheduler:
                 energy_j=cost.energy_j, ranking=ranking, decision=decision))
         return WorkloadAssignment(
             placements=tuple(placements),
-            total_energy_j=sum(p.energy_j for p in placements),
-            any_violation=any(p.decision.violation for p in placements),
-        )
+            total_energy_j=sum(p.energy_j for p in placements))

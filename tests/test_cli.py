@@ -1,7 +1,9 @@
 import argparse
 import csv
+import hashlib
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -423,6 +425,32 @@ class TestTrainPredictSchedule:
         assert len(rows) == 4
         assert "dispatched 4 apps" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dispatch", [(), ("--dispatch",)])
+    def test_a_violation_exits_flagged_dispatched_or_not(
+            self, trained_models, tmp_path, dispatch):
+        # No constraint, but a deadline no core meets: every decision
+        # carries `violation`, and both routes exit 3.
+        models, traces, cfg = trained_models
+        code = run_cli("schedule", "--models", models, "--traces", *traces[:2],
+                       "--constraint", "none", "--deadline", "1e-9",
+                       "--config", cfg, "--out", tmp_path, "--no-timestamp",
+                       *dispatch)
+        rows = read_rows(tmp_path / "decisions.csv")
+        assert [row["violation"] for row in rows] == ["1", "1"]
+        assert code == 3
+
+    def test_a_failed_schedule_writes_no_decisions(self, trained_models,
+                                                   tmp_path, monkeypatch):
+        models, traces, cfg = trained_models
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("decision failed")
+        monkeypatch.setattr(scheduler.Scheduler, "run_application", broken)
+        code = run_cli("schedule", "--models", models, "--traces", traces[0],
+                       "--config", cfg, "--out", tmp_path, "--no-timestamp")
+        assert code == 2
+        assert not (tmp_path / "decisions.csv").exists()
+
     def test_dispatch_over_capacity_is_config_error(self, trained_models,
                                                     tmp_path, monkeypatch,
                                                     capsys):
@@ -516,6 +544,57 @@ class TestTrainPredictSchedule:
                        "--config", cfg, "--out", tmp_path) == 0
         [row] = read_rows(tmp_path / "report.csv")
         assert float(row["energy_ratio"]) == 1.0
+
+
+# SHA-256 of each CSV that `test_csv_bytes_match_the_pinned_digests`
+# writes, recorded before the subcommands shared one CSV writer; a change to
+# one byte of any row or header moves it.
+GOLDEN_CSVS = {
+    "sim/simulate.csv":
+        "32fc71f123d318b0d74015905a3d2a639e92bf2280dea2374ff4fe7f08aa5a9a",
+    "sweep/sweep.csv":
+        "b9b86b4f8b8b341554bf99870acf834ca30d3809192f8e3790193a146f289251",
+    "fresh/decisions.csv":
+        "415461394975dece1705c7b7369f736713d972c2e2b1a8117e7f887b408149ba",
+    "dispatch/decisions.csv":
+        "40226b8d04538efdea74c4ef045df6dd4f9649588b1314cd302e5437e898b1ad",
+    "sram/report.csv":
+        "b6f2bbbd3b81ac50d056cf64853a3071cf7e0f834cefd60d37d480f2286f1147",
+    "homog-400us/report.csv":
+        "88d65385158cea74048cdce90e09599797016222543a84b3d8da745fbc4fbed3",
+    "self/report.csv":
+        "c9da103278b68cd0d72ab10703e16c15960dcc46f2cfc5dde767a2d8d2425958",
+}
+
+
+def test_csv_bytes_match_the_pinned_digests(trained_models, tmp_path,
+                                            monkeypatch):
+    """Every CSV writer, run from the output directory on relative paths and
+    without timestamps, writes the pinned bytes: a simulated row and an
+    appended one, a sweep, fresh decisions with a history hit, a dispatch,
+    and a report under each baseline."""
+    models, traces, cfg = trained_models
+    monkeypatch.chdir(tmp_path)
+    for trace in (traces[0], traces[2]):
+        shutil.copy(trace, trace.name)
+    hot, cold = "hot.trace", "cold.trace"
+    runs = [
+        ("simulate", "--trace", hot, "--core", "core1", "--out", "sim"),
+        ("simulate", "--trace", cold, "--core", "core4", "--freq", "1.2",
+         "--out", "sim", "--append"),
+        ("sweep", "--trace", hot, "--constraint", "slack10", "--out", "sweep"),
+        ("schedule", "--models", models, "--traces", hot, cold, hot,
+         "--constraint", "slack20", "--out", "fresh"),
+        ("schedule", "--models", models, "--traces", hot, cold,
+         "--constraint", "slack20", "--dispatch", "--out", "dispatch"),
+        *(("report", "--runs", "fresh/decisions.csv", "--baseline", baseline,
+           "--out", baseline) for baseline in ("sram", "homog-400us", "self")),
+    ]
+    codes = [run_cli(*argv, "--config", cfg, "--no-timestamp") for argv in runs]
+    assert codes == [0] * len(runs)
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+               for name in GOLDEN_CSVS}
+    assert digests == GOLDEN_CSVS
 
 
 class TestEntryPoint:

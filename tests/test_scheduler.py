@@ -64,7 +64,11 @@ class TestHistoryTable:
         table.record("b", "core2", 1.2, "none")
         table.record("a", "core1", 1.6, "none")
         table.record("c", "core3", 2.0, "none")
-        assert table.apps() == ["a", "c"]
+        assert len(table) == 2 and "b" not in table
+        # "a" is now the least recently used: the next record evicts it.
+        table.record("d", "core4", 2.0, "none")
+        assert table.lookup("a", "none") is None
+        assert table.lookup("c", "none").core == "core3"
 
 
 class TestDeadlines:
@@ -174,12 +178,19 @@ class TestRunApplication:
     def test_decision_sequence_is_deterministic(self, system, power):
         def run():
             sched = Scheduler(system, power, stub_models(system, "core3"),
+                              history=HistoryTable(capacity=2),
                               profiling_interval=INTERVAL)
             traces = [hot_trace(seed=s) for s in (5, 6, 5)]
-            return [sched.run_application(t, Constraint("none")) for t in traces], \
-                   sched.history.apps()
+            decisions = [sched.run_application(t, Constraint("none"))
+                         for t in traces]
+            # One more entry evicts the least recently used app: hot-6, since
+            # the history hit on hot-5 refreshed it.
+            sched.history.record("x", "core1", 1.6, "none")
+            return decisions, [sched.history.lookup(t.name, "none")
+                               for t in traces[:2]]
         (d1, h1), (d2, h2) = run(), run()
         assert d1 == d2 and h1 == h2
+        assert h1[0] is not None and h1[1] is None
 
 
 @pytest.fixture
