@@ -6,9 +6,9 @@ from .cache import (AccessOutcome, CacheState, CacheStats, HIT, MISS,
                     MISS_EXPIRATION, MISS_NONE, MISS_OTHER)
 from .config import (CacheGeometry, CoreSpec, DvfsRange, MemTechnology, SRAM,
                      STT_10US, STT_26_5US, STT_75US, STT_400US, System,
-                     TECHNOLOGIES, access_cycles, default_system,
-                     voltage_for_frequency)
-from .configfile import ConfigError, ExperimentConfig, default_config, load_config, parse_config
+                     TECHNOLOGIES, access_cycles, voltage_for_frequency)
+from .configfile import (ConfigError, ExperimentConfig, default_config,
+                         default_system, load_config, parse_config)
 from .constraints import (BEST_PERF, Constraint, FEATURE_SETS, KINDS,
                           NO_CONSTRAINT, SLACK10, SLACK20)
 from .engine import (PowerModel, RunResult, SweepResult, cache_energy, edp,

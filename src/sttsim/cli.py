@@ -77,9 +77,10 @@ def _decision_row(d: ScheduleDecision) -> dict:
 def _write_csv(path: Path, columns, rows, no_timestamp: bool,
                append: bool = False) -> None:
     """Write `rows`, mappings from column name to value, under a header row
-    (and a timestamp comment unless `no_timestamp`); `append` adds them to
-    an existing file, whose header stays. `csv` writes a float as its
-    `repr`, so every value round-trips."""
+    (and a timestamp comment unless `no_timestamp`), making the file's
+    directory; `append` adds them to an existing file, whose header stays.
+    `csv` writes a float as its `repr`, so every value round-trips."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     exists = append and path.exists()
     with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.DictWriter(fh, columns, extrasaction="ignore")
@@ -224,7 +225,6 @@ def cmd_simulate(args) -> int:
                   f"{core.freq_cap_ghz} GHz, step {core.dvfs.step_ghz})"))
     trace = _trace(args.trace)
     run = simulate_run(trace, core, freq, cfg.power)
-    args.out.mkdir(parents=True, exist_ok=True)
     _write_csv(args.out / "simulate.csv", RUN_COLUMNS,
                [_run_row(run, str(args.trace))], args.no_timestamp, args.append)
     print(f"core={run.core_id} freq_ghz={run.freq_ghz} "
@@ -240,7 +240,6 @@ def cmd_sweep(args) -> int:
     sweep = exhaustive_sweep(trace, cfg.system, cfg.power,
                              Constraint(args.constraint),
                              deadline_s=args.deadline)
-    args.out.mkdir(parents=True, exist_ok=True)
     _write_csv(args.out / "sweep.csv", RUN_COLUMNS + ["pareto", "best"],
                [{**_run_row(row, str(args.trace)), "pareto": int(pareto),
                  "best": int(row is sweep.best)}
@@ -346,7 +345,6 @@ def cmd_schedule(args) -> int:
             print(f"{d.app}: core={d.core} freq_ghz={d.freq_ghz} "
                   f"energy_j={d.energy_j!r} deadline_met={d.deadline_met} "
                   f"path={'>'.join(f'{c}:{r}' for c, r in d.path)}")
-    args.out.mkdir(parents=True, exist_ok=True)
     _write_csv(args.out / "decisions.csv", DECISION_COLUMNS,
                map(_decision_row, decisions), args.no_timestamp, append=True)
     return EXIT_FLAGGED if any(d.violation for d in decisions) else EXIT_OK
@@ -379,7 +377,6 @@ def cmd_report(args) -> int:
             base = simulate_run(trace, core, core.operating_freq_ghz,
                                 cfg.power)
             baseline[path] = base.total_energy_j, base.wall_time_s
-    args.out.mkdir(parents=True, exist_ok=True)
     columns = ["trace", "core", "energy_j", "baseline_energy_j", "energy_ratio",
                "wall_time_s", "baseline_wall_time_s", "latency_ratio",
                "exceeds_baseline"]

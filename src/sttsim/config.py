@@ -100,8 +100,8 @@ class DvfsRange:
         return [round(self.min_freq_ghz + i * self.step_ghz, 6) for i in range(n + 1)]
 
     def on_grid(self, freq_ghz: float) -> bool:
-        if freq_ghz < self.min_freq_ghz - _EPS or freq_ghz > self.max_freq_ghz + _EPS:
-            return False
+        if not self.min_freq_ghz - _EPS <= freq_ghz <= self.max_freq_ghz + _EPS:
+            return False  # NaN fails every comparison
         i = (freq_ghz - self.min_freq_ghz) / self.step_ghz
         return abs(i - round(i)) <= _EPS
 
@@ -223,10 +223,7 @@ class System:
                 raise ValueError(f"{role} core {label!r} is not in the system")
 
     def core(self, label: str) -> CoreSpec:
-        for c in self.cores:
-            if c.core_id == label:
-                return c
-        raise KeyError(f"no core labelled {label!r}")
+        return self.cores[self.core_index(label)]
 
     def core_index(self, label: str) -> int:
         for i, c in enumerate(self.cores):
@@ -272,11 +269,3 @@ TECHNOLOGIES = {t.name: t for t in (SRAM, STT_10US, STT_26_5US, STT_75US, STT_40
 # each cache's write access to one, one, two and three cycles.
 DEFAULT_CORES = (("core1", "stt_10us", 1.6), ("core2", "stt_26_5us", 1.2),
                  ("core3", "stt_75us", 2.0), ("core4", "stt_400us", 2.0))
-
-
-def default_system(cluster_count: int = 1) -> System:
-    """The four-core reference system (`DEFAULT_CORES`)."""
-    return System(cores=tuple(
-        make_core(cid, TECHNOLOGIES[tech], max_freq_ghz=cap)
-        for cid, tech, cap in DEFAULT_CORES), cluster_count=cluster_count)
-

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .config import (DEFAULT_CORES, CacheGeometry, DvfsRange, MemTechnology,
-                     System, TECHNOLOGIES, default_system, make_core)
+                     System, TECHNOLOGIES, make_core)
 from .engine import PowerModel
 from .scheduler import (DEFAULT_HISTORY_CAPACITY, DEFAULT_MIGRATION_TIME_S,
                         DEFAULT_PREDICTION_TIME_S, DEFAULT_PROFILING_INTERVAL)
@@ -50,7 +50,13 @@ class ExperimentConfig:
 
 
 def default_config() -> ExperimentConfig:
-    return ExperimentConfig(system=default_system(), power=PowerModel())
+    """The built-in cores and defaults: the configuration of an empty file."""
+    return parse_config("")
+
+
+def default_system(cluster_count: int = 1) -> System:
+    """The four-core reference system (`DEFAULT_CORES`)."""
+    return replace(default_config().system, cluster_count=cluster_count)
 
 
 # Value converters: each turns a value's text into the field's value in the

@@ -264,10 +264,6 @@ class SweepResult:
     deadline_s: float
     violation: bool
 
-    @property
-    def best_core(self) -> str:
-        return self.best.core_id
-
 
 def select_best(rows, system: System, constraint: Constraint,
                 deadline_s: float | None = None):

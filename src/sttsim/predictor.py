@@ -104,17 +104,18 @@ class CorePredictor:
             counts[y[i]] = counts.get(y[i], 0) + 1
         return counts
 
-    def _majority(self, counts):
-        return min(counts, key=lambda lab: (-counts[lab], self._rank[lab]))
+    def _by_mass(self, counts):
+        """The labels of `counts` by descending count, ties to the lower
+        `label_order` index; a leaf's label is the first."""
+        return sorted(counts, key=lambda lab: (-counts[lab], self._rank[lab]))
 
     def _build(self, X, y, idx, depth):
         counts = self._counts(y, idx)
-        if len(counts) == 1 or depth >= self.max_depth:
-            return _Leaf(self._majority(counts), counts)
-        split = self._best_split(X, y, idx, counts)
+        split = (None if len(counts) == 1 or depth >= self.max_depth
+                 else self._best_split(X, y, idx, counts))
         if split is None:
-            return _Leaf(self._majority(counts), counts)
-        feature, threshold, gain = split
+            return _Leaf(self._by_mass(counts)[0], counts)
+        feature, threshold, _ = split
         left_idx = [i for i in idx if X[i][feature] <= threshold]
         right_idx = [i for i in idx if X[i][feature] > threshold]
         return _Split(feature, threshold,
@@ -169,11 +170,7 @@ class CorePredictor:
         return row
 
     def predict_one(self, x) -> str:
-        row = self._validate_row(x)
-        node = self.root_
-        while isinstance(node, _Split):
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.label
+        return self.rank_labels(x)[0]
 
     def predict(self, X) -> list[str]:
         return [self.predict_one(x) for x in X]
@@ -184,7 +181,7 @@ class CorePredictor:
         Starts with the reached leaf's classes by descending count, then
         walks back up adding each ancestor's other-branch classes by
         descending mass (nearest ancestors first); remaining classes follow
-        in label order. The first element always equals predict_one(x).
+        in label order. The first element is the reached leaf's label.
         """
         row = self._validate_row(x)
         node = self.root_
@@ -196,19 +193,10 @@ class CorePredictor:
             else:
                 siblings.append(node.left)
                 node = node.right
-        ranking = sorted(node.counts,
-                         key=lambda lab: (-node.counts[lab], self._rank[lab]))
-        seen = set(ranking)
-        for sib in reversed(siblings):
-            counts = sib.counts
-            for lab in sorted(counts, key=lambda L: (-counts[L], self._rank[L])):
-                if lab not in seen:
-                    ranking.append(lab)
-                    seen.add(lab)
-        for lab in self.classes_:
-            if lab not in seen:
-                ranking.append(lab)
-                seen.add(lab)
+        ranking = []
+        for counts in (node.counts, *(sib.counts for sib in reversed(siblings)),
+                       dict.fromkeys(self.classes_, 0)):
+            ranking += [lab for lab in self._by_mass(counts) if lab not in ranking]
         return ranking
 
     def _walk(self):
@@ -249,8 +237,6 @@ class TrainingSet:
 
 def train_tree(data: TrainingSet, max_depth: int = 5,
                min_samples_leaf: int = 1) -> CorePredictor:
-    if not data.rows:
-        raise ValueError("training set is empty")
     model = CorePredictor(max_depth=max_depth,
                           min_samples_leaf=min_samples_leaf,
                           feature_names=tuple(data.constraint.feature_names),
@@ -262,7 +248,7 @@ def train_tree(data: TrainingSet, max_depth: int = 5,
 def label_oracle(trace: Trace, system: System, power: PowerModel,
                  constraint: Constraint) -> str:
     """Ground-truth best core: the exhaustive sweep's pick."""
-    return exhaustive_sweep(trace, system, power, constraint).best_core
+    return exhaustive_sweep(trace, system, power, constraint).best.core_id
 
 
 # -- model files -------------------------------------------------------------
@@ -367,7 +353,7 @@ def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
                 raise bad(pos, "leaf label is not in the labels line")
             if min(counts.values()) < 1:
                 raise bad(pos, "leaf counts must be >= 1")
-            if label != model._majority(counts):
+            if label != model._by_mass(counts)[0]:
                 raise bad(pos, "leaf label is not the majority of its counts")
             nodes.append(_Leaf(label, counts))
         elif parts[:2] == ["node", "split"] and len(parts) == 4:

@@ -1,14 +1,16 @@
 """Runtime core selection: history table, profile/predict/verify loop and
 multiprogrammed dispatch.
 
-A new application is profiled on the profiling core, the constraint's model
-predicts a core, and the choice is verified: deadline violations escalate to
-faster cores, and a prediction that would cost more than the base-core path
-falls back to it, so a committed decision never spends more than that
-fallback. Decisions land in a bounded LRU history table; a repeat encounter
-skips profiling and prediction entirely. Multiprogrammed dispatch commits
-each app's highest-ranked free core by the same per-core rule as a fresh
-decision: the verified point, else the core's cap.
+A new application is profiled on the profiling core and the constraint's
+model ranks the cores. Every fresh decision, dispatched or not, then makes one
+candidate walk (`Scheduler._commit`): it commits the first listed core whose
+verified point meets the deadline, else the last listed core at its cap. A
+scheduled app walks from the predicted core up to the fastest, and a
+prediction that would cost more than the base-core path falls back to it, so
+a committed decision never spends more than that fallback. A dispatched app
+walks only its highest-ranked free core: the list is the one part of the walk
+that differs between the two. Decisions land in a bounded LRU history table;
+a repeat encounter skips profiling and prediction entirely.
 
 Every simulation goes through one memo per scheduler, keyed by the trace
 and the run's (core, frequency, limit, start), so a decision's
@@ -243,20 +245,12 @@ class Scheduler:
                     + self.prediction_time_s + migr_t)
         return _PathCost(core_label, freq_ghz, full, energy, time, migrations)
 
-    def _at_cap(self, trace: Trace, core_label: str,
-                prof_run: RunResult | None) -> _PathCost:
-        return self._path_cost(trace, core_label,
-                               self.system.core(core_label).freq_cap_ghz, prof_run)
-
     def _evaluate(self, trace: Trace, core_label: str, deadline_s: float,
                   prof_run: RunResult | None) -> _PathCost | None:
         """Pick a frequency for the core and verify the deadline on the full
         run. Window estimates choose the frequency, but a core is only
         declared infeasible once its cap misses the deadline on a verified
-        full run.
-
-        A core is committed as `_evaluate(...) or _at_cap(...)`: the verified
-        point, else the core's cap, which then misses the deadline."""
+        full run."""
         core = self.system.core(core_label)
         for freq in (self._estimate_freq(trace, core, deadline_s),
                      core.freq_cap_ghz):
@@ -264,6 +258,20 @@ class Scheduler:
                     and self._simulate(trace, core, freq).wall_time_s <= deadline_s):
                 return self._path_cost(trace, core_label, freq, prof_run)
         return None
+
+    def _commit(self, trace: Trace, labels, deadline_s: float,
+                prof_run: RunResult, path: list) -> _PathCost:
+        """The candidate walk: the first of `labels` whose verified point
+        meets the deadline, else the last one at its cap, which then misses
+        it. Each core after the first is tagged `escalated-deadline`."""
+        for i, label in enumerate(labels):
+            if i:
+                path.append((label, "escalated-deadline"))
+            cost = self._evaluate(trace, label, deadline_s, prof_run)
+            if cost is not None:
+                return cost
+        return self._path_cost(trace, label, self.system.core(label).freq_cap_ghz,
+                               prof_run)
 
     # -- the main loop -------------------------------------------------------
 
@@ -296,17 +304,9 @@ class Scheduler:
                                   ranking=(), prof_run=None, deadline_s=deadline_s)
 
         prof_run, ranking, path = self._front(trace, constraint)
-        predicted = ranking[0]
         order = self.system.speed_order()
-        for label in order[order.index(predicted)::-1]:
-            if label != predicted:
-                path.append((label, "escalated-deadline"))
-            cost = self._evaluate(trace, label, deadline_s, prof_run)
-            if cost is not None:
-                break
-        else:
-            # Nothing meets the deadline: take the fastest cap point.
-            cost = self._at_cap(trace, order[0], prof_run)
+        cost = self._commit(trace, order[order.index(ranking[0])::-1],
+                            deadline_s, prof_run, path)
 
         base_label = self.system.base_core
         base_energy = math.inf
@@ -366,8 +366,9 @@ class Scheduler:
         One app per core, no preemption, no queueing: more apps than cores is
         rejected. Profiling is a staging phase and does not occupy a core.
         Each app's deadline is `deadline_s` or, when that is None, its
-        `deadline_for` the constraint, as in `run_application`. Dispatch
-        never escalates to another core.
+        `deadline_for` the constraint, as in `run_application`. The
+        candidate walk lists only the chosen core, so dispatch never
+        escalates to another core or falls back to the base core.
         """
         if len(traces) > self.system.slots:
             raise ValueError(f"{len(traces)} apps exceed {self.system.slots} "
@@ -384,8 +385,7 @@ class Scheduler:
             taken.add((cluster, chosen))
             bound = (deadline_s if deadline_s is not None
                      else self.deadline_for(trace, constraint))
-            cost = (self._evaluate(trace, chosen, bound, prof_run)
-                    or self._at_cap(trace, chosen, prof_run))
+            cost = self._commit(trace, [chosen], bound, prof_run, path)
             if chosen != ranking[0]:
                 path.append((chosen, "contended"))
             decision = self._decision(trace, constraint, cost, path, ranking,

@@ -86,6 +86,7 @@ class TestBadArguments:
     @pytest.mark.parametrize("argv", [
         ("simulate", "--core", "core1", "--freq", "1.1"),
         ("simulate", "--core", "core1", "--freq", "2.0"),  # above the cap
+        ("simulate", "--core", "core1", "--freq", "nan"),
         ("train", "--max-depth", "0"),
         ("train", "--min-samples-leaf", "0"),
         ("sweep", "--deadline", "nan"),
@@ -595,6 +596,27 @@ def test_csv_bytes_match_the_pinned_digests(trained_models, tmp_path,
     digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
                for name in GOLDEN_CSVS}
     assert digests == GOLDEN_CSVS
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--freq"), ("sweep", "--deadline"), ("schedule", "--deadline"),
+    ("gen-trace", "--mem-fraction"), ("gen-trace", "--write-fraction")])
+def test_no_float_input_exits_2(trained_models, fig_trace, tmp_path, capsys,
+                                command, flag, value):
+    """A non-finite value either runs (an infinite deadline) or is an input
+    error that names its flag; none of them is a runtime error. The value is
+    passed as `--flag=value`, the form argparse takes for `-inf`."""
+    models, traces, cfg = trained_models
+    inputs = {"simulate": ("--trace", fig_trace, "--core", "core1"),
+              "sweep": ("--trace", fig_trace),
+              "schedule": ("--models", models, "--traces", traces[0],
+                           "--config", cfg),
+              "gen-trace": ("--seed", 1, "--total", 20000)}
+    code = run_cli(command, *inputs[command], f"{flag}={value}", "--out", tmp_path)
+    assert code in (0, 1, 3)
+    if code == 1:
+        assert flag in capsys.readouterr().err
 
 
 class TestEntryPoint:

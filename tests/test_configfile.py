@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sttsim import ConfigError, PowerModel, load_config, parse_config
+from sttsim import (ConfigError, ExperimentConfig, PowerModel, System,
+                    TECHNOLOGIES, default_system, load_config, parse_config)
+from sttsim.config import DEFAULT_CORES, make_core
 from sttsim.configfile import _KEYS, default_config
 
 FULL = """
@@ -94,10 +96,15 @@ class TestParsing:
         assert cfg.system.cluster_count == 4
 
     def test_empty_file_is_the_default_config(self):
-        cfg, default = parse_config(""), default_config()
-        assert cfg.system == default.system
-        assert cfg.power == default.power
-        assert cfg == default
+        # Built here from `DEFAULT_CORES` by `make_core`, not by the parser.
+        system = System(cores=tuple(make_core(cid, TECHNOLOGIES[tech],
+                                              max_freq_ghz=cap)
+                                    for cid, tech, cap in DEFAULT_CORES))
+        cfg = parse_config("")
+        assert cfg.system == system == default_system()
+        assert cfg.power == PowerModel()
+        assert cfg == ExperimentConfig(system=system, power=PowerModel())
+        assert default_config() == cfg
 
     def test_unset_capacitance_takes_the_power_model_default(self):
         cfg = parse_config("[power]\nstatic_power_points = 0.9:0.3\n")
@@ -214,7 +221,9 @@ class TestErrors:
         ("[dvfs]\nmin_voltage_v = -5\n", "voltages"),
         ("[dvfs]\nmin_voltage_v = 2\n", "voltages"),
         ("[dvfs]\nmax_voltage_v = inf\n", "voltages"),
-        ("[dvfs]\nmax_voltage_v = nan\n", "voltages")])
+        ("[dvfs]\nmax_voltage_v = nan\n", "voltages"),
+        *((f"[core.1]\ndata_tech = sram\n{key} = nan\n", "DVFS grid|GHz grid")
+          for key in ("min_freq_ghz", "max_freq_ghz", "operating_freq_ghz"))])
     def test_a_value_out_of_its_range_names_file_and_line(self, tmp_path,
                                                            text, match):
         path = tmp_path / "bad.cfg"

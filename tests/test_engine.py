@@ -186,7 +186,7 @@ class TestSweep:
         sys1 = System(cores=(default_system().core("core2"),))
         tr = rand_trace(8)
         sweep = exhaustive_sweep(tr, sys1, power, Constraint("none"))
-        assert sweep.best_core == "core2"
+        assert sweep.best.core_id == "core2"
         assert len(sweep.rows) == len(sys1.cores[0].dvfs.grid())
 
     def test_hit_dominated_write_free_prefers_top_frequency(self, system, power):
