@@ -9,17 +9,18 @@ run is the LRU shadow run below.
 
 A miss is an expiration miss exactly when a shadow copy with infinite
 retention still hits. That shadow is a plain LRU cache, a function of the
-access stream alone (Mattson et al., 1970), so `LruShadow` runs it in one
-pass per (trace, geometry, first simulated access), not at each operating
-point. It records one code per access (a read hit, a write hit, a miss, or
-a miss that evicts a clean or a dirty block); a run reads a prefix, which
-`run_totals` counts and a replay `translate`s to hit bits. The same pass
-bounds, in counts no frequency changes, how long a block goes between
-restores of its retention, in every run by one rule: the componentwise
-minimum of the pass's widest span and the run taken as one span. Where that
-stays below the lifetime, which an infinite one always does, no block
-expires, and `CacheState.derive` counts the run from the codes instead of
-replaying it (stack simulation over frequency; Hill & Smith 1989).
+access stream alone (Mattson et al., 1970), so a `ShadowPass` runs it once
+per (trace, geometry, first simulated access), not at each operating point,
+and keeps all that no frequency changes for the runs from that access. It
+records one code per access (a read hit, a write hit, a miss, or a miss that
+evicts a clean or a dirty block); a run reads a prefix, which `run_totals`
+counts and a replay `translate`s to hit bits. The same pass bounds, in
+counts no frequency changes, how long a block goes between restores of its
+retention, in every run by one rule: the componentwise minimum of the pass's
+widest span and the run taken as one span. Where that stays below the
+lifetime, which an infinite one always does, no block expires, and
+`CacheState.derive` counts the run from the codes instead of replaying it
+(stack simulation over frequency; Hill & Smith 1989).
 
 The opposite case has a certificate of its own. In a run where every access
 misses, each set is a queue of fills and every access time is a fixed sum of
@@ -30,12 +31,12 @@ the index of that earlier access. Where the first interval lasts a lifetime
 at a point, every access misses and `CacheState.derive_misses` counts the
 run; where the second does too nothing is evicted. Otherwise the evictions
 are counted in word-parallel integer lanes (SWAR arithmetic on Python
-ints): `MissFacts` packs every such interval's counts, one 32-bit lane per
-access, and at a point one multiply-add gives all their lengths in cycles
-and one add and mask against the lifetime marks those that evict. Each
-certificate settles a run exactly or refuses it, and every run, whatever
-its technology, tries both before a replay: a run with an interval within
-the rounding of its times of the lifetime is refused and replayed.
+ints): the `ShadowPass` packs every such interval's counts, one 32-bit lane
+per access, and at a point one multiply-add gives all their lengths in
+cycles and one add and mask against the lifetime marks those that evict.
+Each certificate settles a run exactly or refuses it, and every run,
+whatever its technology, tries both before a replay: a run with an interval
+within the rounding of its times of the lifetime is refused and replayed.
 
 Each set is a dict from tag to (expiry_ns, dirty), least recently used
 first, plus a lower bound on the expiry times it holds. A block expires at
@@ -52,6 +53,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, count, repeat
 from operator import itemgetter, sub
 
@@ -214,23 +216,50 @@ _CAP = 1 << 21  # the largest count a lane stores: longer intervals saturate
 _ONE = (1).to_bytes(_LANE // 8, "little")
 
 
-class MissFacts:
-    """What no frequency changes about a stream of accesses to a cache of
-    `geometry`, read by `CacheState.derive_misses`; made by `miss_facts`.
+class ShadowPass:
+    """The `LruShadow` pass over a stream of accesses to a cache of
+    `geometry` and all that no frequency changes about the runs from its
+    first access, each made once, when first asked: its `codes`, its widest
+    restore `span`, the `totals` of each run, the stream's `miss_facts` and
+    the lanes that `evictions` reads."""
 
-    `back[i]` is the index of the `ways`-th earlier access to access i's set,
-    or -1 if there is none. `reuse` and `fifo` record, as (i, gaps, reads,
-    writes), the componentwise minimum over intervals ending at or before
-    access i, each time it drops: `reuse` over the intervals from an access
-    to the next one of its block, if fewer than `ways` accesses to the set
-    lie between (a); `fifo` over those from `back[i]` to i (b). An interval
-    from j to i covers the gaps after j and the reads and writes before i.
-    """
+    def __init__(self, geometry, gaps, writes, addrs):
+        self._stream = geometry, gaps, writes, addrs
+        shadow = LruShadow(geometry)
+        self.codes = shadow.run(gaps, writes, addrs)
+        self.span = shadow.span()
+        self._totals = {}  # accesses -> `run_totals`
 
-    def __init__(self, back, reuse, fifo, gaps, writes):
-        self.back, self.reuse, self.fifo = back, reuse, fifo
-        self._stream = gaps, writes
-        self._lanes = None
+    def totals(self, writes):
+        """The `run_totals` of the run of the first len(writes) accesses."""
+        if len(writes) not in self._totals:
+            self._totals[len(writes)] = run_totals(self.codes, writes)
+        return self._totals[len(writes)]
+
+    @cached_property
+    def facts(self):
+        return miss_facts(*self._stream)
+
+    @cached_property
+    def _lanes(self):
+        """The counts of the intervals (b): in each of three ints, for the
+        gaps, reads and writes, lane i holds t[i] - t[back[i]], at most
+        `_CAP`, with t their running totals, and `_CAP` where back[i] is -1;
+        and one byte per access, 1 where back[i] is a write."""
+        _, gaps, writes, _ = self._stream
+        back = self.facts[0]
+
+        def lanes(counts) -> int:
+            totals = array("q", accumulate(counts))
+            totals[len(back):] = array("q", (-_CAP,))  # at index -1
+            packed = array("I", map(min, map(sub, totals,
+                                             map(totals.__getitem__, back)),
+                                    repeat(_CAP)))
+            if sys.byteorder != "little":
+                packed.byteswap()
+            return int.from_bytes(packed, "little")
+        return (lanes(gaps), lanes(chain((0,), map((1).__xor__, writes))),
+                lanes(chain((0,), writes)), bytes(map(writes.__getitem__, back)))
 
     def evictions(self, accesses: int, cpi: int, stall, lo: int, hi: int):
         """(evicting, dirty) over the intervals (b) that end at the first
@@ -240,21 +269,9 @@ class MissFacts:
         access is a write; None if any interval lasts from `lo` to `hi`
         cycles. No lane may reach its top bit, and one that saturates must
         last more than `hi` cycles.
-
-        The counts of the intervals are made on the first call, one
-        `_LANE`-bit lane per access in each of three ints, at most `_CAP`
-        (all three `_CAP` where there is no `back`), with one byte per
-        access that is 1 where `back[i]` is a write.
         """
-        if self._lanes is None:
-            gaps, writes = self._stream
-            self._lanes = (
-                _lanes(gaps, self.back),
-                _lanes(chain((0,), map((1).__xor__, writes)), self.back),
-                _lanes(chain((0,), writes), self.back),
-                bytes(map(writes.__getitem__, self.back)))
         dg, dr, dw, written = self._lanes
-        if accesses < len(self.back):
+        if accesses < len(written):
             keep = (1 << _LANE * accesses) - 1
             dg, dr, dw = dg & keep, dr & keep, dw & keep
         size = _LANE // 8
@@ -272,21 +289,18 @@ class MissFacts:
         return evicting.bit_count(), dirty.bit_count()
 
 
-def _lanes(counts, back) -> int:
-    """Lane i holds t[i] - t[back[i]], at most `_CAP`, with t the running
-    totals of `counts`; `_CAP` where back[i] is -1."""
-    totals = array("q", accumulate(counts))
-    totals[len(back):] = array("q", (-_CAP,))  # at index -1
-    lanes = array("I", map(min, map(sub, totals, map(totals.__getitem__, back)),
-                           repeat(_CAP)))
-    if sys.byteorder != "little":
-        lanes.byteswap()
-    return int.from_bytes(lanes, "little")
+def miss_facts(geometry, gaps, writes, addrs):
+    """(back, reuse, fifo) of a stream of accesses to a cache of `geometry`,
+    in one pass: what no frequency changes about its all-miss runs.
 
-
-def miss_facts(geometry, gaps, writes, addrs) -> MissFacts:
-    """The `MissFacts` of a stream of accesses to a cache of `geometry`, in
-    one pass; its lanes read `gaps` and `writes` again when first asked."""
+    `back[i]` is the index of the `ways`-th earlier access to access i's set,
+    or -1 if there is none. `reuse` and `fifo` record, as (i, gaps, reads,
+    writes), the componentwise minimum over intervals ending at or before
+    access i, each time it drops: `reuse` over the intervals from an access
+    to the next one of its block, if fewer than `ways` accesses to the set
+    lie between (a); `fifo` over those from `back[i]` to i (b). An interval
+    from j to i covers the gaps after j and the reads and writes before i.
+    """
     ways = geometry.ways
     shift, mask = geometry.line_bytes.bit_length() - 1, geometry.sets - 1
     recent = [deque(maxlen=ways) for _ in range(geometry.sets)]
@@ -324,7 +338,7 @@ def miss_facts(geometry, gaps, writes, addrs) -> MissFacts:
         seen.append(mark)
         if not write:
             r += 1
-    return MissFacts(back, reuse, fifo, gaps, writes)
+    return back, reuse, fifo
 
 
 class CacheState:
@@ -344,8 +358,8 @@ class CacheState:
         self._set_mask = geo.sets - 1
         self._sets = [{} for _ in range(geo.sets)]
         self._bounds = [math.inf] * geo.sets
-        # The shadow of `access`, made on its first call; runs take their
-        # shadow codes from the engine instead.
+        # The shadow of `access`, made on its first call; runs read their
+        # `ShadowPass` instead.
         self._shadow = None
 
         # The monitor counter ticks every retention/k and expires the block
@@ -486,41 +500,49 @@ class CacheState:
                     accesses - bits.count(1))
         return cycles
 
-    def derive(self, totals, span, gaps, nonmem: int, cpi: float,
-               ns_per_cycle: float) -> float | None:
+    def _margin_ns(self, cycles: float, cpi: float,
+                   ns_per_cycle: float) -> float | None:
+        """The rounding of a run's times and of their expiry times, in ns;
+        None unless the times are exact, the floats a replay adds up: with
+        an integer `cpi` and fewer than 2**53 `cycles`. A lifetime of more
+        than twice the run, an infinite one too, is never reached."""
+        if not float(cpi).is_integer() or cycles >= 2 ** 53:
+            return None
+        end_ns = cycles * ns_per_cycle
+        return 1e-12 * (end_ns + min(self.lifetime_ns, 2 * end_ns))
+
+    def derive(self, shadow: ShadowPass, gaps, writes: bytes, nonmem: int,
+               cpi: float, ns_per_cycle: float) -> float | None:
         """The cycles of a run from a cold cache, with its counters added to
         `stats` and the cache's contents left as they were; None, counting
         nothing, unless no block can expire in it. The run is `replay`'s
-        accesses, `nonmem` non-memory instructions in all, with its
-        `run_totals`; `span` is the widest restore span of an `LruShadow`
-        run from its first access on, through its last or further.
+        accesses, `nonmem` non-memory instructions in all; `shadow` is the
+        pass over a stream that begins with them.
 
         A restore span of the run is one of the shadow's or the start of one
         that the run's end cuts off (a trailing part of a gap is at most the
-        next access's gap), so it is bounded componentwise by `span` and by
-        the run taken as one span. One of g gaps, r reads, w writes and m
-        misses lasts at most cpi·g + rc·r + wc·w + pen·m cycles. If the
+        next access's gap), so it is bounded componentwise by `shadow.span`
+        and by the run taken as one span. One of g gaps, r reads, w writes
+        and m misses lasts at most cpi·g + rc·r + wc·w + pen·m cycles. If the
         bound stays below the lifetime by more than the rounding of the
-        run's times, no block expires and the run is the shadow's LRU run;
-        with an integer `cpi`, its cycles are an exact integer sum, as in a
-        replay. An infinite lifetime is never reached, so every such run
-        with it is derived. A run it refuses may still be one in which every
-        access misses, which `derive_misses` derives.
+        run's times, no block expires and the run is the shadow's LRU run,
+        its cycles an exact integer sum, as in a replay. An infinite
+        lifetime is never reached, so every such run with it is derived. A
+        run it refuses may still be one in which every access misses, which
+        `derive_misses` derives.
         """
         rc, wc, pen = self.read_cycles, self.write_cycles, self.penalty_cycles
-        reads, stores, misses, write_hits, evictions, dirty = totals
+        reads, stores, misses, write_hits, evictions, dirty = shadow.totals(
+            writes)
         cycles = cpi * nonmem + rc * reads + wc * stores + pen * misses
+        margin_ns = self._margin_ns(cycles, cpi, ns_per_cycle)
+        if margin_ns is None:
+            return None
         whole = (nonmem - gaps[0] if len(gaps) else nonmem, reads, stores,
                  misses)
-        g, r, w, m = map(min, span, whole)
+        g, r, w, m = map(min, shadow.span, whole)
         widest_ns = (cpi * g + rc * r + wc * w + pen * m) * ns_per_cycle
-        # The rounding of the run's times and of their expiry times. A time
-        # compared lies within the run, so a lifetime of more than twice its
-        # end, an infinite one too, is never reached however it rounds.
-        end_ns = cycles * ns_per_cycle
-        margin_ns = 1e-12 * (end_ns + min(self.lifetime_ns, 2 * end_ns))
-        if (not float(cpi).is_integer() or cycles >= 2 ** 53
-                or widest_ns + margin_ns >= self.lifetime_ns):
+        if widest_ns + margin_ns >= self.lifetime_ns:
             return None
         write_misses = stores - write_hits
         self._count(reads - misses + write_misses, write_hits,
@@ -528,17 +550,12 @@ class CacheState:
                     0, misses)
         return float(cycles)
 
-    def derive_misses(self, shadow, totals, gaps, writes: bytes, tail: int,
-                      nonmem: int, cpi: float,
+    def derive_misses(self, shadow: ShadowPass, gaps, writes: bytes,
+                      tail: int, nonmem: int, cpi: float,
                       ns_per_cycle: float) -> float | None:
-        """The cycles of a run from a cold cache, with its counters added to
-        `stats` and the cache's contents left as they were; None, counting
-        nothing, unless the `MissFacts` of `shadow.facts` show that every
-        access of the run misses. The run is `replay`'s accesses followed by
-        `tail` non-memory instructions, `nonmem` in all; `shadow` is the
-        pass over a stream that begins with the run's accesses, its facts
-        read only for an integer `cpi` and fewer than 2**53 cycles, and
-        `totals` are the run's `run_totals`.
+        """As `derive`, for a run in which every access misses, as the
+        `miss_facts` of `shadow` show; its accesses are followed by `tail`
+        of its `nonmem` non-memory instructions.
 
         If every access misses, each set is a queue of fills, and access i
         fills at cpi·G + (rc+pen)·R + (wc+pen)·W cycles, with G the gaps up
@@ -546,12 +563,12 @@ class CacheState:
         its block's previous access is not among the `ways` latest of its
         set, or if it came a lifetime or more before; it evicts exactly when
         the `ways`-th earlier access k of its set came less than a lifetime
-        before, and the victim is k's fill. If the shortest interval (a) of
-        `facts`, taken at this point, reaches the lifetime by more than the
-        rounding of the run's times, every access misses; if the shortest
-        (b) does too, none evicts.
+        before, and the victim is k's fill. If the shortest interval (a)
+        ending in the run, taken at this point, reaches the lifetime by more
+        than the rounding of the run's times, every access misses; if the
+        shortest (b) does too, none evicts.
 
-        Otherwise `facts.evictions` takes every interval (b) of the run in
+        Otherwise `shadow.evictions` takes every interval (b) of the run in
         integer cycles at once, cpi·DG + (rc+pen)·DR + (wc+pen)·DW, one
         `_LANE`-bit lane per access, and one add and mask against the
         lifetime in cycles marks the lanes that evict; `int.bit_count`
@@ -564,22 +581,22 @@ class CacheState:
         either is replayed too. Early write-backs are the dirty fills
         that expire by the end of the run and were not evicted; the fills
         that outlive it start within a lifetime of its end, and a bisection
-        over its last accesses finds the first. With an integer `cpi` every
-        time is the exact float a replay adds up.
+        over its last accesses finds the first.
         """
         accesses = len(gaps)
         stall = (self.read_cycles + self.penalty_cycles,
                  self.write_cycles + self.penalty_cycles)
-        _, stores, shadow_misses = totals[:3]
+        _, stores, shadow_misses = shadow.totals(writes)[:3]
         cycles = (cpi * nonmem + stall[0] * (accesses - stores)
                   + stall[1] * stores)
-        if not float(cpi).is_integer() or cycles >= 2 ** 53:
+        margin_ns = self._margin_ns(cycles, cpi, ns_per_cycle)
+        if margin_ns is None:
             return None
         cpi = int(cpi)
-        facts = shadow.facts
+        back, reuse, fifo = shadow.facts
         lifetime = self.lifetime_ns
         end_ns = cycles * ns_per_cycle
-        sure_ns = lifetime + 1e-12 * (end_ns + lifetime)
+        sure_ns = lifetime + margin_ns
 
         def clears(marks) -> bool:
             """Whether every interval of `marks` ending in the run lasts at
@@ -591,7 +608,7 @@ class CacheState:
             shortest = cpi * g + stall[0] * r + stall[1] * w
             return shortest * ns_per_cycle >= sure_ns
 
-        if not clears(facts.reuse):
+        if not clears(reuse):
             return None
         # An interval of fewer cycles than `lo` surely evicts, one of more
         # than `hi` surely does not.
@@ -600,11 +617,11 @@ class CacheState:
         lo = max(0, math.ceil(lifetime_cycles - margin_cycles))
         hi = math.floor(lifetime_cycles + margin_cycles)
         evictions = writebacks = 0
-        if not clears(facts.fifo):
+        if not clears(fifo):
             if ((cpi + sum(stall)) * _CAP >= 1 << _TOP
                     or hi >= min(cpi, *stall) * _CAP):
                 return None
-            counted = facts.evictions(accesses, cpi, stall, lo, hi)
+            counted = shadow.evictions(accesses, cpi, stall, lo, hi)
             if counted is None:
                 return None
             evictions, writebacks = counted
@@ -629,7 +646,7 @@ class CacheState:
         early = writes.count(1, 0, live) - writebacks
         if evictions:
             early += sum(map(writes.__getitem__,
-                             filter(live.__le__, facts.back[live:accesses])))
+                             filter(live.__le__, back[live:accesses])))
         self._count(0, 0, accesses - stores, stores, accesses - shadow_misses,
                     evictions, writebacks, early, shadow_misses)
         return float(cycles)

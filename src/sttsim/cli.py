@@ -355,14 +355,16 @@ def cmd_report(args) -> int:
     rows = []
     for line, row in _read(_read_csv, args.runs):
         try:
-            rows.append((row["trace"], row.get("core", ""),
-                         float(row.get("total_energy_j") or row["energy_j"]),
-                         float(row["wall_time_s"])))
+            cells = (float(row.get("total_energy_j") or row["energy_j"]),
+                     float(row["wall_time_s"]))
+            if not all(0 <= cell < math.inf for cell in cells):
+                raise ValueError(f"got {cells[0]} and {cells[1]}")
+            rows.append((row["trace"], row.get("core", ""), *cells))
         except KeyError as exc:
             raise ConfigError(None, f"{args.runs}: no {exc} column") from None
         except (TypeError, ValueError) as exc:
-            raise ConfigError(line, f"energy and wall time must be numbers: {exc}",
-                              args.runs) from None
+            raise ConfigError(line, "energy and wall time must be numbers, "
+                              f"finite and >= 0: {exc}", args.runs) from None
     if not rows:
         raise ConfigError(None, f"{args.runs} has no data rows")
     baseline = {}  # trace path -> (energy, wall time) on the baseline core

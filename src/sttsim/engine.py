@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
-from .cache import CacheState, CacheStats, LruShadow, miss_facts, run_totals
+from .cache import CacheState, CacheStats, ShadowPass
 from .config import CoreSpec, MemTechnology, System, voltage_for_frequency
 from .constraints import Constraint
 from .trace import Trace
@@ -139,31 +138,14 @@ def _window(trace: Trace, start: int, limit: int | None):
     return window
 
 
-class _Pass:
-    """The `LruShadow` pass over a trace's accesses from `first` on, for a
-    cache of `geometry`: its codes, its widest restore span, the `run_totals`
-    of each run length and the `miss_facts`, each made once, when first
-    asked: every point of a sweep on a core of that geometry reads them."""
-
-    def __init__(self, trace: Trace, geometry, first: int):
-        self._stream = geometry, *(memoryview(column)[first:] for column in
-                                   (trace.gaps, trace.writes, trace.addrs))
-        shadow = LruShadow(geometry)
-        self.codes = shadow.run(*self._stream[1:])
-        self.span = shadow.span()
-        self.totals = {}  # accesses -> `run_totals`
-
-    @cached_property
-    def facts(self):
-        return miss_facts(*self._stream)
-
-
-def _pass(trace: Trace, geometry, first: int) -> _Pass:
-    """The trace's `_Pass` from access `first` on, made once per trace:
+def _pass(trace: Trace, geometry, first: int) -> ShadowPass:
+    """The trace's `ShadowPass` from access `first` on, made once per trace:
     every run that starts at that access reads a prefix of it."""
     key = (geometry, first)
     if key not in trace._passes:
-        trace._passes[key] = _Pass(trace, geometry, first)
+        trace._passes[key] = ShadowPass(geometry, *(
+            memoryview(column)[first:]
+            for column in (trace.gaps, trace.writes, trace.addrs)))
     return trace._passes[key]
 
 
@@ -175,14 +157,10 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
     `limit` caps the simulated instruction count (profiling windows);
     `start` skips that many leading instructions and begins with cold
     caches, which is how a migrated application resumes on a new core.
-    Every run, on any core, whole or a window, takes one route. It reads
-    the shadow pass from its first access (`_pass`): its totals are counts
-    over its prefix of the codes, and its restore spans are bounded by the
-    componentwise minimum of the pass's widest span and the run taken as
-    one span. A run that no expiry can touch, as every SRAM run with an
-    integer `base_cpi`, is derived from these; one in which every access
-    misses is derived from the pass's `miss_facts`, made when a run first
-    needs them; a run that both certificates refuse is replayed, its
+    Every run, on any core, whole or a window, reads the trace's
+    `ShadowPass` from its first access (`_pass`) and takes one route: it is
+    derived if no block can expire in it, as in every SRAM run with an
+    integer `base_cpi`, or if every access misses; else it is replayed, its
     misses classified by the pass's codes. Deterministic: identical inputs
     give bit-identical results, derived or replayed.
     """
@@ -212,14 +190,10 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
         if count:
             gaps[0] -= cut
     shadow = _pass(trace, core.geometry, first)
-    if count not in shadow.totals:
-        shadow.totals[count] = run_totals(shadow.codes, writes)
-    totals = shadow.totals[count]
-    cycles = cache.derive(totals, shadow.span, gaps, nonmem, cpi,
-                          ns_per_cycle)
+    cycles = cache.derive(shadow, gaps, writes, nonmem, cpi, ns_per_cycle)
     if cycles is None:
-        cycles = cache.derive_misses(shadow, totals, gaps, writes, tail,
-                                     nonmem, cpi, ns_per_cycle)
+        cycles = cache.derive_misses(shadow, gaps, writes, tail, nonmem, cpi,
+                                     ns_per_cycle)
     if cycles is None:
         if part:
             addrs = addrs[first:end]
@@ -294,7 +268,7 @@ def exhaustive_sweep(trace: Trace, system: System, power: PowerModel,
                      deadline_s: float | None = None) -> SweepResult:
     """Simulate every core at every admissible grid frequency, in point
     order in this process, and pick the constraint-feasible energy minimum.
-    The cores of one geometry share one `_Pass`, so a sweep makes each
+    The cores of one geometry share one `ShadowPass`, so a sweep makes each
     shadow pass and its `miss_facts` at most once."""
     rows = tuple(simulate_run(trace, core, freq, power)
                  for core in system.cores for freq in core.dvfs.grid())

@@ -125,7 +125,7 @@ class WorkloadAssignment:
 
 @dataclass
 class _PathCost:
-    """One candidate (core, freq) with its committed-path accounting."""
+    """One candidate (core, freq) with its committed path's price."""
 
     core: str
     freq_ghz: float
@@ -133,6 +133,10 @@ class _PathCost:
     energy_j: float
     time_s: float
     migrations: int
+    prediction_time_s: float
+    prediction_energy_j: float
+    migration_time_s: float
+    migration_energy_j: float
 
 
 class Scheduler:
@@ -165,9 +169,12 @@ class Scheduler:
                   limit: int | None = None, start: int = 0) -> RunResult:
         """`simulate_run` on this scheduler's power model, memoised per
         trace. Traces are matched by equality, so two that share a name but
-        not their accesses keep separate runs. Callers share the returned
+        not their accesses keep separate runs, and a window that reaches the
+        trace's end is keyed as the whole run. Callers share the returned
         result and must not mutate it.
         """
+        if limit is not None and start + limit >= trace.instructions:
+            limit = None
         runs = self._runs.get(trace)
         if runs is None:
             runs = self._runs[trace] = {}
@@ -197,21 +204,14 @@ class Scheduler:
     def _estimate_freq(self, trace: Trace, core, deadline_s: float) -> float | None:
         """Energy-best grid frequency by profiled-window estimates, honoring
         the deadline when one applies. None when no frequency looks feasible."""
-        total = trace.instructions
         best = None
         for freq in core.dvfs.grid():
             est = self._simulate(trace, core, freq, limit=self.profiling_interval)
-            if est.instructions == 0:
-                continue
-            scale = total / est.instructions
-            est_time = est.wall_time_s * scale
-            est_energy = est.total_energy_j * scale
-            if est_time > deadline_s:
-                continue
-            key = (est_energy, est_time, freq)
-            if best is None or key < best[0]:
-                best = (key, freq)
-        return best[1] if best else None
+            scale = trace.instructions / est.instructions
+            key = (est.total_energy_j * scale, est.wall_time_s * scale, freq)
+            if key[1] <= deadline_s and (best is None or key < best):
+                best = key
+        return best[2] if best else None
 
     def _path_cost(self, trace: Trace, core_label: str, freq_ghz: float,
                    prof_run: RunResult | None) -> _PathCost:
@@ -223,27 +223,29 @@ class Scheduler:
         """
         core = self.system.core(core_label)
         full = self._simulate(trace, core, freq_ghz)
-        if prof_run is None:
-            # History hit: the app starts directly on the stored core.
-            return _PathCost(core_label, freq_ghz, full, full.total_energy_j,
-                             full.wall_time_s, 0)
-        migrations = 0 if core_label == self.system.profiling_core else 1
-        pred_e = self.prediction_time_s * self._overhead_power_w
+        fresh = prof_run is not None
+        migrations = int(fresh and core_label != self.system.profiling_core)
+        pred_t = self.prediction_time_s if fresh else 0.0
+        pred_e = pred_t * self._overhead_power_w
         migr_t = migrations * self.migration_time_s
         migr_e = migr_t * self._overhead_power_w
-        if migrations == 0:
+        if not fresh:
+            # A history hit: the app starts directly on the stored core.
+            energy, time = full.total_energy_j, full.wall_time_s
+        elif migrations == 0:
             # The run continues in place; the full run already covers the
             # profiled window with warm caches.
             energy = full.total_energy_j + pred_e
-            time = full.wall_time_s + self.prediction_time_s
+            time = full.wall_time_s + pred_t
         else:
             rest = self._simulate(trace, core, freq_ghz,
                                   start=prof_run.instructions)
             energy = (prof_run.total_energy_j + rest.total_energy_j
                       + pred_e + migr_e)
             time = (prof_run.wall_time_s + rest.wall_time_s
-                    + self.prediction_time_s + migr_t)
-        return _PathCost(core_label, freq_ghz, full, energy, time, migrations)
+                    + pred_t + migr_t)
+        return _PathCost(core_label, freq_ghz, full, energy, time, migrations,
+                         pred_t, pred_e, migr_t, migr_e)
 
     def _evaluate(self, trace: Trace, core_label: str, deadline_s: float,
                   prof_run: RunResult | None) -> _PathCost | None:
@@ -329,8 +331,6 @@ class Scheduler:
         hit; an infinite `base_energy` (no feasible base-core path was
         priced) reads as the committed energy."""
         from_history = prof_run is None
-        pred_t = 0.0 if from_history else self.prediction_time_s
-        migr_t = cost.migrations * self.migration_time_s
         met = cost.full_run.wall_time_s <= deadline_s
         return ScheduleDecision(
             app=trace.name,
@@ -343,11 +343,11 @@ class Scheduler:
             profiling_instructions=0 if from_history else prof_run.instructions,
             profiling_time_s=0.0 if from_history else prof_run.wall_time_s,
             profiling_energy_j=0.0 if from_history else prof_run.total_energy_j,
-            prediction_time_s=pred_t,
-            prediction_energy_j=pred_t * self._overhead_power_w,
+            prediction_time_s=cost.prediction_time_s,
+            prediction_energy_j=cost.prediction_energy_j,
             migrations=cost.migrations,
-            migration_time_s=migr_t,
-            migration_energy_j=migr_t * self._overhead_power_w,
+            migration_time_s=cost.migration_time_s,
+            migration_energy_j=cost.migration_energy_j,
             energy_j=cost.energy_j,
             time_s=cost.time_s,
             run_wall_time_s=cost.full_run.wall_time_s,

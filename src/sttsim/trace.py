@@ -66,11 +66,9 @@ class Trace:
     plus its preceding gap, is counted once at construction. Readers share
     the columns and must not mutate them.
 
-    `_passes` is where the engine keeps the trace's shadow pass (a code per
-    access, the widest restore span and, once a run asks, all-miss facts)
-    once per geometry and first access, and `_windows` each run's bounds
-    (first access, cut, count, tail, non-memory instructions) once per
-    start and limit. Both die with the trace and take no part in equality.
+    `_passes` and `_windows` hold the engine's memos of what no frequency
+    changes about the trace's runs. Both die with the trace and take no part
+    in equality.
     """
 
     __slots__ = ("name", "gaps", "writes", "addrs", "instructions",

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import pytest
 
 from sttsim import (Constraint, CorePredictor, FeatureVector, PowerModel,
-                    RunResult, System, TrainingSet, default_system, engine,
+                    RunResult, System, TrainingSet, cache, default_system,
                     exhaustive_sweep, profile_application, select_best,
                     train_tree)
 from sttsim.constraints import KINDS
@@ -45,11 +45,11 @@ def lru_passes(monkeypatch):
     """The address streams `simulate_run` computes shadow hit bits for."""
     passes = []
 
-    class Counted(engine.LruShadow):
+    class Counted(cache.LruShadow):
         def run(self, gaps, writes, addrs):
             passes.append((len(addrs), self.geometry))
             return super().run(gaps, writes, addrs)
-    monkeypatch.setattr(engine, "LruShadow", Counted)
+    monkeypatch.setattr(cache, "LruShadow", Counted)
     return passes
 
 

@@ -487,6 +487,21 @@ class TestTrainPredictSchedule:
             f"config error: {runs}: line 4: energy and wall time must be numbers")
         assert not out.exists()
 
+    @pytest.mark.parametrize("energy, wall", [
+        ("nan", "2.0"), ("1.0", "-inf"), ("inf", "2.0"), ("-1.0", "2.0")])
+    def test_report_non_finite_or_negative_cell_names_file_and_line(
+            self, tmp_path, capsys, energy, wall):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("trace,core,total_energy_j,wall_time_s\n"
+                        f"x.trace,core1,1.0,2.0\nx.trace,core1,{energy},{wall}\n")
+        out = tmp_path / "out"
+        assert run_cli("report", "--runs", runs, "--baseline", "self",
+                       "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {runs}: line 3: energy and wall "
+                              "time must be numbers, finite and >= 0")
+        assert not out.exists()
+
     def test_report_self_baseline_is_unity(self, trained_models, tmp_path):
         models, traces, cfg = trained_models
         assert run_cli("schedule", "--models", models, "--traces", *traces[:2],

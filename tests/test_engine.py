@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sttsim import engine
+from sttsim import cache, engine
 from sttsim import (CacheGeometry, CacheState, CacheStats, Constraint,
                     PowerModel, STT_10US, SRAM, SynthParams, System, Trace,
                     TraceEvent, UniformGaps, access_cycles, cache_energy,
@@ -350,7 +350,22 @@ def test_results_match_the_pinned_digest(system, power):
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+# (derived, all-miss, replayed) runs of each archetype's 22-point sweep. The
+# digest above cannot see a run that moves to a replay with the same result.
+PINNED_ROUTES = {"A": (21, 0, 1), "B": (7, 12, 3), "C": (9, 6, 7),
+                 "D": (0, 8, 14)}
+
+
+@pytest.mark.parametrize("arch", ARCHETYPES)
+def test_route_mix_is_pinned(system, power, routes, arch):
+    params = archetype_params(arch, 4200 + ord(arch), arch in "BD")
+    exhaustive_sweep(gen_synthetic(params, name=f"golden-{arch}"), system,
+                     power, Constraint("none"))
+    mix = collections.Counter(routes)
+    assert (mix["derive"], mix["misses"], mix["replay"]) == PINNED_ROUTES[arch]
+
+
+README =Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_readme_library_surface_runs(system, capsys):
@@ -1014,13 +1029,13 @@ class TestOneProcessSweep:
         log = tmp_path / "calls"  # a file: it would see other processes too
 
         def logged(name):
-            original = getattr(engine, name)
+            original = getattr(cache, name)
 
             def call(*args, **kwargs):
                 with open(log, "a") as fh:
                     fh.write(f"{name} {os.getpid()}\n")
                 return original(*args, **kwargs)
-            monkeypatch.setattr(engine, name, call)
+            monkeypatch.setattr(cache, name, call)
 
         logged("LruShadow")
         logged("miss_facts")

@@ -2,16 +2,20 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sttsim import (Constraint, CorePredictor, FeatureVector, HistoryTable,
-                    Scheduler, SynthParams, System, Trace, UniformGaps,
-                    default_system, exhaustive_sweep, gen_synthetic,
-                    profile_application, scheduler, simulate_run)
+                    PowerModel, Scheduler, SynthParams, System, Trace,
+                    UniformGaps, default_system, exhaustive_sweep,
+                    gen_synthetic, profile_application, scheduler,
+                    simulate_run)
+from sttsim.config import TECHNOLOGIES, make_core
 from sttsim.constraints import KINDS
 
 from workloads import ARCHETYPES, PROFILING_INTERVAL, archetype_params
 
 INTERVAL = 10_000
+GRID = [0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0]
 
 
 def stub_model(system, label):
@@ -280,6 +284,22 @@ class TestRunMemo:
         sched.dispatch_workload([trace], Constraint("slack20"))
         assert len(sim_calls) == len(set(sim_calls))
 
+    def test_a_window_that_reaches_the_end_is_the_whole_run(
+            self, system, power, sim_calls):
+        # A profiling window longer than the trace covers every access, so
+        # its window estimates and the verification runs are one run each.
+        trace = hot_trace(total=40_000)
+        sched = Scheduler(system, power, stub_models(system, "core2"),
+                          profiling_interval=trace.instructions + 1)
+        for kind in KINDS:
+            sched.run_application(trace, Constraint(kind))
+        sched.dispatch_workload([trace], Constraint("slack20"))
+        runs = [(core, freq, None if limit is not None
+                 and start + limit >= trace.instructions else limit, start)
+                for _, core, freq, limit, start in sim_calls]
+        assert len(runs) == len(set(runs))
+        assert {limit for _, _, _, limit, _ in sim_calls} == {None}
+
     def test_long_lived_scheduler_matches_fresh_ones(self, system, power):
         models = {kind: stub_model(system, label)
                   for kind, label in zip(KINDS, ("core1", "core2", "core4",
@@ -442,3 +462,77 @@ class TestDispatch:
         placed = sched.dispatch_workload(traces, Constraint("none")).placements
         assert len({(p.cluster, p.core) for p in placed}) == 5
         assert {p.core for p in placed[:2]} == {"core3"}  # one per cluster
+
+
+@st.composite
+def decision_cases(draw):
+    """A system of 1-4 cores drawn from the five technologies, each capped
+    on the grid, in 1-2 clusters; 1-5 synthetic apps of at most 3 k
+    accesses; a constraint, a profiling window and a model fitted on drawn
+    labels."""
+    techs = list(TECHNOLOGIES.values())
+    cores = tuple(
+        make_core(f"core{i + 1}", draw(st.sampled_from(techs)),
+                  max_freq_ghz=draw(st.sampled_from(GRID)))
+        for i in range(draw(st.sampled_from([1, 2, 3, 4]))))
+    system = System(cores=cores, cluster_count=draw(st.sampled_from([1, 2])))
+    apps = []
+    for i in range(draw(st.sampled_from([1, 2, 3, 4, 5]))):
+        gap = draw(st.sampled_from([400, 4_000, 14_000, 50_000, 250_000]))
+        fraction = draw(st.sampled_from([0.002, 0.01, 0.05, 0.25]))
+        accesses = draw(st.integers(50, 2_400))
+        params = SynthParams.for_rate(
+            UniformGaps(gap, gap * 3 // 2), fraction,
+            draw(st.sampled_from([0.0, 0.3, 0.85])),
+            int(accesses / fraction), draw(st.integers(0, 10**6)))
+        apps.append(gen_synthetic(params, name=f"app{i}"))
+    labels = system.labels()
+    rows = draw(st.lists(st.tuples(st.floats(0, 250_000),
+                                   st.sampled_from(labels)), min_size=1,
+                         max_size=6))
+    model = CorePredictor(feature_names=("l1d_hits",),
+                          label_order=tuple(labels)).fit(
+        [[x] for x, _ in rows], [y for _, y in rows])
+    kind = draw(st.sampled_from(KINDS))
+    interval = draw(st.sampled_from([2_000, 20_000, 3_000_000]))
+    return system, apps, Constraint(kind), model, interval
+
+
+class TestDecisionProperties:
+    """The runtime's rules, on drawn systems, apps and models."""
+
+    @settings(deadline=None, max_examples=50, derandomize=True)
+    @given(decision_cases())
+    def test_fresh_and_dispatched_decisions(self, case):
+        system, apps, constraint, model, interval = case
+        assert all(len(app) <= 3_000 for app in apps)
+        power = PowerModel()
+
+        def scheduler():
+            return Scheduler(system, power, {constraint.kind: model},
+                             profiling_interval=interval)
+
+        decisions = [scheduler().run_application(app, constraint)
+                     for app in apps]
+        if len(apps) > system.slots:
+            with pytest.raises(ValueError):
+                scheduler().dispatch_workload(apps, constraint)
+        else:
+            placements = scheduler().dispatch_workload(apps,
+                                                       constraint).placements
+            slots = [(p.cluster, p.core) for p in placements]
+            assert len(set(slots)) == len(slots) == len(apps)
+            taken = set()
+            for p in placements:
+                # The highest-ranked (cluster, core) slot still free.
+                free = next((cl, lab) for lab in p.ranking
+                            for cl in range(system.cluster_count)
+                            if (cl, lab) not in taken)
+                assert (p.cluster, p.core) == free
+                taken.add(free)
+            decisions += [p.decision for p in placements]
+        for d in decisions:
+            assert d.energy_j <= d.base_energy_j
+            assert d.path[:2] == ((system.profiling_core, "profile"),
+                                  (d.ranking[0], "predicted"))
+            assert d.deadline_met == (d.run_wall_time_s <= d.deadline_s)

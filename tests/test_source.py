@@ -60,3 +60,21 @@ def test_imports_only_the_standard_library(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             modules.add(node.module.partition(".")[0])
     assert sorted(modules - sys.stdlib_module_names) == []
+
+
+# The frequency-free pass has one home: every other module reads it through
+# `cache.ShadowPass`, so none names the pass's parts.
+@pytest.mark.parametrize("path", sorted(
+    p for p in PACKAGE.glob("*.py") if p.name != "cache.py"),
+    ids=lambda p: p.name)
+def test_only_the_cache_names_the_shadow_pass_parts(path):
+    tree = ast.parse(path.read_text(), str(path))
+    names = set(imported_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    assert sorted(names & {"LruShadow", "miss_facts", "_lanes"}) == []
