@@ -39,10 +39,13 @@ whatever its technology, tries both before a replay: a run with an interval
 within the rounding of its times of the lifetime is refused and replayed.
 
 Each set is a dict from tag to (expiry_ns, dirty), least recently used
-first, plus a lower bound on the expiry times it holds. A block expires at
-the first time `now >= expiry_ns`, for an access and at the end of a run
-alike. Both settle a set's expired blocks only when the time reaches its
-bound, so the common access neither scans the ways nor tests an expiry.
+first. A block has expired once `now >= expiry_ns`, and it is settled
+lazily: it leaves, with an early write-back if dirty, when it is next
+touched, when a miss into its full set needs a way, or at
+`advance_retention`. So an access tests only its own block, and a miss
+scans its set only when the set is full. The victims and a run's totals
+are those of settling each block the moment it expires; only the moment
+an early write-back is counted moves.
 """
 
 from __future__ import annotations
@@ -357,7 +360,6 @@ class CacheState:
         self._line_shift = geo.line_bytes.bit_length() - 1
         self._set_mask = geo.sets - 1
         self._sets = [{} for _ in range(geo.sets)]
-        self._bounds = [math.inf] * geo.sets
         # The shadow of `access`, made on its first call; runs read their
         # `ShadowPass` instead.
         self._shadow = None
@@ -376,6 +378,8 @@ class CacheState:
         self._last_now_ns = 0.0
 
     def _check_time(self, now_ns: float) -> None:
+        if not math.isfinite(now_ns):
+            raise ValueError(f"time must be finite, got {now_ns} ns")
         if now_ns < self._last_now_ns:
             raise ValueError(
                 f"time ran backwards: {now_ns} ns < {self._last_now_ns} ns")
@@ -385,23 +389,18 @@ class CacheState:
     def advance_retention(self, now_ns: float) -> int:
         """Settle every set at `now_ns`: each block whose lifetime of (k-1)/k
         x retention has run out is written back if dirty and invalidated, by
-        the rule an access applies. Returns the number of blocks expired."""
+        the rule an access applies. Returns the number of blocks settled,
+        which includes any that expired before an earlier access or call and
+        were not yet settled; a run's totals do not depend on when."""
         self._check_time(now_ns)
         self._last_now_ns = now_ns
-        bounds = self._bounds
         expired = dirty = 0
-        for index, blocks in enumerate(self._sets):
-            if now_ns < bounds[index]:
-                continue
-            bound = math.inf
-            for tag, (expiry, was_dirty) in list(blocks.items()):
-                if now_ns >= expiry:
-                    del blocks[tag]
-                    expired += 1
-                    dirty += was_dirty
-                elif expiry < bound:
-                    bound = expiry
-            bounds[index] = bound
+        for blocks in self._sets:
+            stale = [tag for tag, (expiry, _) in blocks.items()
+                     if now_ns >= expiry]
+            for tag in stale:
+                dirty += blocks.pop(tag)[1]
+            expired += len(stale)
         self._count(early=dirty)
         return expired
 
@@ -440,46 +439,45 @@ class CacheState:
         classify the replay's. The counters reach `stats` once, at the end.
         """
         bits = codes[:len(gaps)].translate(_HIT_BITS)
-        sets, bounds = self._sets, self._bounds
+        sets = self._sets
         shift, mask, ways = self._line_shift, self._set_mask, self.geometry.ways
         lifetime = self.lifetime_ns
         read_cycles, write_cycles = self.read_cycles, self.write_cycles
         read_miss_cycles = read_cycles + self.penalty_cycles
         write_miss_cycles = write_cycles + self.penalty_cycles
-        inf = math.inf
-        read_hits = write_hits = read_misses = write_misses = 0
-        expirations = evictions = writebacks = early = 0
+        read_misses = write_misses = expirations = evictions = 0
+        writebacks = early = 0
         now = self._last_now_ns
         for gap, write, addr, shadow_hit in zip(gaps, writes, addrs, bits):
             cycles += gap * cpi
             now = cycles * ns_per_cycle
             tag = addr >> shift
-            index = tag & mask
-            blocks = sets[index]
-            if now >= bounds[index]:
-                # Some block of this set may have reached its lifetime:
-                # write back and invalidate every one that has.
-                bound = inf
-                for old, block in list(blocks.items()):
-                    if now >= block[0]:
-                        del blocks[old]
-                        early += block[1]
-                    elif block[0] < bound:
-                        bound = block[0]
-                bounds[index] = bound
+            blocks = sets[tag & mask]
             block = blocks.pop(tag, None)
             if block is not None:
-                if write:
-                    # An array write fully restores the cell, so retention
-                    # restarts.
-                    blocks[tag] = (now + lifetime, 1)
-                    write_hits += 1
-                    cycles += write_cycles
+                if now < block[0]:
+                    if write:
+                        # An array write fully restores the cell, so
+                        # retention restarts.
+                        blocks[tag] = (now + lifetime, 1)
+                        cycles += write_cycles
+                    else:
+                        blocks[tag] = block
+                        cycles += read_cycles
+                    continue
+                early += block[1]  # it expired: written back if dirty
+            elif len(blocks) >= ways:
+                # The oldest expired block gives up its way; if none has
+                # expired, the least recently used block is evicted.
+                for old, (expiry, dirty) in blocks.items():
+                    if now >= expiry:
+                        early += dirty
+                        break
                 else:
-                    blocks[tag] = block
-                    read_hits += 1
-                    cycles += read_cycles
-                continue
+                    old = next(iter(blocks))
+                    writebacks += blocks[old][1]
+                    evictions += 1
+                del blocks[old]
             if write:
                 write_misses += 1
                 cycles += write_miss_cycles
@@ -487,17 +485,12 @@ class CacheState:
                 read_misses += 1
                 cycles += read_miss_cycles
             expirations += shadow_hit
-            if len(blocks) >= ways:
-                writebacks += blocks.pop(next(iter(blocks)))[1]
-                evictions += 1
-            elif not blocks:
-                bounds[index] = now + lifetime
             blocks[tag] = (now + lifetime, write)
         self._last_now_ns = now
-        accesses = read_hits + write_hits + read_misses + write_misses
-        self._count(read_hits, write_hits, read_misses, write_misses,
-                    expirations, evictions, writebacks, early,
-                    accesses - bits.count(1))
+        stores = writes.count(1)
+        self._count(len(gaps) - stores - read_misses, stores - write_misses,
+                    read_misses, write_misses, expirations, evictions,
+                    writebacks, early, len(gaps) - bits.count(1))
         return cycles
 
     def _margin_ns(self, cycles: float, cpi: float,

@@ -3,11 +3,12 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sttsim import (CacheGeometry, CacheState, HIT, MISS, MISS_EXPIRATION,
                     MISS_NONE, MISS_OTHER, STT_10US, SRAM, default_system)
 from sttsim.cache import LruShadow, run_totals
-from reference import ReferenceLru
+from reference import ReferenceLru, ReferenceRetentionCache
 
 US = 1000.0  # ns per microsecond
 
@@ -78,6 +79,25 @@ class TestRetention:
             c.advance_retention(99.0)
         with pytest.raises(ValueError):
             c.access(0x40, "R", 50.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_access_time_rejected(self, core1, bad):
+        c = CacheState(core1, 1.6)
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            c.access(0x40, "R", bad)
+        # The rejected call changed nothing: time 5 ns is still ahead.
+        assert c.access(0x40, "R", 5.0).kind == MISS
+        assert c.stats.accesses == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_retention_time_rejected(self, core1, bad):
+        c = CacheState(core1, 1.6)
+        c.access(0x40, "W", 10.0)
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            c.advance_retention(bad)
+        with pytest.raises(ValueError, match="ran backwards"):
+            c.access(0x40, "R", 5.0)
+        assert c.stats.early_writebacks == 0
 
     def test_dirty_block_written_back_on_expiry(self, core1):
         c = CacheState(core1, 1.6)
@@ -272,6 +292,115 @@ class TestClassificationSoundness:
         assert not ref.access(0x40)
         assert c.stats.hits == 2
         assert c.stats.shadow_misses == ref.misses == 4
+
+
+class LazyAgainstReference:
+    """A `CacheState` and a `ReferenceRetentionCache` of one toy core, fed
+    the same accesses; the reference settles every expired block of a set at
+    each access to it, the cache only the blocks it touches or needs."""
+
+    def __init__(self, ways=2, sets=1, retention_s=10e-6):
+        core = toy_core(ways, sets, replace(STT_10US,
+                                            retention_time=retention_s))
+        self.cache = CacheState(core, 1.6)
+        c = self.cache
+        self.ref = ReferenceRetentionCache(
+            sets, ways, 64, c.lifetime_ns, c.read_cycles, c.write_cycles,
+            c.penalty_cycles)
+
+    def access(self, addr, write, now_ns):
+        """Whether the access hits, asserting that both models agree."""
+        hit = self.cache.access(addr, "W" if write else "R", now_ns).kind == HIT
+        assert hit == (self.ref.access(addr, write, now_ns)
+                       == (self.ref.write_cycles if write
+                           else self.ref.read_cycles))
+        return hit
+
+    def settle(self, now_ns):
+        """Settle both at `now_ns` and compare every total; the number of
+        blocks the cache settled."""
+        settled = self.cache.advance_retention(now_ns)
+        self.ref.finish(now_ns)
+        totals = vars(self.cache.stats)
+        assert {k: totals[k] for k in self.ref.counts} == self.ref.counts
+        return settled
+
+
+class TestLazyExpiry:
+    """A block that expires stays in its set until it is touched, its way
+    is needed or the run ends, and is then settled as an eager scan would:
+    the same victims, the same write-backs, the same totals. Lifetimes are
+    7,500 ns (10 us, k = 4)."""
+
+    def test_expired_block_gives_its_way_without_an_eviction(self):
+        m = LazyAgainstReference()
+        m.access(0x0, True, 0.0)
+        m.access(0x40, False, 1000.0)
+        m.access(0x0, False, 2000.0)  # 0x0 is most recent, 0x40 the LRU
+        # At 8,000 ns 0x0 has expired and 0x40 has not: 0x80 takes 0x0's
+        # way, not the LRU block's.
+        assert not m.access(0x80, False, 8000.0)
+        assert m.cache.stats.evictions == 0
+        assert m.cache.stats.early_writebacks == 1
+        assert m.access(0x40, False, 8100.0)
+        m.settle(8100.0)
+        assert m.cache.stats.evictions == 0
+
+    def test_live_full_set_evicts_the_lru_block(self):
+        m = LazyAgainstReference()
+        m.access(0x0, True, 0.0)
+        m.access(0x40, False, 1000.0)
+        m.access(0x0, False, 2000.0)
+        assert not m.access(0x80, False, 3000.0)  # evicts 0x40
+        assert m.access(0x0, False, 3100.0)
+        assert not m.access(0x40, False, 3200.0)  # evicts 0x80
+        m.settle(3200.0)
+        stats = m.cache.stats
+        assert (stats.evictions, stats.writebacks,
+                stats.early_writebacks) == (2, 0, 0)
+
+    def test_stale_dirty_block_refilled_writes_back_once(self):
+        m = LazyAgainstReference()
+        m.access(0x0, True, 0.0)
+        m.access(0x40, True, 100.0)
+        assert not m.access(0x0, False, 8000.0)  # expired: written back
+        assert m.cache.stats.early_writebacks == 1
+        assert m.cache.stats.expiration_misses == 1
+        assert m.settle(8000.0) == 1  # 0x40, expired at 7,600 ns
+        assert m.cache.stats.early_writebacks == 2
+        # The refilled 0x0 is clean: its expiry writes nothing back.
+        assert m.settle(20_000.0) == 1
+        assert m.cache.stats.early_writebacks == 2
+
+    def test_stale_blocks_are_settled_at_the_end(self):
+        m = LazyAgainstReference(ways=2, sets=2)
+        m.access(0x0, True, 0.0)  # set 0
+        m.access(0x40, True, 0.0)  # set 1
+        m.access(0x80, False, 9000.0)  # set 0 has a free way: 0x0 stays
+        m.access(0xC0, False, 9500.0)  # and set 1's 0x40 too
+        assert m.cache.stats.early_writebacks == 0
+        # Both expired before the last two accesses; the end settles both.
+        assert m.settle(9500.0) == 2
+        assert m.cache.stats.early_writebacks == 2
+        assert m.settle(17_000.0) == 2  # 0x80 and 0xC0, clean
+        assert m.cache.stats.early_writebacks == 2
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(st.integers(2_000, 20_000), st.lists(
+        st.tuples(st.integers(0, 7), st.booleans(), st.integers(0, 9_000),
+                  st.booleans()), min_size=1, max_size=80))
+    def test_two_sets_of_two_ways_match_the_reference(self, retention_ns,
+                                                       steps):
+        # Eight blocks over 2 sets x 2 ways, gaps near the lifetime; some
+        # steps settle both models, and every total agrees after each.
+        m = LazyAgainstReference(ways=2, sets=2, retention_s=retention_ns * 1e-9)
+        now = 0.0
+        for block, write, gap, settle in steps:
+            now += gap
+            m.access(64 * block, write, now)
+            if settle:
+                m.settle(now)
+        m.settle(now + gap)
 
 
 def lru_prefix_totals(geometry, writes, addrs):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -536,3 +537,50 @@ class TestDecisionProperties:
             assert d.path[:2] == ((system.profiling_core, "profile"),
                                   (d.ranking[0], "predicted"))
             assert d.deadline_met == (d.run_wall_time_s <= d.deadline_s)
+
+    @settings(deadline=None, max_examples=30, derandomize=True)
+    @given(decision_cases())
+    def test_candidate_walk_and_history_hits(self, case):
+        system, apps, constraint, model, interval = case
+        power = PowerModel()
+        order = system.speed_order()
+
+        def at_cap(app, label):
+            core = system.core(label)
+            return core.freq_cap_ghz, simulate_run(app, core, core.freq_cap_ghz,
+                                                   power).wall_time_s
+
+        # Explicit deadlines against the fastest core at its cap: below it
+        # every walk ends in a violation, just above it walks escalate.
+        for scale in (0.6, 1.1, None):
+            sched = Scheduler(system, power, {constraint.kind: model},
+                              profiling_interval=interval)
+            for app in apps:
+                deadline = (None if scale is None
+                            else scale * at_cap(app, order[0])[1])
+                d = sched.run_application(app, constraint, deadline)
+                walked = [label for label, tag in d.path
+                          if tag in ("predicted", "escalated-deadline")]
+                # The walk goes from the predicted core towards the fastest,
+                # and tags each core after the first `escalated-deadline`.
+                assert walked == order[order.index(d.ranking[0])::-1][:len(walked)]
+                assert d.path[1:1 + len(walked)] == (
+                    (walked[0], "predicted"),
+                    *((label, "escalated-deadline") for label in walked[1:]))
+                # It leaves a core only once that core misses at its cap.
+                assert all(at_cap(app, label)[1] > d.deadline_s
+                           for label in walked[:-1])
+                if d.violation:
+                    cap, wall = at_cap(app, walked[-1])
+                    assert wall > d.deadline_s
+                    assert (d.core, d.freq_ghz) == (walked[-1], cap)
+                fallback = d.path[1 + len(walked):]
+                assert fallback in ((), ((system.base_core, "rejected-energy"),))
+                assert d.core == (fallback[0][0] if fallback else walked[-1])
+
+                with mock.patch.object(scheduler, "simulate_run",
+                                       wraps=simulate_run) as sim:
+                    hit = sched.run_application(app, constraint, deadline)
+                assert hit.from_history and hit.path == ((d.core, "history"),)
+                assert (hit.core, hit.freq_ghz) == (d.core, d.freq_ghz)
+                assert sim.call_count == 0
