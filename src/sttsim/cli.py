@@ -19,17 +19,17 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import System
-from .configfile import ConfigError, ExperimentConfig, default_config, load_config
+from .config import ENCODING, ConfigError, read_input
+from .configfile import ExperimentConfig, default_config, load_config
 from .constraints import KINDS, NO_CONSTRAINT, Constraint
 from .engine import (RunResult, exhaustive_sweep, pareto_flags, select_best,
                      simulate_run)
-from .features import FeatureVector, profile_application
-from .predictor import (CorePredictor, TrainingSet, load_model, save_model,
+from .features import profile_application
+from .predictor import (TrainingSet, check_model, load_model, save_model,
                         train_tree)
 from .scheduler import HistoryTable, ScheduleDecision, Scheduler
-from .trace import (BimodalGaps, SynthParams, TraceParseError, UniformGaps,
-                    gen_synthetic, load_trace, write_trace)
+from .trace import (BimodalGaps, SynthParams, UniformGaps, gen_synthetic,
+                    load_trace, write_trace)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -82,7 +82,7 @@ def _write_csv(path: Path, columns, rows, no_timestamp: bool,
     `csv` writes a float as its `repr`, so every value round-trips."""
     path.parent.mkdir(parents=True, exist_ok=True)
     exists = append and path.exists()
-    with open(path, "a" if append else "w", newline="") as fh:
+    with open(path, "a" if append else "w", newline="", **ENCODING) as fh:
         writer = csv.DictWriter(fh, columns, extrasaction="ignore")
         if not exists:
             if not no_timestamp:
@@ -91,12 +91,28 @@ def _write_csv(path: Path, columns, rows, no_timestamp: bool,
         writer.writerows(rows)
 
 
-def _read_csv(path: Path) -> list[tuple[int, dict]]:
-    """Data rows with their line numbers in the file; `#` lines are skipped."""
-    with open(path, newline="") as fh:
-        lines = [(n, ln) for n, ln in enumerate(fh, 1) if not ln.startswith("#")]
+def _read_runs(fh) -> list[tuple[str, str, float, float]]:
+    """(trace, core, energy, wall time) of each data row of a runs CSV, read
+    by `read_input`; `#` lines are skipped."""
+    lines = [(n, ln) for n, ln in enumerate(fh, 1) if not ln.startswith("#")]
     reader = csv.DictReader(ln for _, ln in lines)
-    return [(lines[reader.line_num - 1][0], row) for row in reader]
+    rows = []
+    for row in reader:
+        try:
+            cells = (float(row.get("total_energy_j") or row["energy_j"]),
+                     float(row["wall_time_s"]))
+            if not all(0 <= cell < math.inf for cell in cells):
+                raise ValueError(f"got {cells[0]} and {cells[1]}")
+            rows.append((row["trace"], row.get("core", ""), *cells))
+        except KeyError as exc:
+            raise ConfigError(None, f"no {exc} column") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(lines[reader.line_num - 1][0], "energy and wall "
+                              f"time must be numbers, finite and >= 0: {exc}"
+                              ) from None
+    if not rows:
+        raise ConfigError(None, "no data rows")
+    return rows
 
 
 # The flags that more than one subcommand reads; each subcommand names its own.
@@ -118,42 +134,16 @@ def _add_command(sub, name: str, func, help: str, *shared: str):
     return parser
 
 
-def _read(load, path):
-    """`load(path)`, with a directory in a file's place an input error."""
-    try:
-        return load(path)
-    except (IsADirectoryError, NotADirectoryError) as exc:
-        raise ConfigError(None, exc.strerror, path) from None
-
-
 def _trace(path):
     """The trace file at `path`, which must hold at least one access."""
-    trace = _read(load_trace, path)
+    trace = load_trace(path)
     if not len(trace):
         raise ConfigError(None, "the trace holds no accesses", path)
     return trace
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    if args.config:
-        return _read(load_config, args.config)
-    return default_config()
-
-
-def _core(system: System, label: str):
-    try:
-        return system.core(label)
-    except KeyError:
-        raise ConfigError(None, f"unknown core {label!r}; the system has "
-                                f"{' '.join(system.labels())}") from None
-
-
-def _scheduler(cfg: ExperimentConfig, models) -> Scheduler:
-    return Scheduler(cfg.system, cfg.power, models,
-                     history=HistoryTable(cfg.history_capacity),
-                     profiling_interval=cfg.profiling_interval,
-                     prediction_time_s=cfg.prediction_time_s,
-                     migration_time_s=cfg.migration_time_s)
+    return load_config(args.config) if args.config else default_config()
 
 
 def _check_flags(*checks) -> None:
@@ -218,7 +208,11 @@ def cmd_gen_trace(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    core = _core(cfg.system, args.core)
+    try:
+        core = cfg.system.core(args.core)
+    except KeyError:
+        raise ConfigError(None, f"unknown core {args.core!r}; the system has "
+                                f"{' '.join(cfg.system.labels())}") from None
     freq = args.freq if args.freq is not None else core.operating_freq_ghz
     _check_flags(("--freq", freq, core.dvfs.on_grid(freq),
                   f"on {core.core_id}'s DVFS grid ({core.dvfs.min_freq_ghz}-"
@@ -286,7 +280,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _load_cfg(args)
-    model, constraint = _load_model(args.model, cfg.system)
+    model, constraint = load_model(args.model)
+    check_model(model, cfg.system, args.model)
     trace = _trace(args.trace)
     feats, _ = profile_application(trace, cfg.system, cfg.power,
                                    cfg.profiling_interval)
@@ -296,37 +291,23 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _load_model(path: Path, system: System) -> tuple[CorePredictor, Constraint]:
-    """Load a model file and check, before any work, that it predicts cores
-    of `system` from known features."""
-    try:
-        model, constraint = _read(load_model, path)
-    except FileNotFoundError:
-        raise ConfigError(None, f"{path}: no such model file") from None
-    except ValueError as exc:
-        raise ConfigError(None, f"{path}: {exc}") from exc
-    alien = sorted(set(model.classes_) - set(system.labels()))
-    if alien:
-        raise ConfigError(None, f"{path}: labels {alien} are not cores of the "
-                                f"system ({' '.join(system.labels())})")
-    alien = sorted(set(model.feature_names) - set(FeatureVector.names()))
-    if alien:
-        raise ConfigError(None, f"{path}: unknown features {alien}")
-    return model, constraint
-
-
 def cmd_schedule(args) -> int:
     _check_deadline(args)
     cfg = _load_cfg(args)
     path = args.models / f"model-{args.constraint}.txt"
-    model, constraint = _load_model(path, cfg.system)
+    model, constraint = load_model(path)
+    check_model(model, cfg.system, path)
     if constraint.kind != args.constraint:
         raise ConfigError(None, f"{path}: holds a {constraint.kind!r} model")
     if args.dispatch and len(args.traces) > cfg.system.slots:
         raise ConfigError(None, f"--dispatch places one app per core: "
                                 f"{len(args.traces)} traces exceed the "
                                 f"{cfg.system.slots} cores")
-    sched = _scheduler(cfg, {constraint.kind: model})
+    sched = Scheduler(cfg.system, cfg.power, {constraint.kind: model},
+                      history=HistoryTable(cfg.history_capacity),
+                      profiling_interval=cfg.profiling_interval,
+                      prediction_time_s=cfg.prediction_time_s,
+                      migration_time_s=cfg.migration_time_s)
     traces = [_trace(p) for p in args.traces]
     decisions = []
     if args.dispatch:
@@ -352,21 +333,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _load_cfg(args)
-    rows = []
-    for line, row in _read(_read_csv, args.runs):
-        try:
-            cells = (float(row.get("total_energy_j") or row["energy_j"]),
-                     float(row["wall_time_s"]))
-            if not all(0 <= cell < math.inf for cell in cells):
-                raise ValueError(f"got {cells[0]} and {cells[1]}")
-            rows.append((row["trace"], row.get("core", ""), *cells))
-        except KeyError as exc:
-            raise ConfigError(None, f"{args.runs}: no {exc} column") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(line, "energy and wall time must be numbers, "
-                              f"finite and >= 0: {exc}", args.runs) from None
-    if not rows:
-        raise ConfigError(None, f"{args.runs} has no data rows")
+    rows = read_input(args.runs, _read_runs, newline="")
     baseline = {}  # trace path -> (energy, wall time) on the baseline core
     if args.baseline != "self":
         # Every trace is read and checked before any run or output.
@@ -468,7 +435,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceParseError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -1,4 +1,5 @@
-"""Device, core and DVFS parameter tables plus the cycle/voltage derivations.
+"""Device, core and DVFS parameter tables plus the cycle/voltage derivations,
+and the one reader and error type of every input file.
 
 Everything here is immutable after construction so specs can be shared freely
 across concurrently running simulations.
@@ -15,6 +16,35 @@ INFINITE = math.inf
 # Grid frequencies and published latencies are short decimals, so products
 # that are mathematically integral can land a few ulps off.
 _EPS = 1e-9
+
+# How every file is read and written: UTF-8, with a byte that is not UTF-8
+# read as a lone surrogate and written back as the same byte.
+ENCODING = {"encoding": "utf-8", "errors": "surrogateescape"}
+
+
+class ConfigError(ValueError):
+    """A bad input file or flag; its text names the file and line if known."""
+
+    def __init__(self, line_no: int | None, message: str, path=None):
+        where = "" if path is None else f"{path}: "
+        if line_no:
+            where += f"line {line_no}: "
+        super().__init__(where + message)
+        self.line_no, self.message, self.path = line_no, message, path
+
+
+def read_input(path, parse, newline=None):
+    """`parse(fh)` of the file at `path` opened by `ENCODING`, so a byte that
+    is not UTF-8 fails the grammar of its line and passes in a comment. A
+    missing path or a directory, and a ConfigError from `parse`, become one
+    of the same class naming `path`."""
+    try:
+        with open(path, newline=newline, **ENCODING) as fh:
+            return parse(fh)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(None, exc.strerror, path) from None
+    except ConfigError as exc:
+        raise type(exc)(exc.line_no, exc.message, path) from None
 
 
 @dataclass(frozen=True)

@@ -18,22 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .config import (DEFAULT_CORES, CacheGeometry, DvfsRange, MemTechnology,
-                     System, TECHNOLOGIES, make_core)
+from .config import (DEFAULT_CORES, CacheGeometry, ConfigError, DvfsRange,
+                     MemTechnology, System, TECHNOLOGIES, make_core, read_input)
 from .engine import PowerModel
 from .scheduler import (DEFAULT_HISTORY_CAPACITY, DEFAULT_MIGRATION_TIME_S,
                         DEFAULT_PREDICTION_TIME_S, DEFAULT_PROFILING_INTERVAL)
-
-
-class ConfigError(ValueError):
-    def __init__(self, line_no: int | None, message: str, path=None):
-        where = "" if path is None else f"{path}: "
-        if line_no:
-            where += f"line {line_no}: "
-        super().__init__(where + message)
-        self.line_no = line_no
-        self.message = message
-        self.path = path
 
 
 @dataclass
@@ -265,9 +254,4 @@ def _parse_tech(name, fields, at) -> MemTechnology:
 
 def load_config(path) -> ExperimentConfig:
     """Parse a config file; an error names the file and the line."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return parse_config(text)
-    except ConfigError as exc:
-        raise ConfigError(exc.line_no, exc.message, path) from None
+    return read_input(path, lambda fh: parse_config(fh.read()))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import System
+from .config import ENCODING, ConfigError, System, read_input
 from .constraints import Constraint
 from .engine import PowerModel, exhaustive_sweep
 from .features import FeatureVector
@@ -280,15 +280,20 @@ def dump_tree(model: CorePredictor, constraint: Constraint) -> str:
 
 
 def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
-    """Inverse of dump_tree. A malformed file raises ValueError naming the
+    """Inverse of dump_tree. A malformed file raises ConfigError naming the
     missing header key or the offending line by its number."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
              if ln.strip()]
     if not lines or not lines[0][1].startswith(f"{FORMAT_TAG} v"):
-        raise ValueError("not a model file")
+        raise ConfigError(None, "not a model file")
     version = lines[0][1].split("v", 1)[1]
     if version != str(FORMAT_VERSION):
-        raise ValueError(f"unsupported model version {version}")
+        raise ConfigError(None, f"unsupported model version {version}")
+
+    def bad(i, why):
+        no, ln = lines[i]
+        return ConfigError(no, f"{why}: {ln!r}")
+
     header = {}
     body_at = len(lines)
     for i, (_, ln) in enumerate(lines[1:], start=1):
@@ -296,24 +301,28 @@ def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
         if key == "node":
             body_at = i
             break
+        if key in header:
+            raise bad(i, f"a second {key!r} line")
         header[key] = (i, rest)
 
     def field(key):
         if key not in header:
-            raise ValueError(f"model file has no {key!r} line")
-        return header[key]
+            raise ConfigError(None, f"model file has no {key!r} line")
+        return header.pop(key)
 
-    def bad(i, why):
-        no, ln = lines[i]
-        return ValueError(f"line {no}: {why}: {ln!r}")
+    def names(key):
+        at, text = field(key)
+        words = tuple(text.split())
+        if len(set(words)) != len(words):
+            raise bad(at, f"a {key[:-1]} is listed twice")
+        return words
 
     at, kind = field("constraint")
     try:
         constraint = Constraint(kind)
     except ValueError as exc:
         raise bad(at, str(exc)) from None
-    feature_names = tuple(field("features")[1].split())
-    labels = tuple(field("labels")[1].split())
+    feature_names, labels = names("features"), names("labels")
     at, hyper_text = field("hyper")
     try:
         hyper = dict(kv.split("=") for kv in hyper_text.split())
@@ -321,8 +330,12 @@ def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
         min_samples_leaf = int(hyper["min_samples_leaf"])
     except (KeyError, ValueError):
         raise bad(at, "bad hyper line") from None
+    if len(hyper_text.split()) != 2:
+        raise bad(at, "hyper sets max_depth and min_samples_leaf, once each")
     if max_depth < 1 or min_samples_leaf < 1:
         raise bad(at, "max_depth and min_samples_leaf must be >= 1")
+    for key, (at, _) in header.items():  # the lines that no field read
+        raise bad(at, f"unknown header key {key!r}")
 
     model = CorePredictor(max_depth=max_depth,
                           min_samples_leaf=min_samples_leaf,
@@ -337,7 +350,7 @@ def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
     nodes, depths, pos = [], [0], body_at
     while depths:
         if pos >= len(lines):
-            raise ValueError("model file truncated")
+            raise ConfigError(None, "model file truncated")
         depth = depths.pop()
         parts = lines[pos][1].split()
         if parts[:2] == ["node", "leaf"] and len(parts) == 4:
@@ -388,10 +401,23 @@ def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
 
 
 def save_model(model: CorePredictor, constraint: Constraint, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", **ENCODING) as fh:
         fh.write(dump_tree(model, constraint))
 
 
 def load_model(path) -> tuple[CorePredictor, Constraint]:
-    with open(path) as fh:
-        return load_tree(fh.read())
+    """`load_tree` of a model file by `read_input`; an error names the file."""
+    return read_input(path, lambda fh: load_tree(fh.read()))
+
+
+def check_model(model: CorePredictor, system: System, path=None) -> None:
+    """Reject, before any work, a model that predicts a label that is not a
+    core of `system` or reads a feature that profiling does not make; the
+    error names `path`, the model's file, when given."""
+    alien = sorted(set(model.classes_) - set(system.labels()))
+    if alien:
+        raise ConfigError(None, f"labels {alien} are not cores of the system "
+                                f"({' '.join(system.labels())})", path)
+    alien = sorted(set(model.feature_names or ()) - set(FeatureVector.names()))
+    if alien:
+        raise ConfigError(None, f"unknown features {alien}", path)

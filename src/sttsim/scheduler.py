@@ -28,7 +28,7 @@ from .config import CoreSpec, System, voltage_for_frequency
 from .constraints import Constraint
 from .engine import PowerModel, RunResult, simulate_run
 from .features import features_from_run
-from .predictor import CorePredictor
+from .predictor import CorePredictor, check_model
 from .trace import Trace
 
 DEFAULT_PROFILING_INTERVAL = 3_000_000
@@ -152,6 +152,8 @@ class Scheduler:
         self.system = system
         self.power = power
         self.models = models or {}
+        for model in self.models.values():
+            check_model(model, system)
         self.history = history if history is not None else HistoryTable()
         self.profiling_interval = profiling_interval
         self.prediction_time_s = prediction_time_s

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
+from .config import ENCODING, ConfigError, read_input
+
 READ = "R"
 WRITE = "W"
 _OPS = (READ, WRITE)  # indexed by the write flag
@@ -174,13 +176,8 @@ class _EventView(Sequence):
         return f"<{len(self)} events of {self._trace.name!r}>"
 
 
-class TraceParseError(ValueError):
-    def __init__(self, line_no: int, message: str, path=None):
-        where = "" if path is None else f"{path}: "
-        super().__init__(f"{where}line {line_no}: {message}")
-        self.line_no = line_no
-        self.message = message
-        self.path = path
+class TraceParseError(ConfigError):
+    """A trace line that breaks the grammar, named by `line_no`."""
 
 
 # The grammar of a trace line, shared by the bulk parse and the per-line check
@@ -318,20 +315,13 @@ def serialize_trace(trace: Trace, header: Iterable[str] = ()) -> str:
 
 def write_trace(trace: Trace, path, header: Iterable[str] = ()) -> None:
     """Write `serialize_trace`'s text without holding all of it at once."""
-    with open(path, "w") as fh:
+    with open(path, "w", **ENCODING) as fh:
         fh.writelines(_text_chunks(trace, header))
 
 
 def load_trace(path) -> Trace:
-    """Parse a trace file; a parse error names the file and the line.
-
-    Bytes that are not UTF-8 are read as lone surrogates, so they fail the
-    grammar of the line that holds them (and pass in a comment)."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        try:
-            return parse_trace(fh, name=str(path))
-        except TraceParseError as exc:
-            raise TraceParseError(exc.line_no, exc.message, path) from None
+    """Parse a trace file by `read_input`; an error names the file and line."""
+    return read_input(path, lambda fh: parse_trace(fh, name=str(path)))
 
 
 def _check_bounds(*bounds) -> None:

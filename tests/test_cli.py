@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from sttsim import (Constraint, TrainingSet, cli, dump_tree, engine, features,
+from sttsim import (ConfigError, Constraint, CorePredictor, PowerModel,
+                    Scheduler, TrainingSet, cli, dump_tree, engine, features,
                     label_oracle, load_config, load_trace, profile_application,
-                    scheduler, train_tree)
+                    save_model, scheduler, train_tree)
 from sttsim.cli import build_parser, main
 from sttsim.constraints import KINDS
 
@@ -706,3 +707,96 @@ class TestInputFiles:
         given["models"] = given["empty"]
         self._fails("schedule", given, given["empty"] / "model-none.txt",
                     capsys)
+
+
+class TestEncoding:
+    """Every input file is read as UTF-8, a byte that is not UTF-8 read as a
+    lone surrogate: it passes in a comment, fails the line that holds it
+    (exit 1, naming the file and the line) and is written back as it was."""
+
+    def test_a_config_comment(self, tmp_path, fig_trace):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xe9\n[system]\nhistory_capacity = 5\n")
+        assert load_config(cfg).history_capacity == 5
+        assert run_cli("simulate", "--trace", fig_trace, "--core", "core1",
+                       "--config", cfg, "--out", tmp_path / "out") == 0
+
+    @pytest.mark.parametrize("name", ["config", "model", "runs"])
+    def test_a_value(self, trained_models, tmp_path, capsys, name):
+        models, traces, cfg = trained_models
+        bad = tmp_path / f"bad-{name}"
+        model = (models / "model-none.txt").read_bytes()
+        assert model.split(b"\n")[1] == b"constraint none"
+        content, argv, line = {
+            "config": (b"[dvfs]\nstep_ghz = 0.2\xe9\n",
+                       ("predict", "--model", models / "model-none.txt",
+                        "--trace", traces[0], "--config", bad), 2),
+            "model": (model.replace(b"constraint none", b"constraint n\xe9", 1),
+                      ("predict", "--model", bad, "--trace", traces[0],
+                       "--config", cfg), 2),
+            "runs": (b"# generated\ntrace,core,total_energy_j,wall_time_s\n"
+                     b"x.trace,core1,1.0,2.0\xe9\n",
+                     ("report", "--runs", bad, "--baseline", "self",
+                      "--out", tmp_path / "out"), 3),
+        }[name]
+        bad.write_bytes(content)
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {bad}: line {line}: ")
+
+    def test_a_runs_csv_trace_cell_is_written_back(self, tmp_path):
+        runs = tmp_path / "runs.csv"
+        runs.write_bytes(b"trace,core,total_energy_j,wall_time_s\n"
+                         b"caf\xe9.trace,core1,1.0,2.0\n")
+        out = tmp_path / "out"
+        assert run_cli("report", "--runs", runs, "--baseline", "self",
+                       "--out", out, "--no-timestamp") == 0
+        rows = (out / "report.csv").read_bytes().splitlines()
+        assert rows[1] == b"caf\xe9.trace,core1,1.0,1.0,1.0,2.0,2.0,1.0,0"
+
+
+class TestModelChecks:
+    """A model file's header holds each key once, only the known keys and
+    hyper-parameters, and no name twice; a model is checked against the
+    system, by the CLI and by every `Scheduler`, before any work."""
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("constraint none\n", "constraint none\nconstraint slack10\n", 3),
+        ("constraint none\n", "constraint none\ndepth 3\n", 3),
+        ("min_samples_leaf=1", "min_samples_leaf=1 bogus=7", 3),
+        ("min_samples_leaf=1", "min_samples_leaf=1 max_depth=5", 3),
+        ("features l1d_hits ", "features l1d_hits l1d_hits ", 4),
+        ("labels core1 ", "labels core1 core1 ", 5),
+    ], ids=["constraint-twice", "unknown-key", "unknown-hyper", "hyper-twice",
+            "feature-twice", "label-twice"])
+    def test_a_header_line_names_its_line(self, trained_models, tmp_path,
+                                          capsys, old, new, line):
+        models, traces, cfg = trained_models
+        text = (models / "model-none.txt").read_text()
+        assert old in text
+        bad = tmp_path / "model-none.txt"
+        bad.write_text(text.replace(old, new, 1))
+        assert run_cli("predict", "--model", bad, "--trace", traces[0],
+                       "--config", cfg) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {bad}: line {line}: ")
+
+    @pytest.mark.parametrize("names, labels, message", [
+        (("l1d_hits",), ("core1", "coreX"),
+         "labels ['coreX'] are not cores of the system"),
+        (("bogus",), ("core1", "core2"), "unknown features ['bogus']"),
+    ], ids=["label-coreX", "feature-bogus"])
+    def test_a_model_the_system_cannot_run(self, trained_models, tmp_path,
+                                           capsys, names, labels, message):
+        models, traces, cfg_path = trained_models
+        cfg = load_config(cfg_path)
+        model = CorePredictor(feature_names=names, label_order=labels).fit(
+            [[0.0], [1.0]], list(labels))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            Scheduler(cfg.system, PowerModel(), {"none": model})
+        path = tmp_path / "model-none.txt"
+        save_model(model, Constraint("none"), path)
+        assert run_cli("predict", "--model", path, "--trace", traces[0],
+                       "--config", cfg_path) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {path}: {message}")

@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sttsim import (Constraint, CorePredictor, FeatureVector, TrainingSet,
-                    dump_tree, features_from_run, gini, label_oracle,
-                    load_tree, simulate_run, train_tree)
+from sttsim import (ConfigError, Constraint, CorePredictor, FeatureVector,
+                    TrainingSet, dump_tree, features_from_run, gini,
+                    label_oracle, load_tree, simulate_run, train_tree)
 from sttsim.constraints import FEATURE_SETS, KINDS
 
 
@@ -354,12 +354,12 @@ def mutated_dumps(draw):
 
 
 class TestModelFuzz:
-    """load_tree raises only ValueError, and whatever it loads predicts."""
+    """load_tree raises only ConfigError, and whatever it loads predicts."""
 
     def _load(self, text):
         try:
             model, _ = load_tree(text)
-        except ValueError:
+        except ConfigError:
             return
         row = [0.0] * model.n_features_in_
         assert model.rank_labels(row)[0] == model.predict_one(row)

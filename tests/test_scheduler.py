@@ -10,9 +10,10 @@ from sttsim import (Constraint, CorePredictor, FeatureVector, HistoryTable,
                     UniformGaps, default_system, exhaustive_sweep,
                     gen_synthetic, profile_application, scheduler,
                     simulate_run)
-from sttsim.config import TECHNOLOGIES, make_core
+from sttsim.config import TECHNOLOGIES, access_cycles, make_core
 from sttsim.constraints import KINDS
 
+from reference import reference_run
 from workloads import ARCHETYPES, PROFILING_INTERVAL, archetype_params
 
 INTERVAL = 10_000
@@ -584,3 +585,61 @@ class TestDecisionProperties:
                 assert hit.from_history and hit.path == ((d.core, "history"),)
                 assert (hit.core, hit.freq_ghz) == (d.core, d.freq_ghz)
                 assert sim.call_count == 0
+
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(decision_cases(), st.sampled_from([1, 2, 120]), st.data())
+    def test_a_long_lived_scheduler_decides_as_fresh_ones(self, case,
+                                                          capacity, data):
+        """One scheduler deciding a drawn sequence of (app, constraint)
+        pairs, then a dispatch, with its run memo bounded by the history's
+        capacity, decides each exactly as a scheduler made for it alone."""
+        system, apps, _, model, interval = case
+        power = PowerModel()
+
+        def scheduler():
+            return Scheduler(system, power, dict.fromkeys(KINDS, model),
+                             history=HistoryTable(capacity),
+                             profiling_interval=interval)
+
+        shared = scheduler()
+        pairs = data.draw(st.permutations(
+            [(app, kind) for app in apps for kind in KINDS]))
+        for app, kind in pairs:
+            assert (shared.run_application(app, Constraint(kind))
+                    == scheduler().run_application(app, Constraint(kind)))
+        if len(apps) <= system.slots:
+            constraint = Constraint(pairs[0][1])
+            assert (shared.dispatch_workload(apps, constraint)
+                    == scheduler().dispatch_workload(apps, constraint))
+
+    @settings(deadline=None, max_examples=20, derandomize=True)
+    @given(decision_cases())
+    def test_deadlines_and_their_verdicts_match_the_reference(self, case):
+        """`deadline_for` is the constraint's slack applied to the reference
+        model's run of the fastest core (`speed_order()[0]`) at its cap, and
+        each decision's `deadline_met` is the reference model's verdict on
+        the committed (core, frequency)."""
+        system, apps, constraint, model, interval = case
+        power = PowerModel()
+        fastest = system.core(system.speed_order()[0])
+        sched = Scheduler(system, power, {constraint.kind: model},
+                          profiling_interval=interval)
+        for app in apps:
+            wall = reference_wall_time(app, fastest, fastest.freq_cap_ghz)
+            assert sched.deadline_for(app, constraint) == constraint.deadline(wall)
+            d = sched.run_application(app, constraint)
+            wall = reference_wall_time(app, system.core(d.core), d.freq_ghz)
+            assert d.run_wall_time_s == wall
+            assert d.deadline_met == (wall <= d.deadline_s)
+
+
+def reference_wall_time(app, core, freq_ghz):
+    """The wall time of a whole run of `app` on `core` at `freq_ghz`, by
+    `tests/reference.py`."""
+    geo = core.geometry
+    counts = reference_run(
+        zip(app.gaps, app.writes, app.addrs), geo.sets, geo.ways,
+        geo.line_bytes, core.data_tech.retention_time, core.counter_states_k,
+        core.base_cpi, freq_ghz, core.read_cycles(freq_ghz),
+        core.write_cycles(freq_ghz), access_cycles(freq_ghz, core.miss_penalty_ns))
+    return counts["cycles"] * (1.0 / freq_ghz) * 1e-9

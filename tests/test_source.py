@@ -78,3 +78,39 @@ def test_only_the_cache_names_the_shadow_pass_parts(path):
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
     assert sorted(names & {"LruShadow", "miss_facts", "_lanes"}) == []
+
+
+def _opens(node, func=None):
+    """(innermost enclosing function, call) of each `open(...)` and
+    `x.open(...)` call under `node`."""
+    if isinstance(node, ast.Call) and "open" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        yield func, node
+    if isinstance(node, ast.FunctionDef):
+        func = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _opens(child, func)
+
+
+# Every input file is read by `config.read_input`, which fixes its encoding
+# and names the file in its errors; every other open writes, by the same
+# encoding, so no loader can bypass the rule.
+def test_only_read_input_opens_a_file_for_reading():
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        assert not {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)} & {
+            "read_text", "read_bytes"}, path.name
+        for func, call in _opens(tree):
+            where = f"{path.name}:{call.lineno}"
+            assert any(kw.arg is None and getattr(kw.value, "id", "") == "ENCODING"
+                       for kw in call.keywords), where
+            mode = call.args[1:2] + [kw.value for kw in call.keywords
+                                     if kw.arg == "mode"]
+            modes = {node.value for arg in mode for node in ast.walk(arg)
+                     if isinstance(node, ast.Constant)}
+            if not modes or not all(set(m) & set("wax") and "+" not in m
+                                    for m in modes):
+                readers.append((func, where))
+    assert [func for func, _ in readers] == ["read_input"], readers
