@@ -34,9 +34,9 @@ are counted in word-parallel integer lanes (SWAR arithmetic on Python
 ints): the `ShadowPass` packs every such interval's counts, one 32-bit lane
 per access, and at a point one multiply-add gives all their lengths in
 cycles and one add and mask against the lifetime marks those that evict.
-Each certificate settles a run exactly or refuses it, and every run,
-whatever its technology, tries both before a replay: a run with an interval
-within the rounding of its times of the lifetime is refused and replayed.
+Each certificate settles a run exactly or refuses it. Every run tries the
+first, and from its pass's second refusal on the second, before a replay:
+one with an interval within its times' rounding of the lifetime replays.
 
 Each set is a dict from tag to (expiry_ns, dirty), least recently used
 first. A block has expired once `now >= expiry_ns`, and it is settled
@@ -57,8 +57,8 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, count, repeat
-from operator import itemgetter, sub
+from itertools import accumulate, chain, count
+from operator import itemgetter
 
 from .config import CoreSpec, access_cycles
 from .trace import READ, WRITE
@@ -161,7 +161,9 @@ class LruShadow:
             if block is None:
                 miss = 1
                 if len(blocks) >= ways:
-                    block = blocks.pop(next(iter(blocks)))
+                    for old in blocks:  # the least recently used
+                        break
+                    block = blocks.pop(old)
                     record(_EVICT_CLEAN + block[4])  # _EVICT_DIRTY if dirty
                 else:
                     record(_MISS)
@@ -232,6 +234,7 @@ class ShadowPass:
         self.codes = shadow.run(gaps, writes, addrs)
         self.span = shadow.span()
         self._totals = {}  # accesses -> `run_totals`
+        self.refusals = count(1)  # numbers the runs that `derive` refuses
 
     def totals(self, writes):
         """The `run_totals` of the run of the first len(writes) accesses."""
@@ -251,18 +254,21 @@ class ShadowPass:
         and one byte per access, 1 where back[i] is a write."""
         _, gaps, writes, _ = self._stream
         back = self.facts[0]
-
-        def lanes(counts) -> int:
-            totals = array("q", accumulate(counts))
-            totals[len(back):] = array("q", (-_CAP,))  # at index -1
-            packed = array("I", map(min, map(sub, totals,
-                                             map(totals.__getitem__, back)),
-                                    repeat(_CAP)))
-            if sys.byteorder != "little":
-                packed.byteswap()
-            return int.from_bytes(packed, "little")
-        return (lanes(gaps), lanes(chain((0,), map((1).__xor__, writes))),
-                lanes(chain((0,), writes)), bytes(map(writes.__getitem__, back)))
+        g_at = array("q", accumulate(gaps))
+        w_at = array("q", accumulate(chain((0,), writes)))  # before access i
+        dg, dr, dw = packed = [array("I", (_CAP,)) * len(back) for _ in "grw"]
+        for i, k in enumerate(back):
+            if k >= 0:
+                g, w = g_at[i] - g_at[k], w_at[i] - w_at[k]
+                r = i - k - w
+                dg[i] = g if g < _CAP else _CAP
+                dr[i] = r if r < _CAP else _CAP
+                dw[i] = w if w < _CAP else _CAP
+        if sys.byteorder != "little":
+            for lanes in packed:
+                lanes.byteswap()
+        return (*(int.from_bytes(lanes, "little") for lanes in packed),
+                bytes(map(writes.__getitem__, back)))
 
     def evictions(self, accesses: int, cpi: int, stall, lo: int, hi: int):
         """(evicting, dirty) over the intervals (b) that end at the first
@@ -474,7 +480,8 @@ class CacheState:
                         early += dirty
                         break
                 else:
-                    old = next(iter(blocks))
+                    for old in blocks:
+                        break
                     writebacks += blocks[old][1]
                     evictions += 1
                 del blocks[old]

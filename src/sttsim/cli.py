@@ -299,10 +299,11 @@ def cmd_schedule(args) -> int:
     check_model(model, cfg.system, path)
     if constraint.kind != args.constraint:
         raise ConfigError(None, f"{path}: holds a {constraint.kind!r} model")
-    if args.dispatch and len(args.traces) > cfg.system.slots:
+    ranked = len(model.classes_) * cfg.system.cluster_count  # <= slots
+    if args.dispatch and len(args.traces) > ranked:
         raise ConfigError(None, f"--dispatch places one app per core: "
                                 f"{len(args.traces)} traces exceed the "
-                                f"{cfg.system.slots} cores")
+                                f"{ranked} cores that the model ranks")
     sched = Scheduler(cfg.system, cfg.power, {constraint.kind: model},
                       history=HistoryTable(cfg.history_capacity),
                       profiling_interval=cfg.profiling_interval,

@@ -160,9 +160,9 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
     Every run, on any core, whole or a window, reads the trace's
     `ShadowPass` from its first access (`_pass`) and takes one route: it is
     derived if no block can expire in it, as in every SRAM run with an
-    integer `base_cpi`, or if every access misses; else it is replayed, its
-    misses classified by the pass's codes. Deterministic: identical inputs
-    give bit-identical results, derived or replayed.
+    integer `base_cpi`, or, from its pass's second refusal on, if every
+    access misses; else it is replayed, its misses classified by the pass's
+    codes. Deterministic: identical inputs give bit-identical results.
     """
     if not len(trace):
         raise ValueError("trace is empty")
@@ -191,7 +191,7 @@ def simulate_run(trace: Trace, core: CoreSpec, freq_ghz: float,
             gaps[0] -= cut
     shadow = _pass(trace, core.geometry, first)
     cycles = cache.derive(shadow, gaps, writes, nonmem, cpi, ns_per_cycle)
-    if cycles is None:
+    if cycles is None and next(shadow.refusals) > 1:
         cycles = cache.derive_misses(shadow, gaps, writes, tail, nonmem, cpi,
                                      ns_per_cycle)
     if cycles is None:

@@ -365,16 +365,19 @@ class Scheduler:
                           deadline_s: float | None = None) -> WorkloadAssignment:
         """Place each app (in listed order) on its highest-ranked free core.
 
-        One app per core, no preemption, no queueing: more apps than cores is
-        rejected. Profiling is a staging phase and does not occupy a core.
-        Each app's deadline is `deadline_s` or, when that is None, its
-        `deadline_for` the constraint, as in `run_application`. The
-        candidate walk lists only the chosen core, so dispatch never
-        escalates to another core or falls back to the base core.
+        One app per core, no preemption, no queueing: more apps than the
+        cores that the constraint's model ranks is rejected. Profiling is a
+        staging phase and does not occupy a core. Each app's deadline is
+        `deadline_s` or, when that is None, its `deadline_for` the
+        constraint, as in `run_application`. The candidate walk lists only
+        the chosen core, so dispatch never escalates to another core or
+        falls back to the base core.
         """
-        if len(traces) > self.system.slots:
-            raise ValueError(f"{len(traces)} apps exceed {self.system.slots} "
-                             "cores; queueing is not modeled")
+        model = self.models.get(constraint.kind)  # `_front` names a missing one
+        ranked = len(model.classes_) * self.system.cluster_count if model else 0
+        if model and len(traces) > ranked:
+            raise ValueError(f"{len(traces)} apps exceed the {ranked} cores "
+                             "that the model ranks; queueing is not modeled")
 
         taken: set[tuple[int, str]] = set()
         placements = []

@@ -89,7 +89,7 @@ class Trace:
                      addrs: Iterable[int], name: str = "trace") -> Trace:
         """A trace over copies of the given columns, so the caller's data
         stays its own, checked as `TraceEvent` checks one access. The
-        builders in this module hand `_owning` the columns they made."""
+        generator and `concat_traces` hand `_owning` the columns they made."""
         try:
             gaps, addrs = array("q", gaps), array("Q", addrs)
         except OverflowError:
@@ -108,11 +108,9 @@ class Trace:
             raise ValueError("gaps must be >= 0")
         if writes.translate(None, b"\x00\x01"):
             raise ValueError("write flags must be 0 or 1")
-        trace = cls.__new__(cls)
-        trace._adopt(name, gaps, writes, addrs)
-        return trace
+        return cls.__new__(cls)._adopt(name, gaps, writes, addrs)
 
-    def _adopt(self, name, gaps, writes, addrs) -> None:
+    def _adopt(self, name, gaps, writes, addrs) -> Trace:
         self.name = name
         self.gaps = gaps
         self.writes = writes
@@ -120,6 +118,7 @@ class Trace:
         self.instructions = sum(gaps) + len(gaps)
         self._passes = {}
         self._windows = {}
+        return self
 
     @property
     def events(self) -> Sequence[TraceEvent]:
@@ -189,6 +188,8 @@ _LINE = rf"{_SPACE}*(?:{_GAP}{_SPACE}+[RW]{_SPACE}+{_ADDR}{_SPACE}*|#[^\n]*)?"
 # A newline not followed by a grammatical line: searching `"\n" + block`
 # finds the first bad line of the block, if any.
 _BAD_LINE = re.compile(rf"\n(?!{_LINE}(?:\n|\Z))")
+# The access lines `write_trace` emits: a block of them needs no search.
+_CANON = re.compile(r"(?:[0-9]++ [RW] 0x[0-9a-f]++\n)*+")
 _COMMENTS = re.compile(rf"\n{_SPACE}*#[^\n]*")
 _GAP_RE = re.compile(_GAP)
 _ADDR_RE = re.compile(_ADDR)
@@ -273,9 +274,10 @@ def _first_error(block: str, first_line: int) -> TraceParseError:
 def parse_trace(stream: TextIO | str, name: str = "trace") -> Trace:
     """Parse trace text straight into columns, a block of lines at a time.
 
-    When a block breaks the grammar or holds a value too large for its
-    column, a per-line check of the same rules raises `TraceParseError`
-    naming the first bad line.
+    A block of the access lines `write_trace` emits passes the grammar in
+    one match, and any other is searched. When a block breaks the grammar
+    or holds a value too large for its column, a per-line check of the same
+    rules raises `TraceParseError` naming the first bad line.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -283,10 +285,11 @@ def parse_trace(stream: TextIO | str, name: str = "trace") -> Trace:
     first_line = 1
     for block in _blocks(stream):
         text = "\n" + block
-        if _BAD_LINE.search(text) or not _extend_columns(text, gaps, writes, addrs):
+        if (not _CANON.fullmatch(block) and _BAD_LINE.search(text)
+                or not _extend_columns(text, gaps, writes, addrs)):
             raise _first_error(block, first_line)
         first_line += block.count("\n")
-    return Trace._owning(gaps, bytes(writes), addrs, name)
+    return Trace.__new__(Trace)._adopt(name, gaps, bytes(writes), addrs)
 
 
 # Accesses formatted per piece of text; bounds the text alive at once.

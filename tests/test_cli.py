@@ -469,6 +469,28 @@ class TestTrainPredictSchedule:
         assert "5 traces" in err and "4 cores" in err
         assert read == [] and not (tmp_path / "out").exists()
 
+    def test_dispatch_past_the_cores_a_model_ranks_is_config_error(
+            self, trained_models, tmp_path, monkeypatch, capsys):
+        # A model that ranks only core3 places one app per cluster: two
+        # traces on the one-cluster system are an input error naming both
+        # counts, before any trace is read or decisions.csv opened.
+        _, traces, cfg = trained_models
+        model = CorePredictor(feature_names=("l1d_hits",),
+                              label_order=("core3",)).fit([[0.0]], ["core3"])
+        models = tmp_path / "models"
+        models.mkdir()
+        save_model(model, Constraint("none"), models / "model-none.txt")
+        assert "labels core3\n" in (models / "model-none.txt").read_text()
+        read = []
+        monkeypatch.setattr(cli, "load_trace", read.append)
+        code = run_cli("schedule", "--models", models, "--traces", *traces[:2],
+                       "--config", cfg, "--out", tmp_path / "out",
+                       "--no-timestamp", "--dispatch")
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("config error: ")
+        assert "2 traces" in err and "1 cores" in err
+        assert read == [] and not (tmp_path / "out").exists()
+
     def test_report_missing_column_is_config_error(self, tmp_path, capsys):
         runs = tmp_path / "runs.csv"
         runs.write_text("trace,core,total_energy_j\nx.trace,core1,1.0\n")

@@ -456,6 +456,18 @@ class TestDispatch:
             sched.dispatch_workload([hot_trace(seed=s) for s in range(5)],
                                     Constraint("none"))
 
+    def test_rejects_more_apps_than_the_model_ranks(self, system, power):
+        # A model that ranks only core3 has one slot per cluster to give.
+        model = CorePredictor(feature_names=("l1d_hits",),
+                              label_order=("core3",)).fit([[0.0]], ["core3"])
+        sched = Scheduler(system, power, {"none": model},
+                          profiling_interval=INTERVAL)
+        with pytest.raises(ValueError, match=r"^2 apps exceed the 1 cores "):
+            sched.dispatch_workload([hot_trace(seed=s) for s in range(2)],
+                                    Constraint("none"))
+        placed = sched.dispatch_workload([hot_trace()], Constraint("none"))
+        assert [p.core for p in placed.placements] == ["core3"]
+
     def test_clusters_add_capacity(self, power):
         sys2 = default_system(cluster_count=2)
         sched = Scheduler(sys2, power, stub_models(sys2, "core3"),

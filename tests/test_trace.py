@@ -421,6 +421,57 @@ class TestDifferential:
 EVENTS = st.lists(st.builds(TraceEvent, st.integers(0, 2**63 - 1),
                             st.sampled_from([READ, WRITE]),
                             st.integers(0, 2**64 - 1)), max_size=40)
+# How an access line may be spelled other than as `write_trace` spells it:
+# leading zeros of the gap, whitespace between fields, the address prefix,
+# upper-case hex digits, and the comment or blank lines before it.
+RESPELLINGS = st.tuples(
+    st.sampled_from(["", "0", "000"]), st.sampled_from([" ", "\t", "  \t "]),
+    st.sampled_from(["0x", "0X"]), st.booleans(),
+    st.sampled_from(["", "\n", "# note\n", " \t\n", "\t# 1 R 0x10\n"]))
+
+
+class TestCanonicalBlocks:
+    """A block of the text that `write_trace` emits passes the grammar in
+    one match; any other text takes the per-line grammar, to the same trace
+    or the same error."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(EVENTS.filter(len), st.text(max_size=5),
+           st.lists(RESPELLINGS, min_size=40, max_size=40), st.booleans())
+    def test_respelled_text_parses_to_the_same_trace(self, events, name,
+                                                     spellings, crlf):
+        tr = Trace(tuple(events), name=name)
+        canonical = serialize_trace(tr)
+        assert trace_module._CANON.fullmatch(canonical)
+        lines = [f"{before}{zeros}{e.gap}{sep}{e.op}{sep}{prefix}"
+                 f"{f'{e.addr:X}' if upper else f'{e.addr:x}'}\n"
+                 for e, (zeros, sep, prefix, upper, before)
+                 in zip(tr.events, spellings)]
+        text = "".join(lines)
+        if crlf:
+            text = text.replace("\n", "\r\n")
+        for parsed in (parse_trace(canonical, name=name),
+                       parse_trace(text, name=name)):
+            assert parsed == tr and parsed.instructions == tr.instructions
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1 R 0xZZ", "bad hex address '0xZZ'"),
+        ("1 X 0x10", "op must be R or W, got 'X'"),
+        ("1 R 0x10 extra", "expected 'gap op addr', got '1 R 0x10 extra'"),
+        ("1 R 0x10000000000000000",
+         "address must be below 2**64, got 0x10000000000000000"),
+        ("9223372036854775808 R 0x10",
+         "gap must be below 2**63, got 9223372036854775808"),
+    ], ids=["hex", "op", "fields", "address-2**64", "gap-2**63"])
+    def test_a_bad_line_in_a_canonical_block_names_its_line(self, bad,
+                                                             message):
+        # The last two lines are spelled canonically, and only their values
+        # are out of range.
+        lines = serialize_trace(random_trace(7)).splitlines(keepends=True)
+        with pytest.raises(TraceParseError) as err:
+            parse_trace("".join(lines[:60]) + bad + "\n" + "".join(lines[60:]))
+        assert (err.value.line_no, err.value.message) == (61, message)
+
 
 
 class TestColumnsRoundTrip:
