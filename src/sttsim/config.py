@@ -266,7 +266,7 @@ class System:
 
     @property
     def slots(self) -> int:
-        """The (cluster, core) slots: how many apps one dispatch can place."""
+        """The (cluster, core) slots: the most apps one dispatch can place."""
         return len(self.cores) * self.cluster_count
 
     def speed_order(self) -> list[str]:

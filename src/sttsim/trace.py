@@ -189,6 +189,7 @@ _LINE = rf"{_SPACE}*(?:{_GAP}{_SPACE}+[RW]{_SPACE}+{_ADDR}{_SPACE}*|#[^\n]*)?"
 # finds the first bad line of the block, if any.
 _BAD_LINE = re.compile(rf"\n(?!{_LINE}(?:\n|\Z))")
 # The access lines `write_trace` emits: a block of them needs no search.
+# Possessive (Python 3.11), so a match keeps no state per line.
 _CANON = re.compile(r"(?:[0-9]++ [RW] 0x[0-9a-f]++\n)*+")
 _COMMENTS = re.compile(rf"\n{_SPACE}*#[^\n]*")
 _GAP_RE = re.compile(_GAP)

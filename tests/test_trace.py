@@ -473,7 +473,6 @@ class TestCanonicalBlocks:
         assert (err.value.line_no, err.value.message) == (61, message)
 
 
-
 class TestColumnsRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(EVENTS, st.text(max_size=5))
