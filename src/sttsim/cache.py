@@ -118,7 +118,6 @@ class AccessOutcome:
     kind: str  # HIT | MISS
     miss_class: str  # MISS_NONE | MISS_EXPIRATION | MISS_OTHER
     stall_cycles: int
-    writeback_issued: bool
 
 
 # What an `LruShadow` did at an access, one byte each, and each one's hit bit.
@@ -357,11 +356,9 @@ class CacheState:
     distinct instances are independent.
     """
 
-    def __init__(self, core: CoreSpec, freq_ghz: float | None = None):
+    def __init__(self, core: CoreSpec, freq_ghz: float):
         self.tech = core.data_tech
         self.geometry = geo = core.geometry
-        if freq_ghz is None:
-            freq_ghz = core.operating_freq_ghz
 
         self._line_shift = geo.line_bytes.bit_length() - 1
         self._set_mask = geo.sets - 1
@@ -422,17 +419,16 @@ class CacheState:
             self._shadow = LruShadow(self.geometry)
         codes = self._shadow.run((0,), (write,), (addr,))
         st = self.stats
-        hits, expirations, writebacks = st.hits, st.expiration_misses, st.writebacks
+        hits, expirations = st.hits, st.expiration_misses
         # Zero instructions before the access, one nanosecond per cycle: the
         # access happens at exactly `now_ns`.
         self.replay((0,), (write,), (addr,), codes, now_ns, 0.0, 1.0)
         stall = self.write_cycles if write else self.read_cycles
         if st.hits > hits:
-            return AccessOutcome(HIT, MISS_NONE, stall, False)
+            return AccessOutcome(HIT, MISS_NONE, stall)
         miss_class = (MISS_EXPIRATION if st.expiration_misses > expirations
                       else MISS_OTHER)
-        return AccessOutcome(MISS, miss_class, stall + self.penalty_cycles,
-                             st.writebacks > writebacks)
+        return AccessOutcome(MISS, miss_class, stall + self.penalty_cycles)
 
     def replay(self, gaps, writes, addrs, codes: bytearray, cycles: float,
                cpi: float, ns_per_cycle: float) -> float:

@@ -184,7 +184,10 @@ def cmd_gen_trace(args) -> int:
          "in (0, 1]"),
         ("--write-fraction", args.write_fraction, 0 <= args.write_fraction <= 1,
          "in [0, 1]"),
-        ("--total", args.total, args.total >= 1, "at least 1"))
+        ("--total", args.total, args.total >= 1, "at least 1"),
+        ("--name", repr(args.name), args.name is None
+         or (args.name and Path(args.name).name == args.name),
+         "a non-empty file name without a directory"))
     params = SynthParams.for_rate(
         reuse_gaps=_parse_gaps(args.gaps),
         memory_op_fraction=args.mem_fraction,
@@ -251,8 +254,6 @@ def cmd_train(args) -> int:
                   args.min_samples_leaf >= 1, "at least 1"))
     cfg = _load_cfg(args)
     traces = [_trace(p) for p in args.traces]
-    if not traces:
-        raise ConfigError(None, "train needs at least one trace")
     kinds = KINDS if args.constraint == "all" else (args.constraint,)
     args.out.mkdir(parents=True, exist_ok=True)
     labels = tuple(cfg.system.labels())
@@ -299,16 +300,16 @@ def cmd_schedule(args) -> int:
     check_model(model, cfg.system, path)
     if constraint.kind != args.constraint:
         raise ConfigError(None, f"{path}: holds a {constraint.kind!r} model")
-    ranked = len(model.classes_) * cfg.system.cluster_count  # <= slots
-    if args.dispatch and len(args.traces) > ranked:
-        raise ConfigError(None, f"--dispatch places one app per core: "
-                                f"{len(args.traces)} traces exceed the "
-                                f"{ranked} cores that the model ranks")
     sched = Scheduler(cfg.system, cfg.power, {constraint.kind: model},
                       history=HistoryTable(cfg.history_capacity),
                       profiling_interval=cfg.profiling_interval,
                       prediction_time_s=cfg.prediction_time_s,
                       migration_time_s=cfg.migration_time_s)
+    slots = sched.slots(constraint)
+    if args.dispatch and len(args.traces) > slots:
+        raise ConfigError(None, f"--dispatch places one app per core: "
+                                f"{len(args.traces)} traces exceed the "
+                                f"{slots} cores that the model ranks")
     traces = [_trace(p) for p in args.traces]
     decisions = []
     if args.dispatch:
@@ -435,6 +436,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "out" in args:  # `mkdir` makes it only below a directory
+            existing = next(p for p in (args.out, *args.out.parents) if p.exists())
+            _check_flags(("--out", args.out, existing.is_dir(),
+                          "a directory or a new path under one"))
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -264,11 +264,6 @@ class System:
     def labels(self) -> list[str]:
         return [c.core_id for c in self.cores]
 
-    @property
-    def slots(self) -> int:
-        """The (cluster, core) slots: the most apps one dispatch can place."""
-        return len(self.cores) * self.cluster_count
-
     def speed_order(self) -> list[str]:
         """Core labels fastest-first: by cap, then write cycles, then index."""
         ranked = sorted(

@@ -43,9 +43,9 @@ def default_config() -> ExperimentConfig:
     return parse_config("")
 
 
-def default_system(cluster_count: int = 1) -> System:
+def default_system() -> System:
     """The four-core reference system (`DEFAULT_CORES`)."""
-    return replace(default_config().system, cluster_count=cluster_count)
+    return default_config().system
 
 
 # Value converters: each turns a value's text into the field's value in the

@@ -8,6 +8,7 @@ tie-breaking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import ENCODING, ConfigError, System, read_input
@@ -224,11 +225,6 @@ class TrainingSet:
     constraint: Constraint
     label_order: tuple[str, ...]
 
-    def __post_init__(self):
-        bad = {lab for _, lab in self.rows} - set(self.label_order)
-        if bad:
-            raise ValueError(f"labels {sorted(bad)} not in label_order")
-
     def matrix(self):
         X = [fv.row(self.constraint.feature_names) for fv, _ in self.rows]
         y = [lab for _, lab in self.rows]
@@ -378,7 +374,9 @@ def load_tree(text: str) -> tuple[CorePredictor, Constraint]:
             try:
                 threshold = float(parts[3])
             except ValueError:
-                raise bad(pos, "bad split threshold") from None
+                threshold = math.nan
+            if not math.isfinite(threshold):
+                raise bad(pos, "bad split threshold")
             nodes.append((col[parts[2]], threshold))
             depths += [depth + 1, depth + 1]
         else:

@@ -110,7 +110,6 @@ class AppPlacement:
     cluster: int
     core: str
     freq_ghz: float
-    start_s: float
     completion_s: float
     energy_j: float
     ranking: tuple[str, ...]
@@ -279,15 +278,24 @@ class Scheduler:
 
     # -- the main loop -------------------------------------------------------
 
+    def _model(self, constraint: Constraint) -> CorePredictor:
+        model = self.models.get(constraint.kind)
+        if model is None:
+            raise ValueError(f"no trained model for constraint {constraint.kind!r}")
+        return model
+
+    def slots(self, constraint: Constraint) -> int:
+        """The most apps one dispatch under `constraint` can place: one per
+        (cluster, core) slot among the cores that its model ranks."""
+        return len(self._model(constraint).classes_) * self.system.cluster_count
+
     def _front(self, trace: Trace, constraint: Constraint
                ) -> tuple[RunResult, tuple[str, ...], list[tuple[str, str]]]:
         """The front end of every fresh decision, dispatched or not: the
         profiling window on the profiling core (as
         `features.profile_application` runs it), the constraint's model's
         ranking of the cores, predicted core first, and the path so far."""
-        model = self.models.get(constraint.kind)
-        if model is None:
-            raise ValueError(f"no trained model for constraint {constraint.kind!r}")
+        model = self._model(constraint)
         core = self.system.core(self.system.profiling_core)
         prof_run = self._simulate(trace, core, core.operating_freq_ghz,
                                   limit=self.profiling_interval)
@@ -365,18 +373,17 @@ class Scheduler:
                           deadline_s: float | None = None) -> WorkloadAssignment:
         """Place each app (in listed order) on its highest-ranked free core.
 
-        One app per core, no preemption, no queueing: more apps than the
-        cores that the constraint's model ranks is rejected. Profiling is a
-        staging phase and does not occupy a core. Each app's deadline is
+        One app per core, no preemption, no queueing: more apps than
+        `slots(constraint)` is rejected. Profiling is a staging phase and
+        does not occupy a core. Each app's deadline is
         `deadline_s` or, when that is None, its `deadline_for` the
         constraint, as in `run_application`. The candidate walk lists only
         the chosen core, so dispatch never escalates to another core or
         falls back to the base core.
         """
-        model = self.models.get(constraint.kind)  # `_front` names a missing one
-        ranked = len(model.classes_) * self.system.cluster_count if model else 0
-        if model and len(traces) > ranked:
-            raise ValueError(f"{len(traces)} apps exceed the {ranked} cores "
+        slots = self.slots(constraint)
+        if len(traces) > slots:
+            raise ValueError(f"{len(traces)} apps exceed the {slots} cores "
                              "that the model ranks; queueing is not modeled")
 
         taken: set[tuple[int, str]] = set()
@@ -397,7 +404,7 @@ class Scheduler:
                                       prof_run, bound)
             placements.append(AppPlacement(
                 app=trace.name, cluster=cluster, core=chosen,
-                freq_ghz=cost.freq_ghz, start_s=0.0, completion_s=cost.time_s,
+                freq_ghz=cost.freq_ghz, completion_s=cost.time_s,
                 energy_j=cost.energy_j, ranking=ranking, decision=decision))
         return WorkloadAssignment(
             placements=tuple(placements),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
-from .config import ENCODING, ConfigError, read_input
+from .config import ENCODING, CacheGeometry, ConfigError, read_input
 
 READ = "R"
 WRITE = "W"
@@ -410,7 +410,6 @@ class SynthParams:
     write_fraction: float
     total_instructions: int
     seed: int
-    line_bytes: int = 64
     base_addr: int = 0x10000
 
     def __post_init__(self):
@@ -420,12 +419,11 @@ class SynthParams:
             raise ValueError("write_fraction must be in [0, 1]")
         if self.total_instructions < 1:
             raise ValueError("total_instructions must be >= 1")
-        if self.line_bytes < 1:
-            raise ValueError("line_bytes must be >= 1")
         if self.base_addr < 0:
             raise ValueError("base_addr must be >= 0")
-        if self.base_addr + (self.working_set_blocks - 1) * self.line_bytes >= 2**64:
-            raise ValueError("base_addr + (working_set_blocks - 1) * line_bytes "
+        line = CacheGeometry.line_bytes
+        if self.base_addr + (self.working_set_blocks - 1) * line >= 2**64:
+            raise ValueError(f"base_addr + (working_set_blocks - 1) * {line} "
                              "must be < 2**64")
 
     @classmethod
@@ -457,7 +455,7 @@ def gen_synthetic(params: SynthParams, name: str | None = None) -> Trace:
     Each block is an independent renewal process over virtual instruction
     time; accesses are emitted in time order, so realized per-block gaps
     equal the drawn values up to same-instruction collisions. Addresses
-    stride by the line size so every block occupies its own cache line.
+    stride by the default cache line, `CacheGeometry.line_bytes` (64 bytes).
 
     A seed always yields the same trace. The draws come from
     `random.Random(seed)` in a fixed order: each block's first touch
@@ -480,7 +478,7 @@ def gen_synthetic(params: SynthParams, name: str | None = None) -> Trace:
     short, long = [(low, n, n.bit_length()) for low, n in modes]
     bimodal = weight is not None
     write_fraction = params.write_fraction
-    base, line = params.base_addr, params.line_bytes
+    base, line = params.base_addr, CacheGeometry.line_bytes
     random_, getrandbits, heapreplace = rng.random, rng.getrandbits, heapq.heapreplace
     gaps, writes, addrs = array("q"), bytearray(), array("Q")
     gaps_append, writes_append, addrs_append = gaps.append, writes.append, addrs.append

@@ -232,7 +232,7 @@ def reference_gen_synthetic(params, name=None) -> Trace:
             break
         gaps.append(at - cursor - 1)
         writes.append(rng.random() < params.write_fraction)
-        addrs.append(params.base_addr + b * params.line_bytes)
+        addrs.append(params.base_addr + b * 64)  # one 64-byte line per block
         cursor = at
         heapq.heappush(heap, (at + reference_sample(params.reuse_gaps, rng), b))
 

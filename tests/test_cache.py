@@ -171,7 +171,7 @@ class TestAccess:
     def test_conflict_eviction_is_other_not_expiration(self):
         # One-set, one-way toy cache: B evicts A, so re-reading A misses in
         # the shadow too.
-        c = CacheState(toy_core(ways=1))
+        c = CacheState(toy_core(ways=1), 1.6)
         c.access(0x0, "R", 0.0)
         c.access(0x40, "R", 10.0)  # same set, evicts A
         out = c.access(0x0, "R", 20.0)
@@ -180,7 +180,7 @@ class TestAccess:
         assert c.stats.evictions == 2  # B evicted A, then A evicted B
 
     def test_lru_victim_selection(self):
-        c = CacheState(toy_core(ways=4))
+        c = CacheState(toy_core(ways=4), 1.6)
         for i in range(4):
             c.access(i * 64, "R", float(i))
         c.access(0, "R", 10.0)  # block 0 becomes MRU
@@ -196,7 +196,7 @@ class TestAccess:
         assert c.stats.evictions == 0
 
     def test_dirty_eviction_writes_back(self):
-        c = CacheState(toy_core(ways=1))
+        c = CacheState(toy_core(ways=1), 1.6)
         c.access(0x0, "W", 0.0)
         c.access(0x40, "R", 10.0)
         assert c.stats.writebacks == 1

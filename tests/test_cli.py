@@ -403,6 +403,30 @@ class TestTrainPredictSchedule:
         assert "ranking=" in printed
         assert len(printed.split("ranking=")[1].split()) == 4
 
+    @pytest.mark.parametrize("interval", [8_000, 100_000])
+    def test_predict_and_schedule_rank_alike(self, trained_models, tmp_path,
+                                             capsys, interval):
+        # `predict` profiles through `features.profile_application` and
+        # `schedule` through the scheduler's window. A window of 100,000
+        # instructions covers each 40,000-instruction hot trace whole.
+        models, traces, _ = trained_models
+        cfg = tmp_path / "interval.cfg"
+        cfg.write_text(f"[system]\nprofiling_interval = {interval}\n")
+        assert {load_trace(t).instructions for t in traces} == {40_000, 200_000}
+        for kind in KINDS:
+            predicted = []
+            for trace in traces:
+                assert run_cli("predict", "--model", models / f"model-{kind}.txt",
+                               "--trace", trace, "--config", cfg) == 0
+                printed = capsys.readouterr().out
+                predicted.append(printed.split("ranking=")[1].split())
+            out = tmp_path / kind
+            assert run_cli("schedule", "--models", models, "--traces", *traces,
+                           "--constraint", kind, "--config", cfg, "--out", out,
+                           "--no-timestamp") in (0, 3)
+            rows = read_rows(out / "decisions.csv")
+            assert [row["ranking"].split() for row in rows] == predicted
+
     def test_schedule_writes_decision_log(self, trained_models, tmp_path, capsys):
         models, traces, cfg = trained_models
         code = run_cli("schedule", "--models", models, "--traces", *traces[:2],
@@ -731,6 +755,50 @@ class TestInputFiles:
                     capsys)
 
 
+class TestUnusableOutput:
+    """An `--out` that names a file or passes through one, and a
+    `gen-trace --name` that is empty or holds a directory, exit 1 naming the
+    flag, before any trace is read or generated."""
+
+    @pytest.fixture
+    def given(self, trained_models, tmp_path, monkeypatch):
+        models, traces, cfg = trained_models
+        runs = tmp_path / "runs.csv"
+        runs.write_text("trace,core,total_energy_j,wall_time_s\n"
+                        f"{traces[0]},core1,1.0,2.0\n")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        work = []
+        monkeypatch.setattr(cli, "load_trace", work.append)
+        monkeypatch.setattr(cli, "gen_synthetic", lambda *a, **k: work.append(a))
+        return dict(trace=traces[0], config=cfg, models=models,
+                    model=models / "model-none.txt", runs=runs,
+                    baseline="sram", out=tmp_path / "out", taken=taken,
+                    work=work)
+
+    @pytest.mark.parametrize("name", ["gen-trace", "simulate", "sweep", "train",
+                                      "schedule", "report"])
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_an_out_path_through_a_file(self, given, capsys, name, under):
+        given["out"] = given["taken"] / under
+        argv = (("gen-trace", "--seed", 1, "--out", given["out"])
+                if name == "gen-trace" else _command(name, given))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: --out must be a directory or a new path under one, "
+            f"got {given['out']}\n")
+        assert given["work"] == [] and given["taken"].read_text() == ""
+
+    @pytest.mark.parametrize("bad", ["", "a/b", "a/"])
+    def test_a_name_that_is_not_a_file_name(self, given, capsys, bad):
+        assert run_cli("gen-trace", "--seed", 1, "--name", bad,
+                       "--out", given["out"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: --name must be a non-empty file name without a "
+            f"directory, got {bad!r}\n")
+        assert given["work"] == [] and not given["out"].exists()
+
+
 class TestEncoding:
     """Every input file is read as UTF-8, a byte that is not UTF-8 read as a
     lone surrogate: it passes in a comment, fails the line that holds it
@@ -802,6 +870,20 @@ class TestModelChecks:
                        "--config", cfg) == 1
         assert capsys.readouterr().err.startswith(
             f"config error: {bad}: line {line}: ")
+
+    def test_a_non_finite_split_threshold(self, trained_models, tmp_path,
+                                          capsys):
+        _, traces, cfg = trained_models
+        bad = tmp_path / "model-none.txt"
+        bad.write_text("sttsim-tree v1\nconstraint none\n"
+                       "hyper max_depth=5 min_samples_leaf=1\n"
+                       "features l1d_hits\nlabels core1 core2\n"
+                       "node split l1d_hits nan\n"
+                       "node leaf core1 core1=1\nnode leaf core2 core2=1\n")
+        assert run_cli("predict", "--model", bad, "--trace", traces[0],
+                       "--config", cfg) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {bad}: line 6: bad split threshold")
 
     @pytest.mark.parametrize("names, labels, message", [
         (("l1d_hits",), ("core1", "coreX"),

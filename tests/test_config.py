@@ -172,9 +172,9 @@ class TestSystem:
         assert default_system().speed_order() == ["core3", "core4", "core1", "core2"]
 
     def test_cluster_replication(self):
-        assert default_system(cluster_count=4).cluster_count == 4
+        assert replace(default_system(), cluster_count=4).cluster_count == 4
         with pytest.raises(ValueError):
-            default_system(cluster_count=0)
+            replace(default_system(), cluster_count=0)
 
     def test_published_device_rows(self):
         assert TECHNOLOGIES["sram"].leakage_w == pytest.approx(50.328e-3)

@@ -238,6 +238,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"^line 3: "):
             load_tree(text)
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "1e400"])
+    def test_a_non_finite_split_threshold_is_rejected_at_its_line(
+            self, threshold):
+        # `fit` never writes one; `nan` would send every row right, and
+        # `1e400` would be written back as `inf`.
+        text = ("sttsim-tree v1\nconstraint none\n"
+                "hyper max_depth=5 min_samples_leaf=1\n"
+                "features fa fb\nlabels core1 core2\n"
+                f"node split fa {threshold}\n"
+                "node leaf core1 core1=1\nnode leaf core2 core2=1\n")
+        with pytest.raises(ConfigError, match=r"^line 6: bad split threshold: "
+                                              rf"'node split fa {threshold}'$"):
+            load_tree(text)
+
     def test_models_are_independent(self):
         model = self._model()
         before = dump_tree(model, Constraint("none"))

@@ -1,5 +1,7 @@
 import hashlib
 import math
+from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -456,6 +458,17 @@ class TestDispatch:
             sched.dispatch_workload([hot_trace(seed=s) for s in range(5)],
                                     Constraint("none"))
 
+    def test_slots_and_a_missing_model(self, system, power):
+        # One slot per ranked core and cluster. A constraint without a model
+        # has none, so even an empty batch names the missing model.
+        sched = Scheduler(replace(system, cluster_count=2), power,
+                          {"none": stub_model(system, "core3")})
+        assert sched.slots(Constraint("none")) == 8
+        for call in (sched.slots, partial(sched.dispatch_workload, [])):
+            with pytest.raises(ValueError, match=r"^no trained model for "
+                                                 r"constraint 'slack10'$"):
+                call(Constraint("slack10"))
+
     def test_rejects_more_apps_than_the_model_ranks(self, system, power):
         # A model that ranks only core3 has one slot per cluster to give.
         model = CorePredictor(feature_names=("l1d_hits",),
@@ -469,7 +482,7 @@ class TestDispatch:
         assert [p.core for p in placed.placements] == ["core3"]
 
     def test_clusters_add_capacity(self, power):
-        sys2 = default_system(cluster_count=2)
+        sys2 = replace(default_system(), cluster_count=2)
         sched = Scheduler(sys2, power, stub_models(sys2, "core3"),
                           profiling_interval=INTERVAL)
         traces = [hot_trace(seed=s, total=60_000) for s in range(5)]
@@ -528,7 +541,10 @@ class TestDecisionProperties:
 
         decisions = [scheduler().run_application(app, constraint)
                      for app in apps]
-        if len(apps) > system.slots:
+        # One slot per (cluster, core) that the model ranks.
+        slots = len(model.classes_) * system.cluster_count
+        assert scheduler().slots(constraint) == slots
+        if len(apps) > slots:
             with pytest.raises(ValueError):
                 scheduler().dispatch_workload(apps, constraint)
         else:
@@ -619,8 +635,8 @@ class TestDecisionProperties:
         for app, kind in pairs:
             assert (shared.run_application(app, Constraint(kind))
                     == scheduler().run_application(app, Constraint(kind)))
-        if len(apps) <= system.slots:
-            constraint = Constraint(pairs[0][1])
+        constraint = Constraint(pairs[0][1])
+        if len(apps) <= shared.slots(constraint):
             assert (shared.dispatch_workload(apps, constraint)
                     == scheduler().dispatch_workload(apps, constraint))
 

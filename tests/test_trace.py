@@ -128,8 +128,7 @@ class TestGenerator:
 
     def test_addresses_stride_by_line(self):
         p = SynthParams(working_set_blocks=10, reuse_gaps=UniformGaps(50, 80),
-                        write_fraction=0.2, total_instructions=5_000, seed=1,
-                        line_bytes=64)
+                        write_fraction=0.2, total_instructions=5_000, seed=1)
         addrs = {e.addr for e in gen_synthetic(p).events}
         assert addrs == {0x10000 + 64 * b for b in range(10)}
 
@@ -164,8 +163,7 @@ class TestGenerator:
             UniformGaps(10.0, 20)
         with pytest.raises(ValueError, match="integers"):
             BimodalGaps(1, 2, 3, 4.5)
-        for field, kw in (("line_bytes", {"line_bytes": 0}),
-                          ("base_addr", {"base_addr": -64}),
+        for field, kw in (("base_addr", {"base_addr": -64}),
                           ("base_addr", {"base_addr": 2**64 - 64})):
             with pytest.raises(ValueError, match=field):
                 SynthParams(2, UniformGaps(10, 20), 0.5, 100, 1, **kw)
@@ -554,7 +552,6 @@ SYNTH_PARAMS = st.builds(
     # Short totals often end before the first touch: an empty trace.
     total_instructions=st.one_of(st.integers(1, 50), st.integers(1, 6000)),
     seed=st.integers(0, 2**64),
-    line_bytes=st.sampled_from([1, 8, 64, 4096]),
     base_addr=st.integers(0, 2**48))
 
 
@@ -567,9 +564,9 @@ def test_generator_draws_the_reference_stream():
     # with a mixture at weight 0 and 1.
     @example(SynthParams(5, UniformGaps(7, 7), 0.5, 20_000, 7))
     @example(SynthParams(5, BimodalGaps(64, 127, 127, 383, 0.0), 0.5, 20_000,
-                         64, line_bytes=32, base_addr=0x1234))
+                         64, base_addr=0x1234))
     @example(SynthParams(5, BimodalGaps(65, 193, 193, 449, 1.0), 0.5, 20_000,
-                         65, line_bytes=32, base_addr=0x1234))
+                         65, base_addr=0x1234))
     def check(params):
         try:
             expected = reference_gen_synthetic(params, name="g")
