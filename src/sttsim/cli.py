@@ -142,6 +142,15 @@ def _trace(path):
     return trace
 
 
+def _output(args, name: str) -> Path:
+    """The output file `name` under `--out`, refused before any trace is read
+    when a directory stands in its place."""
+    path = args.out / name
+    if path.is_dir():
+        raise ConfigError(None, "Is a directory", path)
+    return path
+
+
 def _load_cfg(args) -> ExperimentConfig:
     return load_config(args.config) if args.config else default_config()
 
@@ -188,6 +197,8 @@ def cmd_gen_trace(args) -> int:
         ("--name", repr(args.name), args.name is None
          or (args.name and Path(args.name).name == args.name),
          "a non-empty file name without a directory"))
+    name = args.name or f"synth-{args.seed}"
+    path = _output(args, f"{name}.trace")
     params = SynthParams.for_rate(
         reuse_gaps=_parse_gaps(args.gaps),
         memory_op_fraction=args.mem_fraction,
@@ -196,11 +207,10 @@ def cmd_gen_trace(args) -> int:
         seed=args.seed,
     )
     try:
-        trace = gen_synthetic(params, name=args.name)
+        trace = gen_synthetic(params, name=name)
     except ValueError as exc:  # an empty trace
         raise ConfigError(None, f"--total {args.total}: {exc}") from None
     args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"{trace.name}.trace"
     header = list(params.describe())
     if not args.no_timestamp:
         header.insert(0, f"generated {datetime.now(timezone.utc).isoformat()}")
@@ -220,10 +230,11 @@ def cmd_simulate(args) -> int:
     _check_flags(("--freq", freq, core.dvfs.on_grid(freq),
                   f"on {core.core_id}'s DVFS grid ({core.dvfs.min_freq_ghz}-"
                   f"{core.freq_cap_ghz} GHz, step {core.dvfs.step_ghz})"))
+    path = _output(args, "simulate.csv")
     trace = _trace(args.trace)
     run = simulate_run(trace, core, freq, cfg.power)
-    _write_csv(args.out / "simulate.csv", RUN_COLUMNS,
-               [_run_row(run, str(args.trace))], args.no_timestamp, args.append)
+    _write_csv(path, RUN_COLUMNS, [_run_row(run, str(args.trace))],
+               args.no_timestamp, args.append)
     print(f"core={run.core_id} freq_ghz={run.freq_ghz} "
           f"wall_time_s={run.wall_time_s!r} total_energy_j={run.total_energy_j!r} "
           f"expiration_misses={run.stats.expiration_misses}")
@@ -233,11 +244,12 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     _check_deadline(args)
     cfg = _load_cfg(args)
+    path = _output(args, "sweep.csv")
     trace = _trace(args.trace)
     sweep = exhaustive_sweep(trace, cfg.system, cfg.power,
                              Constraint(args.constraint),
                              deadline_s=args.deadline)
-    _write_csv(args.out / "sweep.csv", RUN_COLUMNS + ["pareto", "best"],
+    _write_csv(path, RUN_COLUMNS + ["pareto", "best"],
                [{**_run_row(row, str(args.trace)), "pareto": int(pareto),
                  "best": int(row is sweep.best)}
                 for row, pareto in zip(sweep.rows, pareto_flags(sweep.rows))],
@@ -253,8 +265,9 @@ def cmd_train(args) -> int:
                  ("--min-samples-leaf", args.min_samples_leaf,
                   args.min_samples_leaf >= 1, "at least 1"))
     cfg = _load_cfg(args)
-    traces = [_trace(p) for p in args.traces]
     kinds = KINDS if args.constraint == "all" else (args.constraint,)
+    paths = [_output(args, f"model-{kind}.txt") for kind in kinds]
+    traces = [_trace(p) for p in args.traces]
     args.out.mkdir(parents=True, exist_ok=True)
     labels = tuple(cfg.system.labels())
     # One sweep and one profiling run per trace serve every constraint.
@@ -265,7 +278,7 @@ def cmd_train(args) -> int:
         sweep = exhaustive_sweep(trace, cfg.system, cfg.power,
                                  Constraint(NO_CONSTRAINT))
         profiled.append((feats, sweep.rows))
-    for kind in kinds:
+    for kind, path in zip(kinds, paths):
         constraint = Constraint(kind)
         rows = tuple(
             (feats, select_best(sweep_rows, cfg.system, constraint)[0].core_id)
@@ -273,7 +286,6 @@ def cmd_train(args) -> int:
         data = TrainingSet(rows=rows, constraint=constraint, label_order=labels)
         model = train_tree(data, max_depth=args.max_depth,
                            min_samples_leaf=args.min_samples_leaf)
-        path = args.out / f"model-{kind}.txt"
         save_model(model, constraint, path)
         print(f"wrote {path} (depth={model.depth()} leaves={model.leaf_count()})")
     return EXIT_OK
@@ -295,6 +307,7 @@ def cmd_predict(args) -> int:
 def cmd_schedule(args) -> int:
     _check_deadline(args)
     cfg = _load_cfg(args)
+    out = _output(args, "decisions.csv")
     path = args.models / f"model-{args.constraint}.txt"
     model, constraint = load_model(path)
     check_model(model, cfg.system, path)
@@ -328,13 +341,14 @@ def cmd_schedule(args) -> int:
             print(f"{d.app}: core={d.core} freq_ghz={d.freq_ghz} "
                   f"energy_j={d.energy_j!r} deadline_met={d.deadline_met} "
                   f"path={'>'.join(f'{c}:{r}' for c, r in d.path)}")
-    _write_csv(args.out / "decisions.csv", DECISION_COLUMNS,
-               map(_decision_row, decisions), args.no_timestamp, append=True)
+    _write_csv(out, DECISION_COLUMNS, map(_decision_row, decisions),
+               args.no_timestamp, append=True)
     return EXIT_FLAGGED if any(d.violation for d in decisions) else EXIT_OK
 
 
 def cmd_report(args) -> int:
     cfg = _load_cfg(args)
+    out = _output(args, "report.csv")
     rows = read_input(args.runs, _read_runs, newline="")
     baseline = {}  # trace path -> (energy, wall time) on the baseline core
     if args.baseline != "self":
@@ -358,9 +372,8 @@ def cmd_report(args) -> int:
         table.append(dict(zip(columns, [
             trace_path, core_label, energy, base_e, ratio, wall, base_t,
             wall / base_t if base_t else math.inf, int(ratio > 1.0)])))
-    _write_csv(args.out / "report.csv", columns, table, args.no_timestamp)
-    print(f"wrote {args.out / 'report.csv'} ({len(rows)} rows, "
-          f"baseline={args.baseline})")
+    _write_csv(out, columns, table, args.no_timestamp)
+    print(f"wrote {out} ({len(rows)} rows, baseline={args.baseline})")
     return EXIT_OK
 
 

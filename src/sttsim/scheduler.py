@@ -1,16 +1,19 @@
 """Runtime core selection: history table, profile/predict/verify loop and
 multiprogrammed dispatch.
 
-A new application is profiled on the profiling core and the constraint's
-model ranks the cores. Every fresh decision, dispatched or not, then makes one
+A new application is profiled on the profiling core and the constraint's model
+ranks the cores. Every fresh decision, dispatched or not, then makes one
 candidate walk (`Scheduler._commit`): it commits the first listed core whose
 verified point meets the deadline, else the last listed core at its cap. A
 scheduled app walks from the predicted core up to the fastest, and a
-prediction that would cost more than the base-core path falls back to it, so
-a committed decision never spends more than that fallback. A dispatched app
-walks only its highest-ranked free core: the list is the one part of the walk
-that differs between the two. Decisions land in a bounded LRU history table;
-a repeat encounter skips profiling and prediction entirely.
+prediction that would cost more than the base-core path falls back to it, so a
+committed decision never spends more than that fallback, whose price is its
+`base_energy_j`. That reads as `energy_j` for a history hit, a dispatched
+decision, one on the base core (walked to or fallen back to), and one whose
+base core misses the deadline. A dispatched app walks only its highest-ranked
+free core: the list is the one part of the walk that differs between the two.
+Decisions land in a bounded LRU history table; a repeat encounter skips
+profiling and prediction entirely.
 
 Every simulation goes through one memo per scheduler, keyed by the trace
 and the run's (core, frequency, limit, start), so a decision's
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import CoreSpec, System, voltage_for_frequency
 from .constraints import Constraint
@@ -122,22 +125,6 @@ class WorkloadAssignment:
     total_energy_j: float
 
 
-@dataclass
-class _PathCost:
-    """One candidate (core, freq) with its committed path's price."""
-
-    core: str
-    freq_ghz: float
-    full_run: RunResult
-    energy_j: float
-    time_s: float
-    migrations: int
-    prediction_time_s: float
-    prediction_energy_j: float
-    migration_time_s: float
-    migration_energy_j: float
-
-
 class Scheduler:
     """Single decision-maker over one system; decisions are serialized and
     deterministic for a fixed app sequence."""
@@ -214,42 +201,51 @@ class Scheduler:
                 best = key
         return best[2] if best else None
 
-    def _path_cost(self, trace: Trace, core_label: str, freq_ghz: float,
-                   prof_run: RunResult | None) -> _PathCost:
-        """Committed-path accounting for finishing `trace` on a core.
-
-        A fresh decision starts with the profiling window on the profiling
-        core and resumes cold on the final core; prediction and migration
-        overheads are charged as time plus profiling-core static power.
-        """
+    def _price(self, trace: Trace, constraint: Constraint, core_label: str,
+               freq_ghz: float, prof_run: RunResult | None,
+               deadline_s: float) -> ScheduleDecision:
+        """The decision that finishes `trace` on (core_label, freq_ghz), with
+        an empty path and ranking and `base_energy_j` = `energy_j`, which
+        only `run_application` replaces, by the price of a feasible base-core
+        path. `prof_run` is None for a history hit, which starts on the
+        stored core. A fresh decision runs the profiling window first, then
+        goes on in place, where the full run covers the window with warm
+        caches, or migrates and resumes cold. Prediction, then migration, is
+        charged as time plus profiling-core static power."""
         core = self.system.core(core_label)
         full = self._simulate(trace, core, freq_ghz)
         fresh = prof_run is not None
         migrations = int(fresh and core_label != self.system.profiling_core)
         pred_t = self.prediction_time_s if fresh else 0.0
-        pred_e = pred_t * self._overhead_power_w
         migr_t = migrations * self.migration_time_s
+        pred_e = pred_t * self._overhead_power_w
         migr_e = migr_t * self._overhead_power_w
-        if not fresh:
-            # A history hit: the app starts directly on the stored core.
-            energy, time = full.total_energy_j, full.wall_time_s
-        elif migrations == 0:
-            # The run continues in place; the full run already covers the
-            # profiled window with warm caches.
-            energy = full.total_energy_j + pred_e
-            time = full.wall_time_s + pred_t
-        else:
+        if migrations:
             rest = self._simulate(trace, core, freq_ghz,
                                   start=prof_run.instructions)
-            energy = (prof_run.total_energy_j + rest.total_energy_j
-                      + pred_e + migr_e)
-            time = (prof_run.wall_time_s + rest.wall_time_s
-                    + pred_t + migr_t)
-        return _PathCost(core_label, freq_ghz, full, energy, time, migrations,
-                         pred_t, pred_e, migr_t, migr_e)
+            energy = prof_run.total_energy_j + rest.total_energy_j
+            time = prof_run.wall_time_s + rest.wall_time_s
+        else:
+            energy, time = full.total_energy_j, full.wall_time_s
+        # Left to right: grouping the two overheads first rounds differently.
+        energy = energy + pred_e + migr_e
+        time = time + pred_t + migr_t
+        met = full.wall_time_s <= deadline_s
+        return ScheduleDecision(
+            app=trace.name, constraint_kind=constraint.kind, core=core_label,
+            freq_ghz=freq_ghz, path=(), ranking=(), from_history=not fresh,
+            profiling_instructions=prof_run.instructions if fresh else 0,
+            profiling_time_s=prof_run.wall_time_s if fresh else 0.0,
+            profiling_energy_j=prof_run.total_energy_j if fresh else 0.0,
+            prediction_time_s=pred_t, prediction_energy_j=pred_e,
+            migrations=migrations, migration_time_s=migr_t,
+            migration_energy_j=migr_e, energy_j=energy, time_s=time,
+            run_wall_time_s=full.wall_time_s, base_energy_j=energy,
+            deadline_s=deadline_s, deadline_met=met, violation=not met)
 
-    def _evaluate(self, trace: Trace, core_label: str, deadline_s: float,
-                  prof_run: RunResult | None) -> _PathCost | None:
+    def _evaluate(self, trace: Trace, constraint: Constraint, core_label: str,
+                  deadline_s: float, prof_run: RunResult
+                  ) -> ScheduleDecision | None:
         """Pick a frequency for the core and verify the deadline on the full
         run. Window estimates choose the frequency, but a core is only
         declared infeasible once its cap misses the deadline on a verified
@@ -259,22 +255,26 @@ class Scheduler:
                      core.freq_cap_ghz):
             if (freq is not None
                     and self._simulate(trace, core, freq).wall_time_s <= deadline_s):
-                return self._path_cost(trace, core_label, freq, prof_run)
+                return self._price(trace, constraint, core_label, freq,
+                                   prof_run, deadline_s)
         return None
 
-    def _commit(self, trace: Trace, labels, deadline_s: float,
-                prof_run: RunResult, path: list) -> _PathCost:
+    def _commit(self, trace: Trace, constraint: Constraint, labels,
+                deadline_s: float, prof_run: RunResult,
+                path: list) -> ScheduleDecision:
         """The candidate walk: the first of `labels` whose verified point
         meets the deadline, else the last one at its cap, which then misses
         it. Each core after the first is tagged `escalated-deadline`."""
         for i, label in enumerate(labels):
             if i:
                 path.append((label, "escalated-deadline"))
-            cost = self._evaluate(trace, label, deadline_s, prof_run)
-            if cost is not None:
-                return cost
-        return self._path_cost(trace, label, self.system.core(label).freq_cap_ghz,
-                               prof_run)
+            decision = self._evaluate(trace, constraint, label, deadline_s,
+                                      prof_run)
+            if decision is not None:
+                return decision
+        return self._price(trace, constraint, label,
+                           self.system.core(label).freq_cap_ghz, prof_run,
+                           deadline_s)
 
     # -- the main loop -------------------------------------------------------
 
@@ -311,61 +311,27 @@ class Scheduler:
 
         entry = self.history.lookup(trace.name, constraint.kind)
         if entry is not None:
-            cost = self._path_cost(trace, entry.core, entry.freq_ghz, None)
-            return self._decision(trace, constraint, cost, ((entry.core, "history"),),
-                                  ranking=(), prof_run=None, deadline_s=deadline_s)
+            hit = self._price(trace, constraint, entry.core, entry.freq_ghz,
+                              None, deadline_s)
+            return replace(hit, path=((entry.core, "history"),))
 
         prof_run, ranking, path = self._front(trace, constraint)
         order = self.system.speed_order()
-        cost = self._commit(trace, order[order.index(ranking[0])::-1],
-                            deadline_s, prof_run, path)
+        decision = self._commit(trace, constraint,
+                                order[order.index(ranking[0])::-1],
+                                deadline_s, prof_run, path)
 
         base_label = self.system.base_core
-        base_energy = math.inf
-        if cost.core != base_label:
-            base_cost = self._evaluate(trace, base_label, deadline_s, prof_run)
-            if base_cost is not None:
-                base_energy = base_cost.energy_j
-                if cost.energy_j >= base_cost.energy_j:
-                    cost = base_cost
-                    path.append((base_label, "rejected-energy"))
+        base = (None if decision.core == base_label else self._evaluate(
+            trace, constraint, base_label, deadline_s, prof_run))
+        if base is not None and decision.energy_j >= base.energy_j:
+            decision = base
+            path.append((base_label, "rejected-energy"))
 
-        self.history.record(trace.name, cost.core, cost.freq_ghz, constraint.kind)
-        return self._decision(trace, constraint, cost, path, ranking, prof_run,
-                              deadline_s, base_energy)
-
-    def _decision(self, trace: Trace, constraint: Constraint, cost: _PathCost,
-                  path, ranking, prof_run: RunResult | None, deadline_s: float,
-                  base_energy: float = math.inf) -> ScheduleDecision:
-        """The one constructor of decisions. `prof_run` is None for a history
-        hit; an infinite `base_energy` (no feasible base-core path was
-        priced) reads as the committed energy."""
-        from_history = prof_run is None
-        met = cost.full_run.wall_time_s <= deadline_s
-        return ScheduleDecision(
-            app=trace.name,
-            constraint_kind=constraint.kind,
-            core=cost.core,
-            freq_ghz=cost.freq_ghz,
-            path=tuple(path),
-            ranking=tuple(ranking),
-            from_history=from_history,
-            profiling_instructions=0 if from_history else prof_run.instructions,
-            profiling_time_s=0.0 if from_history else prof_run.wall_time_s,
-            profiling_energy_j=0.0 if from_history else prof_run.total_energy_j,
-            prediction_time_s=cost.prediction_time_s,
-            prediction_energy_j=cost.prediction_energy_j,
-            migrations=cost.migrations,
-            migration_time_s=cost.migration_time_s,
-            migration_energy_j=cost.migration_energy_j,
-            energy_j=cost.energy_j,
-            time_s=cost.time_s,
-            run_wall_time_s=cost.full_run.wall_time_s,
-            base_energy_j=base_energy if math.isfinite(base_energy) else cost.energy_j,
-            deadline_s=deadline_s,
-            deadline_met=met,
-            violation=not met,
-        )
+        self.history.record(trace.name, decision.core, decision.freq_ghz,
+                            constraint.kind)
+        return replace(decision, path=tuple(path), ranking=ranking,
+                       base_energy_j=(base or decision).energy_j)
 
     # -- multiprogrammed dispatch ---------------------------------------------
 
@@ -397,15 +363,16 @@ class Scheduler:
             taken.add((cluster, chosen))
             bound = (deadline_s if deadline_s is not None
                      else self.deadline_for(trace, constraint))
-            cost = self._commit(trace, [chosen], bound, prof_run, path)
+            decision = self._commit(trace, constraint, [chosen], bound,
+                                    prof_run, path)
             if chosen != ranking[0]:
                 path.append((chosen, "contended"))
-            decision = self._decision(trace, constraint, cost, path, ranking,
-                                      prof_run, bound)
+            decision = replace(decision, path=tuple(path), ranking=ranking)
             placements.append(AppPlacement(
-                app=trace.name, cluster=cluster, core=chosen,
-                freq_ghz=cost.freq_ghz, completion_s=cost.time_s,
-                energy_j=cost.energy_j, ranking=ranking, decision=decision))
+                app=decision.app, cluster=cluster, core=decision.core,
+                freq_ghz=decision.freq_ghz, completion_s=decision.time_s,
+                energy_j=decision.energy_j, ranking=ranking,
+                decision=decision))
         return WorkloadAssignment(
             placements=tuple(placements),
             total_energy_j=sum(p.energy_j for p in placements))

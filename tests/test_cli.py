@@ -758,7 +758,8 @@ class TestInputFiles:
 class TestUnusableOutput:
     """An `--out` that names a file or passes through one, and a
     `gen-trace --name` that is empty or holds a directory, exit 1 naming the
-    flag, before any trace is read or generated."""
+    flag, and an output file with a directory in its place exits 1 naming
+    the file, before any trace is read or generated."""
 
     @pytest.fixture
     def given(self, trained_models, tmp_path, monkeypatch):
@@ -788,6 +789,27 @@ class TestUnusableOutput:
             "config error: --out must be a directory or a new path under one, "
             f"got {given['out']}\n")
         assert given["work"] == [] and given["taken"].read_text() == ""
+
+    @pytest.mark.parametrize("name, extra, file", [
+        ("gen-trace", (), "synth-1.trace"),
+        ("gen-trace", ("--name", "t"), "t.trace"),
+        ("simulate", (), "simulate.csv"),
+        ("simulate", ("--append",), "simulate.csv"),
+        ("sweep", (), "sweep.csv"),
+        ("train", (), "model-none.txt"),
+        ("train", ("--all-constraints",), "model-slack10.txt"),
+        ("schedule", (), "decisions.csv"),
+        ("report", (), "report.csv")])
+    def test_an_output_file_that_is_a_directory(self, given, capsys, name,
+                                                extra, file):
+        (given["out"] / file).mkdir(parents=True)
+        argv = (("gen-trace", "--seed", 1, "--out", given["out"])
+                if name == "gen-trace" else _command(name, given))
+        assert run_cli(*argv, *extra) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {given['out'] / file}: Is a directory\n")
+        assert given["work"] == []
+        assert [p.name for p in given["out"].iterdir()] == [file]
 
     @pytest.mark.parametrize("bad", ["", "a/b", "a/"])
     def test_a_name_that_is_not_a_file_name(self, given, capsys, bad):

@@ -561,11 +561,34 @@ class TestDecisionProperties:
                 assert (p.cluster, p.core) == free
                 taken.add(free)
             decisions += [p.decision for p in placements]
-        for d in decisions:
+        # `decisions` holds the scheduled apps, then any dispatched ones,
+        # each in the order of `apps`.
+        for i, d in enumerate(decisions):
             assert d.energy_j <= d.base_energy_j
             assert d.path[:2] == ((system.profiling_core, "profile"),
                                   (d.ranking[0], "predicted"))
             assert d.deadline_met == (d.run_wall_time_s <= d.deadline_s)
+            # The price is the sum of its parts, in the runtime's order: the
+            # full run in place, or the profiling window plus the cold rest
+            # run after a migration; then prediction; then migration.
+            core = system.core(d.core)
+            app = apps[i % len(apps)]
+            if d.migrations:
+                rest = simulate_run(app, core, d.freq_ghz, power,
+                                    start=d.profiling_instructions)
+                parts = [(d.profiling_energy_j, d.profiling_time_s),
+                         (rest.total_energy_j, rest.wall_time_s)]
+            else:
+                full = simulate_run(app, core, d.freq_ghz, power)
+                parts = [(full.total_energy_j, full.wall_time_s)]
+            parts += [(d.prediction_energy_j, d.prediction_time_s),
+                      (d.migration_energy_j, d.migration_time_s)]
+            energy = time = 0.0
+            for e, t in parts:
+                energy, time = energy + e, time + t
+            assert (d.energy_j, d.time_s) == (energy, time)
+            if i >= len(apps):  # dispatched
+                assert d.base_energy_j == d.energy_j
 
     @settings(deadline=None, max_examples=30, derandomize=True)
     @given(decision_cases())
@@ -613,6 +636,11 @@ class TestDecisionProperties:
                 assert hit.from_history and hit.path == ((d.core, "history"),)
                 assert (hit.core, hit.freq_ghz) == (d.core, d.freq_ghz)
                 assert sim.call_count == 0
+                # A hit is priced as the full run alone, with no fallback.
+                full = simulate_run(app, system.core(d.core), d.freq_ghz, power)
+                assert (hit.energy_j, hit.time_s) == (full.total_energy_j,
+                                                      full.wall_time_s)
+                assert hit.base_energy_j == hit.energy_j
 
     @settings(deadline=None, max_examples=25, derandomize=True)
     @given(decision_cases(), st.sampled_from([1, 2, 120]), st.data())
